@@ -304,8 +304,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
       clauses.group_clause().present()
           ? eval_clause(clauses.group_clause(), env, "group")
           : 0;
-  const SiteKey site = std::string(site_loc.file_name()) + ":" +
-                       std::to_string(site_loc.line());
+  const SiteKey site = site_key(site_loc);
 
   auto& cache = state.group_comms[site];
   if (!cache.valid || cache.color != color) {
@@ -369,7 +368,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
     lower_shmem(state, site, comm, pattern, root, count, sbuf, rbuf);
   }
 
-  if (detail::trace_enabled()) {
+  if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::CollectiveDirective,
                                 ctx.rank(), trace_begin, ctx.clock().now(),
                                 site, 0, 0});

@@ -5,10 +5,16 @@
 
 #include "core/reliability.hpp"
 #include "core/trace.hpp"
+#include "obs/obs.hpp"
 #include "rt/agg.hpp"
 #include "shmem/shmem.hpp"
 
 namespace cid::core::detail {
+
+SiteKey site_key(const std::source_location& location) {
+  return std::string(location.file_name()) + ":" +
+         std::to_string(location.line());
+}
 
 void PendingOps::merge_from(PendingOps&& other) {
   mpi_requests.insert(mpi_requests.end(), other.mpi_requests.begin(),
@@ -146,9 +152,23 @@ mpi::Datatype ExecState::datatype_for(const TypeLayout& layout) {
 }
 
 void ExecState::flush(PendingOps& ops) {
-  const bool trace = detail::trace_enabled() && !ops.empty();
+  const bool trace = obs::enabled() && !ops.empty();
   simnet::SimTime trace_begin = 0.0;
   if (trace) trace_begin = rt::current_ctx().clock().now();
+  complete_local(ops);
+  for (auto& window : ops.windows_to_fence) {
+    ++stats.window_fences;
+    window.fence();
+  }
+  ops.windows_to_fence.clear();
+  if (trace) {
+    auto& ctx = rt::current_ctx();
+    record_trace_event({TraceEventKind::Synchronization, ctx.rank(),
+                        trace_begin, ctx.clock().now(), "flush", 0, 0});
+  }
+}
+
+void ExecState::complete_local(PendingOps& ops) {
   // Batched sends go out before anything waits: the waitall below may block
   // on receives whose messages ride in these aggregates.
   inject_aggregates(*this, ops);
@@ -188,17 +208,7 @@ void ExecState::flush(PendingOps& ops) {
     shmem::quiet();
     ops.shmem_quiet_needed = false;
   }
-  for (auto& window : ops.windows_to_fence) {
-    ++stats.window_fences;
-    window.fence();
-  }
-  ops.windows_to_fence.clear();
   ops.ranges.clear();
-  if (trace) {
-    auto& ctx = rt::current_ctx();
-    record_trace_event({TraceEventKind::Synchronization, ctx.rank(),
-                        trace_begin, ctx.clock().now(), "flush", 0, 0});
-  }
 }
 
 }  // namespace cid::core::detail

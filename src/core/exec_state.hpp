@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <source_location>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,11 @@ namespace cid::core::detail {
 /// ranks execute the same sites in the same order (SPMD discipline), which
 /// makes site-keyed collective allocations consistent.
 using SiteKey = std::string;
+
+/// The SiteKey of a directive call. The build strips the source root from
+/// file names (src/CMakeLists.txt), so keys are root-relative
+/// ("examples/halo3d.cpp:104") and the same in every checkout.
+SiteKey site_key(const std::source_location& location);
 
 /// Byte range touched by a pending operation, for the adjacency analysis
 /// ("adjacent comm_p2p directives with independent buffers" share one sync).
@@ -223,8 +229,14 @@ class ExecState {
   mpi::Datatype datatype_for(const TypeLayout& layout);
 
   /// Complete everything in `ops` (waitall / shmem waits / quiet / fences)
-  /// and reset slot usage so persistent requests can be restarted.
+  /// and reset slot usage so persistent requests can be restarted; records
+  /// one sync span when recording is on.
   void flush(PendingOps& ops);
+
+  /// The rank-local part of flush(): aggregates, reliable epochs, MPI
+  /// requests, SHMEM flag publication, waits and quiet. Window fences are
+  /// collective and stay pending; no span is recorded.
+  void complete_local(PendingOps& ops);
 
  private:
   friend struct ExecStateResetCheck;

@@ -28,11 +28,6 @@ namespace {
 
 constexpr int kDirectiveTag = 2000;
 
-SiteKey site_key(const std::source_location& location) {
-  return std::string(location.file_name()) + ":" +
-         std::to_string(location.line());
-}
-
 Env make_env(const Clauses& merged) {
   Env env;
   auto& ctx = rt::current_ctx();
@@ -331,56 +326,17 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
   }
 }
 
-/// Flush only rank-local completions (MPI requests, SHMEM waits/quiet) when
-/// the adjacency analysis finds a buffer conflict. Window fences are
-/// collective and stay deferred to the region end, which every rank reaches.
-void flush_local(ExecState& state, PendingOps& ops) {
-  inject_aggregates(state, ops);
-  if (!ops.reliable_sends.empty() || !ops.reliable_recvs.empty()) {
-    run_reliable_epoch(state, ops);
-  }
-  if (!ops.mpi_requests.empty()) {
-    ++state.stats.waitalls;
-    state.stats.requests_retired += ops.mpi_requests.size();
-    mpi::waitall(ops.mpi_requests);
-    ops.mpi_requests.clear();
-    for (auto& [site, slots] : state.channels) {
-      slots.send_used = 0;
-      slots.recv_used = 0;
-    }
-  }
-  apply_flat_scatters(state, ops);
-  if (!ops.shmem_flag_updates.empty()) {
-    shmem::fence();
-    const int self = rt::current_ctx().rank();
-    for (const auto& update : ops.shmem_flag_updates) {
-      shmem::put_value64(&update.site->flags[self],
-                         update.site->sent_to.at(update.dest), update.dest);
-    }
-    ops.shmem_flag_updates.clear();
-  }
-  for (const auto& expect : ops.shmem_expects) {
-    shmem::wait_until(expect.flag, shmem::Cmp::Ge, expect.expected);
-  }
-  ops.shmem_expects.clear();
-  if (ops.shmem_quiet_needed) {
-    ++state.stats.shmem_quiets;
-    shmem::quiet();
-    ops.shmem_quiet_needed = false;
-  }
-  ops.ranges.clear();
-}
-
 /// The adjacency analysis of Section III-A: adjacent directives with
 /// independent buffers share one synchronization; a dependence forces an
-/// intermediate (local) sync.
+/// intermediate sync of the rank-local completions. Window fences are
+/// collective and stay deferred to the region end, which every rank reaches.
 void sync_if_buffers_conflict(ExecState& state,
                               const std::vector<BufferRange>& incoming) {
   for (const auto& range : incoming) {
     for (const auto& pending : state.pending.ranges) {
       if (ranges_conflict(range, pending)) {
         ++state.stats.conflict_flushes;
-        flush_local(state, state.pending);
+        state.complete_local(state.pending);
         return;
       }
     }
@@ -687,7 +643,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
   if (overlap != nullptr && *overlap) {
     const simnet::SimTime overlap_begin = ctx.clock().now();
     (*overlap)();
-    if (trace_enabled()) {
+    if (obs::enabled()) {
       record_trace_event({TraceEventKind::Overlap, ctx.rank(), overlap_begin,
                           ctx.clock().now(), site, 0, 0});
     }
@@ -697,7 +653,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     state.flush(state.pending);
   }
 
-  if (trace_enabled()) {
+  if (obs::enabled()) {
     record_trace_event({TraceEventKind::P2PDirective, ctx.rank(), trace_begin,
                         ctx.clock().now(), site,
                         state.stats.total_bytes() - trace_bytes0,
@@ -777,7 +733,7 @@ void comm_parameters(const Clauses& clauses,
       break;
   }
 
-  if (detail::trace_enabled()) {
+  if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::RegionDirective,
                                 trace_ctx.rank(), trace_begin,
                                 trace_ctx.clock().now(),

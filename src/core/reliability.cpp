@@ -99,7 +99,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
   auto& ctx = rt::current_ctx();
   const auto& costs = ctx.model().mpi_two_sided;
   const int self = ctx.rank();
-  const bool trace = trace_enabled();
+  const bool trace = obs::enabled();
 
   std::vector<SendProgress> sends;
   sends.reserve(ops.reliable_sends.size());
@@ -177,8 +177,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
   // the sender detects loss by the *absence* of an ack within a wall-clock
   // deadline instead of by deterministic tombstone evidence. Virtual
   // timeouts map to wall seconds via CID_NET_TIMEOUT_SCALE.
-  const net::Transport* transport = ctx.world().transport();
-  const bool real_loss = transport != nullptr && transport->real_loss();
+  const bool real_loss = ctx.world().transport().real_loss();
   const double wall_scale = real_loss ? net::timeout_scale_from_env() : 0.0;
   if (real_loss) {
     const double now = net::wall_seconds();

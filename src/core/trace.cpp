@@ -1,8 +1,5 @@
 #include "core/trace.hpp"
 
-#include <algorithm>
-#include <ostream>
-
 #include "obs/obs.hpp"
 
 namespace cid::core {
@@ -21,33 +18,14 @@ std::string_view trace_event_kind_name(TraceEventKind kind) noexcept {
   return "event";
 }
 
-struct TraceCollector::Sink {
-  std::mutex mutex;
-  std::vector<TraceEvent> events;
-};
-
 namespace detail {
-namespace {
-/// Fallback for callers outside an SPMD region (test harnesses that attach
-/// and record on a plain thread). Inside a region the sink lives in the
-/// RankCtx local slot below, which follows the rank when the pooled
-/// scheduler migrates it between worker threads.
-thread_local TraceCollector::Sink* t_sink = nullptr;
 
-/// RankCtx::local_slot key for the attached sink.
-constexpr char kCtxSinkKey = 0;
-
-TraceCollector::Sink* ctx_sink() noexcept {
-  if (!rt::in_spmd_region()) return nullptr;
-  return static_cast<TraceCollector::Sink*>(
-      rt::current_ctx().local_slot(&kCtxSinkKey).get());
-}
-
-/// Derive the per-(metric, site, rank) counters and virtual-time latency
-/// histograms the observability layer publishes for every directive event.
-/// Latencies are the virtual span duration in seconds; the faults/reliability
-/// kinds are point events, so only their occurrence counters matter.
-void forward_to_obs(const TraceEvent& event) {
+/// Besides the span, derive the per-(metric, site, rank) counters and
+/// virtual-time latency histograms the observability layer publishes for
+/// every directive event. Latencies are the virtual span duration in seconds;
+/// the faults/reliability kinds are point events, so only their occurrence
+/// counters matter.
+void record_trace_event(const TraceEvent& event) {
   const std::string_view cat = trace_event_kind_name(event.kind);
   obs::span({event.rank, std::string(cat), event.site, event.begin, event.end,
              event.bytes, event.messages});
@@ -94,101 +72,7 @@ void forward_to_obs(const TraceEvent& event) {
       break;
   }
 }
-}  // namespace
 
-TraceCollector::Sink* active_trace_sink() noexcept {
-  if (rt::in_spmd_region()) return ctx_sink();
-  return t_sink;
-}
-
-bool trace_enabled() noexcept {
-  return active_trace_sink() != nullptr || obs::enabled();
-}
-
-void record_trace_event(TraceEvent event) {
-  if (obs::enabled()) forward_to_obs(event);
-  TraceCollector::Sink* sink = active_trace_sink();
-  if (sink == nullptr) return;
-  std::lock_guard<std::mutex> lock(sink->mutex);
-  sink->events.push_back(std::move(event));
-}
 }  // namespace detail
-
-TraceCollector::TraceCollector() : sink_(std::make_shared<Sink>()) {}
-
-TraceCollector::~TraceCollector() = default;
-
-void TraceCollector::attach(rt::RankCtx& ctx) {
-  // Shared ownership in the slot: the sink outlives the rank even if the
-  // collector is destroyed first.
-  ctx.local_slot(&detail::kCtxSinkKey) = sink_;
-  if (rt::sched::Fiber::current() == nullptr) {
-    // Plain-thread callers (thread-per-rank mode, direct harnesses) may
-    // record from outside an SPMD region; keep the thread_local fallback
-    // pointing at this sink. On a fiber that would scribble a stale pointer
-    // onto the worker thread, so skip it there.
-    detail::t_sink = sink_.get();
-  }
-}
-
-std::vector<TraceEvent> TraceCollector::events() const {
-  std::lock_guard<std::mutex> lock(sink_->mutex);
-  std::vector<TraceEvent> out = sink_->events;
-  // Total order over every serialized field: concurrently recorded events
-  // (e.g. fault events from several sender threads) land in the same place
-  // regardless of wall-clock interleaving, so a deterministic run serializes
-  // to byte-identical JSON.
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.rank != b.rank) return a.rank < b.rank;
-              if (a.begin != b.begin) return a.begin < b.begin;
-              if (a.end != b.end) return a.end < b.end;
-              if (a.kind != b.kind) return a.kind < b.kind;
-              if (a.site != b.site) return a.site < b.site;
-              if (a.bytes != b.bytes) return a.bytes < b.bytes;
-              return a.messages < b.messages;
-            });
-  return out;
-}
-
-void TraceCollector::clear() {
-  std::lock_guard<std::mutex> lock(sink_->mutex);
-  sink_->events.clear();
-}
-
-namespace {
-void write_json_string(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (c == '\n') {
-      out << "\\n";
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-}  // namespace
-
-void TraceCollector::write_chrome_json(std::ostream& out) const {
-  const auto sorted = events();
-  out << "[\n";
-  bool first = true;
-  for (const auto& event : sorted) {
-    if (!first) out << ",\n";
-    first = false;
-    out << R"({"name":)";
-    write_json_string(out, std::string(trace_event_kind_name(event.kind)) +
-                               " " + event.site);
-    out << R"(,"cat":")" << trace_event_kind_name(event.kind) << '"'
-        << R"(,"ph":"X","pid":0,"tid":)" << event.rank << R"(,"ts":)"
-        << event.begin * 1e6 << R"(,"dur":)"
-        << (event.end - event.begin) * 1e6 << R"(,"args":{"bytes":)"
-        << event.bytes << R"(,"messages":)" << event.messages << "}}";
-  }
-  out << "\n]\n";
-}
 
 }  // namespace cid::core

@@ -1,29 +1,20 @@
-// Directive event tracing — a virtual-time timeline of what every rank's
-// directives did (posts, transfers, synchronization waits, collectives),
-// exportable as Chrome trace-event JSON (chrome://tracing, Perfetto).
+// Directive events — what every rank's directives did (posts, transfers,
+// synchronization waits, collectives, fault-layer interference), on the
+// virtual-time axis.
 //
-// Because timing is virtual and deterministic, a trace is a reproducible
-// artifact: two runs of the same program produce byte-identical timelines.
-// Tracing is off by default; enabling it costs one vector push per event.
-//
-// Usage:
-//   cid::core::TraceCollector trace;           // before rt::run
-//   cid::rt::run(n, [&](auto& ctx) {
-//     trace.attach(ctx);                       // once per rank
-//     ... directives ...
-//   });
-//   std::ofstream out("trace.json");
-//   trace.write_chrome_json(out);
+// The directive executors and the fault layer build one TraceEvent per
+// phase and hand it to record_trace_event(), which publishes it to cid::obs:
+// one span on the rank's track plus the derived per-site counters and
+// virtual-time histograms. cid::obs is the only recorder; read events back
+// with obs::spans() or export them with obs::write_chrome_json() /
+// CID_TRACE_OUT (docs/OBSERVABILITY.md). Because timing is virtual and
+// deterministic, two runs of the same program record identical events.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "rt/runtime.hpp"
 #include "simnet/machine_model.hpp"
 
 namespace cid::core {
@@ -39,6 +30,7 @@ enum class TraceEventKind : std::uint8_t {
   Timeout,             ///< a virtual-time retransmission/receive timer fired
 };
 
+/// The obs span category of `kind` ("comm_p2p", "sync", "fault", ...).
 std::string_view trace_event_kind_name(TraceEventKind kind) noexcept;
 
 struct TraceEvent {
@@ -51,47 +43,10 @@ struct TraceEvent {
   std::uint64_t messages; ///< messages injected during the span
 };
 
-/// Collects events from every rank of one (or more) SPMD runs.
-class TraceCollector {
- public:
-  TraceCollector();
-  ~TraceCollector();
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// Route the calling rank's directive events into this collector. Call
-  /// once per rank, inside the SPMD function, before any directive.
-  void attach(rt::RankCtx& ctx);
-
-  /// All events recorded so far, ordered by (rank, begin).
-  std::vector<TraceEvent> events() const;
-
-  /// Chrome trace-event JSON (microsecond timestamps = virtual us).
-  void write_chrome_json(std::ostream& out) const;
-
-  /// Drop all recorded events.
-  void clear();
-
-  struct Sink;
-
- private:
-  std::shared_ptr<Sink> sink_;
-};
-
 namespace detail {
-/// Executor hook: the active sink of the calling rank (nullptr = tracing
-/// off). Set by TraceCollector::attach for the current thread.
-TraceCollector::Sink* active_trace_sink() noexcept;
-
-/// True when anything wants directive events: an attached TraceCollector on
-/// this thread, or the process-wide cid::obs recorder (CID_TRACE_OUT).
-/// Directive executors must gate event construction on this.
-bool trace_enabled() noexcept;
-
-/// Record an event into the attached collector (if any) and forward it to
-/// cid::obs (span + derived per-site counters/histograms) when obs recording
-/// is on.
-void record_trace_event(TraceEvent event);
+/// Publish an event to cid::obs: one span plus the derived per-site counters
+/// and histograms. Emit sites build the event only when obs::enabled().
+void record_trace_event(const TraceEvent& event);
 }  // namespace detail
 
 }  // namespace cid::core

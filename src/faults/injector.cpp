@@ -92,21 +92,21 @@ rt::DeliveryVerdict FaultInjector::on_deliver(const rt::Envelope& envelope,
       break;
   }
 
-  // Timestamps derive from the envelope alone (not the sender's clock, which
-  // during a reliability flush depends on arrival interleaving), keeping the
-  // trace byte-identical across runs.
-  core::detail::record_trace_event(core::TraceEvent{
-      core::TraceEventKind::FaultInjected,
-      src,
-      envelope.available_at,
-      envelope.available_at + verdict.delay + verdict.sender_stall +
-          (verdict.duplicate ? verdict.duplicate_delay : 0.0),
-      std::string(fault_kind_name(fate)) + " -> " +
-          std::to_string(dest_rank),
-      envelope.payload.size(),
-      1,
-  });
   if (obs::enabled()) {
+    // Timestamps derive from the envelope alone (not the sender's clock,
+    // which during a reliability flush depends on arrival interleaving),
+    // keeping the trace byte-identical across runs.
+    core::detail::record_trace_event(core::TraceEvent{
+        core::TraceEventKind::FaultInjected,
+        src,
+        envelope.available_at,
+        envelope.available_at + verdict.delay + verdict.sender_stall +
+            (verdict.duplicate ? verdict.duplicate_delay : 0.0),
+        std::string(fault_kind_name(fate)) + " -> " +
+            std::to_string(dest_rank),
+        envelope.payload.size(),
+        1,
+    });
     // Per-kind occurrence counter keyed by the victim sender, alongside the
     // site-grained cid.faults.injected counter derived from the trace event.
     obs::count("faults.injected", fault_kind_name(fate), src);

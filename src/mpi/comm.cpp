@@ -167,7 +167,7 @@ void Comm::barrier() const {
               "barrier() caller is not a member");
   const simnet::SimTime cost = world.model().barrier_cost(members);
 
-  if (world.transport() != nullptr && world.transport()->cross_process()) {
+  if (world.transport().cross_process()) {
     if (members == world.nranks()) {
       // Full-world barrier: same max-reduce + cost arithmetic, and the
       // world barrier knows how to synchronize across processes.

@@ -15,9 +15,10 @@
 // results (pinned by the golden fingerprints in tests/property_test.cpp).
 //
 // Layering: obs depends only on cid_common + cid_simnet, so cid_rt, cid_mpi,
-// cid_shmem, cid_core and cid_faults may all call it directly. The directive
-// layer forwards its core::TraceCollector event stream here (core/trace.cpp),
-// which is how region/sync/overlap spans reach the exporter.
+// cid_shmem, cid_core and cid_faults may all call it directly. obs is the one
+// recorder of directive events: the executors and the fault layer publish
+// them through core::detail::record_trace_event (core/trace.cpp), which is
+// how region/sync/overlap spans reach the exporter.
 //
 // Exporting:
 //   write_chrome_json(out)   Perfetto-loadable trace-event JSON (one thread

@@ -244,26 +244,18 @@ Result<TraceFile> parse_trace(std::string_view text) {
   if (!document.is_ok()) return Result<TraceFile>(document.status());
   const Json& root = document.value();
 
-  TraceFile out;
-  const Json* events = nullptr;
-  if (root.kind == Json::Kind::Array) {
-    events = &root;
-  } else if (root.kind == Json::Kind::Object) {
-    events = root.find("traceEvents");
-    if (events == nullptr || events->kind != Json::Kind::Array) {
-      return Result<TraceFile>(
-          Status(ErrorCode::ParseError,
-                 "trace: object form lacks a \"traceEvents\" array"));
-    }
-    if (const Json* metrics = root.find("cidMetrics");
-        metrics != nullptr && metrics->kind == Json::Kind::Object) {
-      load_metrics(*metrics, out);
-    }
-  } else {
-    return Result<TraceFile>(Status(
-        ErrorCode::ParseError, "trace: document is neither array nor object"));
+  const Json* events =
+      root.kind == Json::Kind::Object ? root.find("traceEvents") : nullptr;
+  if (events == nullptr || events->kind != Json::Kind::Array) {
+    return Result<TraceFile>(
+        Status(ErrorCode::ParseError,
+               "trace: expected an object with a \"traceEvents\" array"));
   }
-
+  TraceFile out;
+  if (const Json* metrics = root.find("cidMetrics");
+      metrics != nullptr && metrics->kind == Json::Kind::Object) {
+    load_metrics(*metrics, out);
+  }
   for (const Json& event : events->array) {
     if (event.kind == Json::Kind::Object) load_event(event, out);
   }

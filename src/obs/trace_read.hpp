@@ -1,7 +1,7 @@
 // Reading trace files back: a minimal JSON parser (sufficient for the
-// Chrome trace-event format) and the loader that accepts both shapes this
-// repository emits — the bare array written by core::TraceCollector and the
-// {"traceEvents": [...], "cidMetrics": {...}} object written by cid::obs.
+// Chrome trace-event format) and the loader for the one trace shape this
+// repository emits — the {"traceEvents": [...], "cidMetrics": {...}} object
+// written by cid::obs::write_chrome_json.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +47,7 @@ struct TraceSpan {
   std::uint64_t messages = 0;
 };
 
-/// Metric rows read back from the "cidMetrics" section (absent for
-/// bare-array traces).
+/// Metric rows read back from the "cidMetrics" section.
 struct TraceCounter {
   std::string metric;
   std::string site;
@@ -71,10 +70,11 @@ struct TraceFile {
   std::vector<TraceHistogram> histograms;
 };
 
-/// Load a trace file from disk (array form or object form).
+/// Load a trace file from disk.
 Result<TraceFile> read_trace_file(const std::string& path);
 
-/// Parse an in-memory trace document (for tests).
+/// Parse an in-memory trace document; ParseError unless it is an object
+/// with a "traceEvents" array.
 Result<TraceFile> parse_trace(std::string_view text);
 
 }  // namespace cid::obs

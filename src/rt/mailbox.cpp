@@ -18,19 +18,7 @@ void Mailbox::push(Envelope envelope) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     envelope.seq = next_seq_++;
-    for (const Waiter* waiter : waiters_) {
-      if (waiter->keys.empty()) {
-        wake = true;  // predicate waiter: must see every arrival
-        break;
-      }
-      for (const MatchKey& key : waiter->keys) {
-        if (key.admits(envelope)) {
-          wake = true;
-          break;
-        }
-      }
-      if (wake) break;
-    }
+    wake = wanted(envelope);
     Bucket& bucket =
         buckets_
             .try_emplace(bucket_id(envelope.channel, envelope.context), &pool_)
@@ -64,21 +52,7 @@ void Mailbox::push_aggregate(Envelope envelope) {
         e.payload = Payload::copy_of(wire.subspan(sub.offset, sub.bytes));
       }
       e.seq = next_seq_++;
-      if (!wake) {
-        for (const Waiter* waiter : waiters_) {
-          if (waiter->keys.empty()) {
-            wake = true;
-            break;
-          }
-          for (const MatchKey& key : waiter->keys) {
-            if (key.admits(e)) {
-              wake = true;
-              break;
-            }
-          }
-          if (wake) break;
-        }
-      }
+      wake = wake || wanted(e);
       Bucket& bucket =
           buckets_.try_emplace(bucket_id(e.channel, e.context), &pool_)
               .first->second;
@@ -88,6 +62,15 @@ void Mailbox::push_aggregate(Envelope envelope) {
     }
   }
   if (wake) arrived_.notify_all();
+}
+
+bool Mailbox::wanted(const Envelope& envelope) const {
+  for (const Waiter* waiter : waiters_) {
+    for (const MatchKey& key : waiter->keys) {
+      if (key.admits(envelope)) return true;
+    }
+  }
+  return false;
 }
 
 std::optional<Mailbox::Found> Mailbox::find_in_bucket(Bucket& bucket,
@@ -137,32 +120,6 @@ std::optional<Mailbox::Found> Mailbox::find_any(std::span<const MatchKey> keys,
     if (found && (!best || found->it->first < best->it->first)) best = found;
   }
   return best;
-}
-
-std::optional<Mailbox::Found> Mailbox::find_predicate(
-    const Predicate& predicate, std::uint64_t floor) {
-  // Merge-scan every bucket in ascending global seq order.
-  struct Cursor {
-    Bucket* bucket;
-    SeqMap::iterator it;
-  };
-  std::vector<Cursor> cursors;
-  cursors.reserve(buckets_.size());
-  for (auto& [id, bucket] : buckets_) {
-    (void)id;
-    auto it = bucket.by_seq.lower_bound(floor);
-    if (it != bucket.by_seq.end()) cursors.push_back({&bucket, it});
-  }
-  for (;;) {
-    Cursor* min = nullptr;
-    for (Cursor& cursor : cursors) {
-      if (cursor.it == cursor.bucket->by_seq.end()) continue;
-      if (min == nullptr || cursor.it->first < min->it->first) min = &cursor;
-    }
-    if (min == nullptr) return std::nullopt;
-    if (predicate(min->it->second)) return Found{min->bucket, min->it};
-    ++min->it;
-  }
 }
 
 Envelope Mailbox::extract(Found found) {
@@ -282,43 +239,6 @@ std::optional<Mailbox::Header> Mailbox::peek(const MatchKey& key,
   std::lock_guard<std::mutex> lock(mutex_);
   auto found =
       find_any(std::span<const MatchKey>(&key, 1), residual, /*floor=*/0);
-  if (!found) return std::nullopt;
-  const Envelope& e = found->it->second;
-  return Header{e.src, e.tag, e.payload.size(), e.available_at};
-}
-
-Envelope Mailbox::wait_extract(const Predicate& predicate) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Predicates may consult state outside the envelope, so every wakeup
-  // rescans from the start (no floor) and every push wakes us.
-  Found found = wait_match(lock, {}, [&](std::uint64_t) {
-    return find_predicate(predicate, /*floor=*/0);
-  });
-  return extract(found);
-}
-
-std::optional<Envelope> Mailbox::try_extract(const Predicate& predicate) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto found = find_predicate(predicate, /*floor=*/0);
-  if (!found) return std::nullopt;
-  return extract(*found);
-}
-
-void Mailbox::wait_present(const Predicate& predicate) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  wait_match(lock, {}, [&](std::uint64_t) {
-    return find_predicate(predicate, /*floor=*/0);
-  });
-}
-
-bool Mailbox::probe(const Predicate& predicate) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_predicate(predicate, /*floor=*/0).has_value();
-}
-
-std::optional<Mailbox::Header> Mailbox::peek(const Predicate& predicate) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto found = find_predicate(predicate, /*floor=*/0);
   if (!found) return std::nullopt;
   const Envelope& e = found->it->second;
   return Header{e.src, e.tag, e.payload.size(), e.available_at};

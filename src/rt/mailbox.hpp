@@ -18,9 +18,6 @@
 //    rescanned within one wait, since keys are fixed for the call);
 //  - push() wakes a waiter only when the new envelope can match one of its
 //    registered keys; a push nobody could want costs no syscall.
-//
-// A generic predicate API remains for tests and exotic protocols; it scans
-// all buckets in global arrival order and wakes on every push.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +77,6 @@ struct MatchKey {
 
 class Mailbox {
  public:
-  using Predicate = std::function<bool(const Envelope&)>;
   /// Optional refinement evaluated on key-admitted candidates only (e.g.
   /// communicator-membership checks). Must be deterministic for the duration
   /// of one call: a candidate it rejects is not re-examined within that call.
@@ -91,8 +87,6 @@ class Mailbox {
   /// here into its per-message sub-envelopes under one lock acquisition, in
   /// append order, so seq-based non-overtaking matches the unbatched path.
   void push(Envelope envelope);
-
-  // ---- Structured (indexed) matching: the hot paths ----------------------
 
   /// Remove and return the lowest-seq envelope admitted by any key (and the
   /// residual, when given); blocks until one arrives. Throws
@@ -137,14 +131,6 @@ class Mailbox {
   };
   std::optional<Header> peek(const MatchKey& key,
                              const Residual* residual = nullptr);
-
-  // ---- Generic predicate matching: tests / exotic protocols --------------
-
-  Envelope wait_extract(const Predicate& predicate);
-  std::optional<Envelope> try_extract(const Predicate& predicate);
-  void wait_present(const Predicate& predicate);
-  bool probe(const Predicate& predicate);
-  std::optional<Header> peek(const Predicate& predicate);
 
   /// Number of queued envelopes (diagnostics).
   std::size_t size() const;
@@ -209,8 +195,7 @@ class Mailbox {
         exact;
   };
 
-  /// A registered blocking waiter, used by push() for targeted wakeups. An
-  /// empty key span means "wake on any arrival" (predicate waiters).
+  /// A registered blocking waiter, used by push() for targeted wakeups.
   struct Waiter {
     std::span<const MatchKey> keys;
   };
@@ -236,8 +221,9 @@ class Mailbox {
   std::optional<Found> find_any(std::span<const MatchKey> keys,
                                 const Residual* residual,
                                 std::uint64_t floor);
-  std::optional<Found> find_predicate(const Predicate& predicate,
-                                      std::uint64_t floor);
+
+  /// True when some registered waiter's keys admit `envelope`.
+  bool wanted(const Envelope& envelope) const;
 
   /// Remove the found envelope from its bucket (and sub-index front) and
   /// return it.

@@ -63,8 +63,7 @@ RunResult run(int nranks, const simnet::MachineModel& model, const RankFn& fn,
       options.transport != nullptr ? options.transport
                                    : net::make_transport_from_env();
 
-  World world(nranks, model);
-  world.set_transport(transport);
+  World world(nranks, model, transport);
   if (options.interceptor != nullptr) {
     world.set_interceptor(options.interceptor);
   }

@@ -8,13 +8,20 @@
 
 namespace cid::rt {
 
-World::World(int nranks, simnet::MachineModel model)
+World::World(int nranks, simnet::MachineModel model,
+             std::shared_ptr<net::Transport> transport)
     : nranks_(nranks),
       model_(model),
-      barrier_participants_(nranks),
+      transport_(std::move(transport)),
       clocks_(nranks) {
   CID_REQUIRE(nranks > 0, ErrorCode::InvalidArgument,
               "World requires at least one rank");
+  CID_REQUIRE(transport_ != nullptr, ErrorCode::InvalidArgument,
+              "World requires a transport");
+  CID_REQUIRE(transport_->local_rank_count(nranks_) > 0,
+              ErrorCode::InvalidArgument,
+              "transport hosts no ranks in this process");
+  transport_real_loss_ = transport_->real_loss();
   mailboxes_.reserve(nranks);
   signals_.reserve(nranks);
   for (int r = 0; r < nranks; ++r) {
@@ -27,13 +34,8 @@ World::World(int nranks, simnet::MachineModel model)
   for (int s = 0; s < shard_count; ++s) {
     barrier_shards_.push_back(std::make_unique<BarrierShard>());
   }
-  rebuild_barrier_shards();
-}
-
-void World::rebuild_barrier_shards() {
-  for (auto& shard : barrier_shards_) shard->expected = 0;
-  barrier_root_.active_shards = 0;
-  for (int r = 0; r < nranks_; ++r) {
+  // Only locally hosted ranks arrive at this process's barrier shards.
+  for (int r = 0; r < nranks; ++r) {
     if (rank_is_local(r)) ++shard_of(r).expected;
   }
   for (auto& shard : barrier_shards_) {
@@ -41,22 +43,8 @@ void World::rebuild_barrier_shards() {
   }
 }
 
-void World::set_transport(std::shared_ptr<net::Transport> transport) {
-  transport_ = std::move(transport);
-  if (transport_ != nullptr) {
-    barrier_participants_ = transport_->local_rank_count(nranks_);
-    transport_real_loss_ = transport_->real_loss();
-  } else {
-    barrier_participants_ = nranks_;
-    transport_real_loss_ = false;
-  }
-  CID_REQUIRE(barrier_participants_ > 0, ErrorCode::InvalidArgument,
-              "transport hosts no ranks in this process");
-  rebuild_barrier_shards();
-}
-
 void World::require_single_process(const std::string& what) const {
-  if (transport_ != nullptr && transport_->cross_process()) {
+  if (transport_->cross_process()) {
     throw CidError(ErrorCode::UnsupportedTarget,
                    what + " requires all ranks in one process; the " +
                        std::string(net::backend_name(transport_->kind())) +
@@ -65,21 +53,12 @@ void World::require_single_process(const std::string& what) const {
 }
 
 bool World::single_process() const noexcept {
-  return transport_ == nullptr || !transport_->cross_process();
+  return !transport_->cross_process();
 }
 
 bool World::rank_is_local(int rank) const noexcept {
-  if (transport_ == nullptr || !transport_->cross_process()) return true;
   const int begin = transport_->local_rank_begin(nranks_);
   return rank >= begin && rank < begin + transport_->local_rank_count(nranks_);
-}
-
-void World::route(int dest, Envelope envelope) {
-  if (transport_ != nullptr) {
-    transport_->deliver(dest, std::move(envelope));
-  } else {
-    mailboxes_[dest]->push(std::move(envelope));
-  }
 }
 
 void World::deliver(int dest, Envelope envelope) {
@@ -106,7 +85,7 @@ void World::deliver(int dest, Envelope envelope) {
     if (verdict.duplicate) {
       Envelope copy = envelope;
       copy.available_at += verdict.duplicate_delay;
-      route(dest, std::move(copy));
+      transport_->deliver(dest, std::move(copy));
     }
     if (verdict.drop) {
       if (transport_real_loss_) {
@@ -129,7 +108,7 @@ void World::deliver(int dest, Envelope envelope) {
       envelope.faulted = true;
     }
   }
-  route(dest, std::move(envelope));
+  transport_->deliver(dest, std::move(envelope));
 }
 
 void World::barrier(int rank, simnet::SimTime cost) {
@@ -179,9 +158,7 @@ void World::barrier(int rank, simnet::SimTime cost) {
   // transport (identity for in-process transports, so the simulator's
   // barrier arithmetic is untouched), then resets every clock to the common
   // release time.
-  if (transport_ != nullptr) {
-    global_max = transport_->barrier_sync(global_max);
-  }
+  global_max = transport_->barrier_sync(global_max);
   const simnet::SimTime release_time = global_max + cost;
   for (auto& clock : clocks_) clock.reset(release_time);
   // Publish generation G+1 shard by shard. A rank woken from an early shard
@@ -203,9 +180,7 @@ void World::barrier(int rank, simnet::SimTime cost) {
 
 void World::poison() noexcept {
   poisoned_.store(true, std::memory_order_release);
-  if (transport_ != nullptr) {
-    transport_->interrupt();  // wake ranks blocked inside barrier_sync
-  }
+  transport_->interrupt();  // wake ranks blocked inside barrier_sync
   for (auto& mailbox : mailboxes_) mailbox->interrupt_all();
   // The empty lock/unlock brackets pair with each waiter, which holds the
   // corresponding mutex from its predicate check until it is registered on

@@ -47,7 +47,12 @@ class DeliveryInterceptor {
 
 class World {
  public:
-  World(int nranks, simnet::MachineModel model);
+  /// `transport` carries every envelope and synchronizes the world barrier
+  /// (see net/transport.hpp); it must not be null. rt::run resolves it
+  /// (SimTransport for the default sim backend) and attaches it before any
+  /// rank starts.
+  World(int nranks, simnet::MachineModel model,
+        std::shared_ptr<net::Transport> transport);
 
   int nranks() const noexcept { return nranks_; }
   const simnet::MachineModel& model() const noexcept { return model_; }
@@ -86,14 +91,7 @@ class World {
     delivery_tap_ = std::move(tap);
   }
 
-  /// Install the transport that carries envelopes and synchronizes the
-  /// world barrier (see net/transport.hpp). Null (the default) short-
-  /// circuits to the simulator path: synchronous mailbox push, local-only
-  /// barrier — byte-identical to the pre-seam runtime, which is what keeps
-  /// direct World construction in tests on the golden fingerprints.
-  /// Install before ranks start; rt::run does this.
-  void set_transport(std::shared_ptr<net::Transport> transport);
-  net::Transport* transport() const noexcept { return transport_.get(); }
+  net::Transport& transport() const noexcept { return *transport_; }
 
   /// Gate for facilities built on in-process shared state (the shmem
   /// symmetric heap, MPI windows, communicator split): throws
@@ -105,8 +103,8 @@ class World {
   /// OS process (cid::tune only auto-picks shmem / one-sided when so).
   bool single_process() const noexcept;
 
-  /// True when `rank` runs in this OS process (always true without a
-  /// cross-process transport).
+  /// True when `rank` runs in this OS process (always true on an
+  /// in-process transport).
   bool rank_is_local(int rank) const noexcept;
 
   /// Max-reducing barrier: all ranks block until everyone arrives, then every
@@ -202,13 +200,6 @@ class World {
     sched::WaitCv changed;
   };
 
-  /// Hand one envelope to the transport (or push directly when none).
-  void route(int dest, Envelope envelope);
-
-  /// (Re)compute per-shard participant counts; called on construction and
-  /// whenever the transport (and thus the local rank slice) changes.
-  void rebuild_barrier_shards();
-
   BarrierShard& shard_of(int rank) {
     return *barrier_shards_[static_cast<std::size_t>(rank) /
                             kBarrierShardSize];
@@ -219,9 +210,6 @@ class World {
   std::shared_ptr<DeliveryInterceptor> interceptor_;
   std::function<void(Envelope&, int)> delivery_tap_;
   std::shared_ptr<net::Transport> transport_;
-  /// Ranks that arrive at the world barrier in this process (== nranks_
-  /// unless a cross-process transport hosts only a slice of the world).
-  int barrier_participants_;
   /// Cached Transport::real_loss(): fault-layer drops are discarded
   /// outright instead of delivered as tombstones.
   bool transport_real_loss_ = false;

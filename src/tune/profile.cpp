@@ -86,15 +86,6 @@ double number_or(const obs::Json& site, std::string_view key,
 
 }  // namespace
 
-std::string normalize_site(std::string_view site) {
-  const std::size_t colon = site.rfind(':');
-  const std::string_view path =
-      colon == std::string_view::npos ? site : site.substr(0, colon);
-  const std::size_t slash = path.find_last_of("/\\");
-  if (slash == std::string_view::npos) return std::string(site);
-  return std::string(site.substr(slash + 1));
-}
-
 double histogram_quantile(const obs::Histogram& histogram, double q) {
   HistAccum accum;
   accum.merge(histogram);
@@ -102,7 +93,7 @@ double histogram_quantile(const obs::Histogram& histogram, double q) {
 }
 
 const SiteProfile* Profile::find(std::string_view site) const {
-  auto it = sites.find(normalize_site(site));
+  auto it = sites.find(std::string(site));
   return it == sites.end() ? nullptr : &it->second;
 }
 
@@ -195,7 +186,7 @@ Result<Profile> Profile::parse(std::string_view json_text) {
     p.coll_o2m = static_cast<std::uint64_t>(number_or(value, "coll_o2m", 0));
     p.coll_m2o = static_cast<std::uint64_t>(number_or(value, "coll_m2o", 0));
     p.coll_a2a = static_cast<std::uint64_t>(number_or(value, "coll_a2a", 0));
-    profile.sites[normalize_site(site)] = p;
+    profile.sites[site] = p;
   }
   return profile;
 }
@@ -221,7 +212,7 @@ void Profile::harvest(const obs::MetricsRegistry& registry) {
   std::map<std::string, SiteAccum> accums;
 
   for (const auto& row : registry.counters()) {
-    const std::string site = normalize_site(row.key.site);
+    const std::string& site = row.key.site;
     if (row.key.metric == kMessages) {
       accums[site].messages += row.value;
     } else if (row.key.metric == kBytesSent) {
@@ -239,7 +230,7 @@ void Profile::harvest(const obs::MetricsRegistry& registry) {
     }
   }
   for (const auto& row : registry.histograms()) {
-    const std::string site = normalize_site(row.key.site);
+    const std::string& site = row.key.site;
     if (row.key.metric == kMsgBytes) {
       accums[site].msg_bytes.merge(row.histogram);
     } else if (row.key.metric == kCollBlock) {

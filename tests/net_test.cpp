@@ -439,15 +439,16 @@ TEST(TcpTransport, CrossProcessGateRefusesInProcessFacilities) {
   }
   auto transport = std::make_shared<cid::net::TcpTransport>(
       loopback_config(0, 19931));
-  cid::rt::World world(4, cid::simnet::MachineModel::cray_xk7_gemini());
-  world.set_transport(transport);
+  cid::rt::World world(4, cid::simnet::MachineModel::cray_xk7_gemini(),
+                       transport);
   EXPECT_TRUE(world.rank_is_local(0));
   EXPECT_TRUE(world.rank_is_local(1));
   EXPECT_FALSE(world.rank_is_local(2));
   EXPECT_THROW(world.require_single_process("the shmem symmetric heap"),
                cid::CidError);
-  world.set_transport(nullptr);
-  EXPECT_NO_THROW(world.require_single_process("anything"));
+  cid::rt::World local(4, cid::simnet::MachineModel::cray_xk7_gemini(),
+                       std::make_shared<cid::net::SimTransport>());
+  EXPECT_NO_THROW(local.require_single_process("anything"));
 }
 
 // ---- cidt exit-code contract ---------------------------------------------

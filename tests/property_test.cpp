@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -22,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "core/core.hpp"
-#include "core/trace.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "mpi/mpi.hpp"
@@ -392,30 +392,55 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RingSweep,
 // ---------------------------------------------------------------------------
 // Fault-injection determinism: the whole point of the cid::faults design is
 // that a seeded FaultPlan makes a faulty run a reproducible artifact. Same
-// seed => byte-identical trace JSON and identical per-rank comm_stats, no
-// matter how the OS schedules the rank threads.
+// seed => identical recorded span stream and identical per-rank comm_stats,
+// no matter how the OS schedules the rank threads.
 // ---------------------------------------------------------------------------
 
+/// Enable obs recording for one scope; restore the disabled default even on
+/// assertion failure.
+struct ObsRecordingScope {
+  ObsRecordingScope() {
+    cid::obs::clear();
+    cid::obs::set_enabled(true);
+  }
+  ~ObsRecordingScope() {
+    cid::obs::set_enabled(false);
+    cid::obs::clear();
+  }
+};
+
 struct FaultTraceRun {
-  std::string trace_json;
+  std::string trace;  ///< span_fingerprint of the run; empty if unrecorded
   std::map<int, CommStats> stats;
   cid::faults::FaultStats fault_stats;
 };
 
-/// A reliable ring exchange under a mixed fault plan, traced.
-FaultTraceRun run_faulty_exchange(std::uint64_t seed) {
+/// Every field of every recorded span, in obs::spans()'s total order.
+std::string span_fingerprint(const std::vector<cid::obs::Span>& spans) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const auto& s : spans) {
+    out << s.rank << ' ' << s.cat << ' ' << s.name << ' ' << s.begin << ' '
+        << s.end << ' ' << s.bytes << ' ' << s.messages << '\n';
+  }
+  return out.str();
+}
+
+/// A reliable ring exchange under a mixed fault plan, recorded by cid::obs
+/// unless `record` is false.
+FaultTraceRun run_faulty_exchange(std::uint64_t seed, bool record = true) {
   cid::faults::FaultSpec spec;
   spec.drop_rate = 0.08;
   spec.duplicate_rate = 0.05;
   spec.delay_rate = 0.1;
   const cid::faults::FaultPlan plan(seed, spec);
 
-  TraceCollector trace;
+  std::optional<ObsRecordingScope> recording;
+  if (record) recording.emplace();
   FaultTraceRun out;
   std::mutex mu;
   auto run = cid::faults::run_with_faults(
       4, MachineModel::cray_xk7_gemini(), plan, [&](RankCtx& ctx) {
-        trace.attach(ctx);
         for (int round = 0; round < 4; ++round) {
           double sbuf_ring[4], rbuf_ring[4] = {};
           for (int i = 0; i < 4; ++i) {
@@ -440,16 +465,14 @@ FaultTraceRun run_faulty_exchange(std::uint64_t seed) {
         out.stats[ctx.rank()] = comm_stats();
       });
   out.fault_stats = run.stats;
-  std::ostringstream json;
-  trace.write_chrome_json(json);
-  out.trace_json = json.str();
+  if (record) out.trace = span_fingerprint(cid::obs::spans());
   return out;
 }
 
 TEST(FaultDeterminism, SameSeedByteIdenticalTraceAndStats) {
   const FaultTraceRun a = run_faulty_exchange(0x5eedULL);
   const FaultTraceRun b = run_faulty_exchange(0x5eedULL);
-  EXPECT_EQ(a.trace_json, b.trace_json);
+  EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.stats, b.stats);
   EXPECT_EQ(a.fault_stats, b.fault_stats);
   // The plan did interfere (the runs are not trivially fault-free)...
@@ -463,7 +486,7 @@ TEST(FaultDeterminism, SameSeedByteIdenticalTraceAndStats) {
 TEST(FaultDeterminism, DifferentSeedsProduceDifferentFaultPatterns) {
   const FaultTraceRun a = run_faulty_exchange(1);
   const FaultTraceRun b = run_faulty_exchange(2);
-  EXPECT_TRUE(a.trace_json != b.trace_json ||
+  EXPECT_TRUE(a.trace != b.trace ||
               !(a.fault_stats == b.fault_stats));
 }
 
@@ -478,8 +501,14 @@ TEST(FaultDeterminism, DifferentSeedsProduceDifferentFaultPatterns) {
 // CID_PRINT_GOLDEN=1, which prints instead of asserting.)
 // ---------------------------------------------------------------------------
 
-// Captured with CID_PRINT_GOLDEN=1 on the pre-overhaul tree.
-constexpr std::uint64_t kGoldenFaultyTraceHash = 0xb2330206a61de8eaULL;
+// Captured with CID_PRINT_GOLDEN=1 on the pre-overhaul tree. The trace hash
+// was re-pinned once, when the per-run directive trace collector was folded
+// into cid::obs, for two reasons: the collector's bare-array JSON is gone, so
+// the hash now covers the obs span stream (span_fingerprint; not cidMetrics,
+// whose mpi.pack.wall_ns histograms are host wall time), and directive site
+// names are now root-relative ("tests/property_test.cpp:N"), not absolute
+// paths. The stats and clock goldens were not re-pinned.
+constexpr std::uint64_t kGoldenFaultyTraceHash = 0x985b44fe2ce2619eULL;
 constexpr std::uint64_t kGoldenFaultyStatsHash = 0xfdedf4d0466a7a28ULL;
 constexpr std::uint64_t kGoldenCleanClocksHash = 0x8a76a8c1800d04aaULL;
 constexpr double kGoldenCleanMakespan = 4.8169200000000006e-05;
@@ -513,7 +542,7 @@ std::string stats_fingerprint(const std::map<int, CommStats>& stats) {
 
 TEST(HotPathGolden, FaultyRunTraceAndStatsMatchPrePrFingerprint) {
   const FaultTraceRun run = run_faulty_exchange(0x5eedULL);
-  const std::uint64_t trace_hash = fnv1a64(run.trace_json);
+  const std::uint64_t trace_hash = fnv1a64(run.trace);
   const std::uint64_t stats_hash = fnv1a64(stats_fingerprint(run.stats));
   if (std::getenv("CID_PRINT_GOLDEN") != nullptr) {
     std::printf("faulty trace_hash  = 0x%016llxULL\n",
@@ -563,35 +592,22 @@ TEST(HotPathGolden, CleanRingClocksMatchPrePrFingerprint) {
 
 // ---------------------------------------------------------------------------
 // Observability must be a pure observer: with cid::obs recording enabled
-// (the CID_TRACE_OUT path), virtual time, the directive trace and the stats
-// counters must match the same golden fingerprints bit for bit. Recording
+// (the CID_TRACE_OUT path), virtual time and the stats counters must match
+// the same golden fingerprints bit for bit as with recording off. Recording
 // never touches a rank clock, so any divergence here means a probe leaked
 // into the simulation.
 // ---------------------------------------------------------------------------
 
-/// Enable obs recording for one scope; restore the disabled default even on
-/// assertion failure.
-struct ObsRecordingScope {
-  ObsRecordingScope() {
-    cid::obs::clear();
-    cid::obs::set_enabled(true);
-  }
-  ~ObsRecordingScope() {
-    cid::obs::set_enabled(false);
-    cid::obs::clear();
-  }
-};
-
 TEST(ObsExport, DoesNotPerturbFaultyRunGoldenFingerprints) {
-  ObsRecordingScope recording;
-  const FaultTraceRun run = run_faulty_exchange(0x5eedULL);
+  const FaultTraceRun off = run_faulty_exchange(0x5eedULL, /*record=*/false);
+  EXPECT_TRUE(cid::obs::spans().empty());  // nothing recorded while off
+  const FaultTraceRun on = run_faulty_exchange(0x5eedULL);
   if (std::getenv("CID_PRINT_GOLDEN") != nullptr) {
     GTEST_SKIP() << "golden print mode";
   }
-  EXPECT_EQ(fnv1a64(run.trace_json), kGoldenFaultyTraceHash);
-  EXPECT_EQ(fnv1a64(stats_fingerprint(run.stats)), kGoldenFaultyStatsHash);
-  // ...and the recorder did actually observe the run.
-  EXPECT_FALSE(cid::obs::spans().empty());
+  EXPECT_EQ(fnv1a64(stats_fingerprint(off.stats)), kGoldenFaultyStatsHash);
+  EXPECT_EQ(fnv1a64(stats_fingerprint(on.stats)), kGoldenFaultyStatsHash);
+  EXPECT_EQ(fnv1a64(on.trace), kGoldenFaultyTraceHash);
 }
 
 TEST(ObsExport, DoesNotPerturbCleanRingClocks) {

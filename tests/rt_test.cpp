@@ -110,9 +110,7 @@ TEST(Runtime, ExceptionWhileWaitingOnMailboxUnblocks) {
                               // Rank 1 waits forever for a message that will
                               // never come; poisoning must wake it.
                               ctx.mailbox().wait_extract(
-                                  [](const cid::rt::Envelope&) {
-                                    return true;
-                                  });
+                                  cid::rt::MatchKey{});
                             }),
                std::runtime_error);
 }
@@ -137,8 +135,7 @@ TEST(Mailbox, DeliversInArrivalOrder) {
       }
     } else {
       for (int i = 0; i < 5; ++i) {
-        auto envelope = ctx.mailbox().wait_extract(
-            [](const cid::rt::Envelope&) { return true; });
+        auto envelope = ctx.mailbox().wait_extract(cid::rt::MatchKey{});
         EXPECT_EQ(envelope.tag, i);
       }
     }
@@ -155,11 +152,11 @@ TEST(Mailbox, PredicateSelectsAcrossQueue) {
         ctx.world().mailbox(1).push(std::move(envelope));
       }
     } else {
-      auto nine = ctx.mailbox().wait_extract(
-          [](const cid::rt::Envelope& e) { return e.tag == 9; });
+      cid::rt::MatchKey tag9;
+      tag9.tag = 9;
+      auto nine = ctx.mailbox().wait_extract(tag9);
       EXPECT_EQ(nine.tag, 9);
-      auto seven = ctx.mailbox().wait_extract(
-          [](const cid::rt::Envelope&) { return true; });
+      auto seven = ctx.mailbox().wait_extract(cid::rt::MatchKey{});
       EXPECT_EQ(seven.tag, 7);  // arrival order among the rest
       EXPECT_EQ(ctx.mailbox().size(), 1u);
     }
@@ -168,8 +165,7 @@ TEST(Mailbox, PredicateSelectsAcrossQueue) {
 
 TEST(Mailbox, TryExtractReturnsEmptyWhenNoMatch) {
   cid::rt::run(1, MachineModel::zero(), [](RankCtx& ctx) {
-    auto result = ctx.mailbox().try_extract(
-        [](const cid::rt::Envelope&) { return true; });
+    auto result = ctx.mailbox().try_extract(cid::rt::MatchKey{});
     EXPECT_FALSE(result.has_value());
   });
 }
@@ -557,8 +553,7 @@ void ring_program(RankCtx& ctx) {
   envelope.tag = 7;
   envelope.available_at = ctx.clock().now() + 2e-6;
   ctx.world().mailbox(next).push(std::move(envelope));
-  auto got = ctx.mailbox().wait_extract(
-      [](const cid::rt::Envelope&) { return true; });
+  auto got = ctx.mailbox().wait_extract(cid::rt::MatchKey{});
   ctx.clock().advance_to(got.available_at);
   ctx.barrier();
 }
@@ -613,8 +608,7 @@ TEST(Sched, YieldLetsBusyPollersMakeProgress) {
           }
         } else {
           while (true) {
-            auto got = ctx.mailbox().try_extract(
-                [](const cid::rt::Envelope&) { return true; });
+            auto got = ctx.mailbox().try_extract(cid::rt::MatchKey{});
             if (got.has_value()) break;
             sched::yield();
           }
@@ -664,8 +658,7 @@ TEST(Sched, PoisonWakesMailboxAndBarrierWaitersTogether) {
             if (ctx.rank() % 2 == 0) {
               ctx.barrier();
             } else {
-              ctx.mailbox().wait_extract(
-                  [](const cid::rt::Envelope&) { return true; });
+              ctx.mailbox().wait_extract(cid::rt::MatchKey{});
             }
           },
           options),

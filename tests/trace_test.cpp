@@ -1,40 +1,53 @@
-// Tests for the directive trace layer: event capture, virtual timestamps,
-// determinism, and Chrome JSON export.
+// Tests for directive events: the spans the directive executors record into
+// cid::obs (kinds, virtual timestamps, nesting, determinism) and their
+// Chrome JSON export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/core.hpp"
 #include "core/trace.hpp"
+#include "obs/obs.hpp"
 #include "rt/runtime.hpp"
 
 namespace {
 
 using namespace cid::core;
+using cid::obs::Span;
 using cid::rt::RankCtx;
 using cid::simnet::MachineModel;
 
-std::vector<TraceEvent> run_traced(int nranks, const MachineModel& model,
-                                   const cid::rt::RankFn& fn) {
-  TraceCollector trace;
-  cid::rt::run(nranks, model, [&](RankCtx& ctx) {
-    trace.attach(ctx);
-    fn(ctx);
-  });
-  return trace.events();
+/// Records into a clean obs recorder for one scope; restores the disabled,
+/// empty default even on assertion failure.
+struct Recording {
+  Recording() {
+    cid::obs::clear();
+    cid::obs::set_enabled(true);
+  }
+  ~Recording() {
+    cid::obs::set_enabled(false);
+    cid::obs::clear();
+  }
+};
+
+std::vector<Span> run_traced(int nranks, const MachineModel& model,
+                             const cid::rt::RankFn& fn) {
+  Recording recording;
+  cid::rt::run(nranks, model, fn);
+  return cid::obs::spans();
 }
 
-int count_kind(const std::vector<TraceEvent>& events, TraceEventKind kind) {
-  int n = 0;
-  for (const auto& e : events) {
-    if (e.kind == kind) ++n;
-  }
-  return n;
+int count_kind(const std::vector<Span>& spans, TraceEventKind kind) {
+  return static_cast<int>(
+      std::count_if(spans.begin(), spans.end(), [kind](const Span& s) {
+        return s.cat == trace_event_kind_name(kind);
+      }));
 }
 
 TEST(Trace, DisabledByDefault) {
-  // Without attach(), directives record nothing and cost nothing extra.
-  TraceCollector trace;
+  // With recording off, directives record nothing and cost nothing extra.
+  cid::obs::clear();
   cid::rt::run(2, MachineModel::zero(), [](RankCtx&) {
     double a[2] = {}, b[2] = {};
     comm_p2p(Clauses()
@@ -45,11 +58,11 @@ TEST(Trace, DisabledByDefault) {
                  .sbuf(buf(a))
                  .rbuf(buf(b)));
   });
-  EXPECT_TRUE(trace.events().empty());
+  EXPECT_TRUE(cid::obs::spans().empty());
 }
 
 TEST(Trace, RecordsP2PSpansPerRank) {
-  auto events = run_traced(3, MachineModel::zero(), [](RankCtx&) {
+  auto spans = run_traced(3, MachineModel::zero(), [](RankCtx&) {
     double a[4] = {}, b[4] = {};
     comm_p2p(Clauses()
                  .sender("(rank-1+nprocs)%nprocs")
@@ -57,19 +70,19 @@ TEST(Trace, RecordsP2PSpansPerRank) {
                  .sbuf(buf(a))
                  .rbuf(buf(b)));
   });
-  EXPECT_EQ(count_kind(events, TraceEventKind::P2PDirective), 3);
-  for (const auto& e : events) {
-    EXPECT_GE(e.end, e.begin);
-    EXPECT_FALSE(e.site.empty());
-    if (e.kind == TraceEventKind::P2PDirective) {
-      EXPECT_EQ(e.messages, 1u);  // one send injected per rank (ring)
-      EXPECT_EQ(e.bytes, 4 * sizeof(double));
+  EXPECT_EQ(count_kind(spans, TraceEventKind::P2PDirective), 3);
+  for (const auto& s : spans) {
+    EXPECT_GE(s.end, s.begin);
+    EXPECT_FALSE(s.name.empty());
+    if (s.cat == "comm_p2p") {
+      EXPECT_EQ(s.messages, 1u);  // one send injected per rank (ring)
+      EXPECT_EQ(s.bytes, 4 * sizeof(double));
     }
   }
 }
 
 TEST(Trace, RegionAndSyncSpans) {
-  auto events = run_traced(2, MachineModel::cray_xk7_gemini(), [](RankCtx&) {
+  auto spans = run_traced(2, MachineModel::cray_xk7_gemini(), [](RankCtx&) {
     std::vector<double> data(12);
     comm_parameters(
         Clauses().sender(0).receiver(1).sendwhen("rank==0")
@@ -82,25 +95,24 @@ TEST(Trace, RegionAndSyncSpans) {
           }
         });
   });
-  EXPECT_EQ(count_kind(events, TraceEventKind::RegionDirective), 2);
-  EXPECT_EQ(count_kind(events, TraceEventKind::P2PDirective), 8);
+  EXPECT_EQ(count_kind(spans, TraceEventKind::RegionDirective), 2);
+  EXPECT_EQ(count_kind(spans, TraceEventKind::P2PDirective), 8);
   // One consolidated sync per rank, nested inside the region span.
-  EXPECT_EQ(count_kind(events, TraceEventKind::Synchronization), 2);
-  for (const auto& region_event : events) {
-    if (region_event.kind != TraceEventKind::RegionDirective) continue;
-    for (const auto& inner : events) {
-      if (inner.rank != region_event.rank ||
-          inner.kind == TraceEventKind::RegionDirective) {
+  EXPECT_EQ(count_kind(spans, TraceEventKind::Synchronization), 2);
+  for (const auto& region_span : spans) {
+    if (region_span.cat != "comm_parameters") continue;
+    for (const auto& inner : spans) {
+      if (inner.rank != region_span.rank || inner.cat == "comm_parameters") {
         continue;
       }
-      EXPECT_GE(inner.begin, region_event.begin);
-      EXPECT_LE(inner.end, region_event.end);
+      EXPECT_GE(inner.begin, region_span.begin);
+      EXPECT_LE(inner.end, region_span.end);
     }
   }
 }
 
 TEST(Trace, OverlapSpanRecorded) {
-  auto events = run_traced(2, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
+  auto spans = run_traced(2, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
     double a[2] = {}, b[2] = {};
     comm_p2p(Clauses()
                  .sender(0)
@@ -111,22 +123,22 @@ TEST(Trace, OverlapSpanRecorded) {
                  .rbuf(buf(b)),
              [&] { ctx.charge_compute(25e-6); });
   });
-  ASSERT_EQ(count_kind(events, TraceEventKind::Overlap), 2);
-  for (const auto& e : events) {
-    if (e.kind == TraceEventKind::Overlap) {
-      EXPECT_NEAR(e.end - e.begin, 25e-6, 1e-9);
+  ASSERT_EQ(count_kind(spans, TraceEventKind::Overlap), 2);
+  for (const auto& s : spans) {
+    if (s.cat == "overlap") {
+      EXPECT_NEAR(s.end - s.begin, 25e-6, 1e-9);
     }
   }
 }
 
 TEST(Trace, CollectiveSpanRecorded) {
-  auto events = run_traced(4, MachineModel::zero(), [](RankCtx&) {
+  auto spans = run_traced(4, MachineModel::zero(), [](RankCtx&) {
     double s[4] = {}, r[4] = {};
     comm_collective(
         Clauses().pattern(Pattern::AllToAll).count(1).sbuf(buf(s)).rbuf(
             buf(r)));
   });
-  EXPECT_EQ(count_kind(events, TraceEventKind::CollectiveDirective), 4);
+  EXPECT_EQ(count_kind(spans, TraceEventKind::CollectiveDirective), 4);
 }
 
 TEST(Trace, DeterministicAcrossRuns) {
@@ -144,19 +156,13 @@ TEST(Trace, DeterministicAcrossRuns) {
   };
   const auto first = run_once();
   const auto second = run_once();
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].rank, second[i].rank);
-    EXPECT_DOUBLE_EQ(first[i].begin, second[i].begin);
-    EXPECT_DOUBLE_EQ(first[i].end, second[i].end);
-    EXPECT_EQ(first[i].bytes, second[i].bytes);
-  }
+  ASSERT_FALSE(first.empty());
+  EXPECT_TRUE(first == second);  // every field, bit for bit
 }
 
 TEST(Trace, ChromeJsonIsWellFormedEnough) {
-  TraceCollector trace;
-  cid::rt::run(2, MachineModel::zero(), [&](RankCtx& ctx) {
-    trace.attach(ctx);
+  Recording recording;
+  cid::rt::run(2, MachineModel::zero(), [](RankCtx&) {
     double a[2] = {}, b[2] = {};
     comm_p2p(Clauses()
                  .sender(0)
@@ -167,9 +173,10 @@ TEST(Trace, ChromeJsonIsWellFormedEnough) {
                  .rbuf(buf(b)));
   });
   std::ostringstream out;
-  trace.write_chrome_json(out);
+  cid::obs::write_chrome_json(out);
   const std::string json = out.str();
-  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_NE(json.find(R"("traceEvents")"), std::string::npos);
   EXPECT_NE(json.find(R"("ph":"X")"), std::string::npos);
   EXPECT_NE(json.find(R"("cat":"comm_p2p")"), std::string::npos);
   EXPECT_NE(json.find(R"("tid":1)"), std::string::npos);
@@ -179,16 +186,15 @@ TEST(Trace, ChromeJsonIsWellFormedEnough) {
 }
 
 TEST(Trace, ClearDropsEvents) {
-  TraceCollector trace;
-  cid::rt::run(1, MachineModel::zero(), [&](RankCtx& ctx) {
-    trace.attach(ctx);
+  Recording recording;
+  cid::rt::run(1, MachineModel::zero(), [](RankCtx&) {
     double a[1] = {}, b[1] = {};
     comm_p2p(Clauses().sender(0).receiver(0).count(1).sbuf(buf(a)).rbuf(
         buf(b)));
   });
-  EXPECT_FALSE(trace.events().empty());
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
+  EXPECT_FALSE(cid::obs::spans().empty());
+  cid::obs::clear();
+  EXPECT_TRUE(cid::obs::spans().empty());
 }
 
 }  // namespace

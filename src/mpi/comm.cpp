@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -9,9 +10,37 @@
 
 namespace cid::mpi {
 
+/// Immutable once built: the world group is constructed under the World
+/// registry lock and split groups under the global mutex, and every rank then
+/// reads them without locking.
 struct Comm::Group {
+  Group(int context, std::vector<int> members)
+      : context(context), members(std::move(members)) {
+    if (this->members.empty()) return;
+    const auto [lo, hi] =
+        std::minmax_element(this->members.begin(), this->members.end());
+    base = *lo;
+    rank_of.assign(static_cast<std::size_t>(*hi - *lo + 1), -1);
+    for (std::size_t i = 0; i < this->members.size(); ++i) {
+      rank_of[static_cast<std::size_t>(this->members[i] - base)] =
+          static_cast<int>(i);
+    }
+  }
+  /// The world communicator: context 0, identity rank mapping.
+  explicit Group(int nranks) : Group(0, identity(nranks)) {}
+
+  static std::vector<int> identity(int nranks) {
+    std::vector<int> ranks(static_cast<std::size_t>(nranks));
+    std::iota(ranks.begin(), ranks.end(), 0);
+    return ranks;
+  }
+
   int context = 0;
   std::vector<int> members;  ///< members[comm_rank] = world rank
+  /// rank_of[world_rank - base] = comm rank, or -1 for a non-member; spans
+  /// only [min member, max member], so a compact sub-group stays small.
+  int base = 0;
+  std::vector<int> rank_of;
 };
 
 namespace {
@@ -54,15 +83,18 @@ std::shared_ptr<CommRegistry> registry(rt::World& world) {
 }  // namespace
 
 Comm Comm::world() {
+  // The group is built once per World (shared_object constructs it only on
+  // the first call); each rank then keeps the Comm in a rank-local slot, so
+  // the per-call cost is one slot lookup, not a registry lock and a
+  // string-keyed search.
+  static const char kSlot = 0;
   auto& ctx = rt::current_ctx();
-  auto group = ctx.world().shared_object<const Group>("mpi.comm.world", [&] {
-    Group g;
-    g.context = 0;
-    g.members.resize(ctx.nranks());
-    for (int r = 0; r < ctx.nranks(); ++r) g.members[r] = r;
-    return g;
-  }());
-  return Comm(std::move(group));
+  auto& slot = ctx.local_slot(&kSlot);
+  if (!slot) {
+    slot = std::make_shared<Comm>(Comm(ctx.world().shared_object<const Group>(
+        "mpi.comm.world", ctx.nranks())));
+  }
+  return *static_cast<const Comm*>(slot.get());
 }
 
 int Comm::rank() const {
@@ -90,10 +122,11 @@ int Comm::world_rank(int comm_rank) const {
 
 int Comm::comm_rank_of_world(int world_rank) const noexcept {
   if (!group_) return -1;
-  for (std::size_t i = 0; i < group_->members.size(); ++i) {
-    if (group_->members[i] == world_rank) return static_cast<int>(i);
+  const long long index = static_cast<long long>(world_rank) - group_->base;
+  if (index < 0 || index >= static_cast<long long>(group_->rank_of.size())) {
+    return -1;
   }
-  return -1;
+  return group_->rank_of[static_cast<std::size_t>(index)];
 }
 
 Comm Comm::split(int color, int key) const {
@@ -130,11 +163,12 @@ Comm Comm::split(int color, int key) const {
         ++j;
       }
       if (current_color >= 0) {
-        auto group = std::make_shared<Group>();
-        group->context = reg->next_context++;
+        std::vector<int> members;
         for (std::size_t k = i; k < j; ++k) {
-          group->members.push_back(op.entries[k].world_rank);
+          members.push_back(op.entries[k].world_rank);
         }
+        auto group = std::make_shared<const Group>(reg->next_context++,
+                                                   std::move(members));
         for (std::size_t k = i; k < j; ++k) {
           op.result_by_world_rank[op.entries[k].world_rank] = group;
         }

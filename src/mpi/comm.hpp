@@ -33,7 +33,8 @@ class Comm {
 
   /// World rank of a member. Throws on out-of-range.
   int world_rank(int comm_rank) const;
-  /// Comm rank of a world rank, or -1 when not a member.
+  /// Comm rank of a world rank, or -1 when not a member (or out of range).
+  /// One table lookup: each group keeps a world-to-comm rank table.
   int comm_rank_of_world(int world_rank) const noexcept;
   bool is_member(int world_rank) const noexcept {
     return comm_rank_of_world(world_rank) >= 0;

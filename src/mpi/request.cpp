@@ -86,11 +86,17 @@ bool all_exact(const std::vector<rt::MatchKey>& keys) noexcept {
 }  // namespace
 
 Engine& Engine::mine() {
+  // Cached per rank like Comm::world(): the registry is consulted once.
+  static const char kSlot = 0;
   auto& ctx = rt::current_ctx();
-  auto engines =
-      ctx.world().shared_object<std::vector<Engine>>("mpi.engines",
-                                                     ctx.nranks());
-  return (*engines)[ctx.rank()];
+  auto& slot = ctx.local_slot(&kSlot);
+  if (!slot) {
+    auto engines = ctx.world().shared_object<std::vector<Engine>>(
+        "mpi.engines", ctx.nranks());
+    // Aliasing constructor: the slot keeps the whole vector alive.
+    slot = std::shared_ptr<void>(engines, &(*engines)[ctx.rank()]);
+  }
+  return *static_cast<Engine*>(slot.get());
 }
 
 void Engine::post_recv(const std::shared_ptr<detail::RequestImpl>& request) {
@@ -142,23 +148,38 @@ void Engine::progress(rt::RankCtx& ctx) {
   // choosing its receive atomically (per envelope) avoids the race where a
   // message arriving mid-sweep is claimed by a later posted receive after
   // an earlier matching receive already scanned an empty queue.
-  const rt::Mailbox::Residual residual = [this](const rt::Envelope& e) {
-    for (const auto& posted : posted_) {
-      if (!posted->complete && envelope_matches(e, *posted)) return true;
+  //
+  // The key list is built once: keys[i] belongs to open[i], and both drop
+  // the entry when that receive completes, so each extraction searches with
+  // exactly the keys of the receives still incomplete.
+  std::vector<rt::MatchKey> keys;
+  std::vector<detail::RequestImpl*> open;
+  keys.reserve(posted_.size());
+  open.reserve(posted_.size());
+  std::size_t wildcards = 0;
+  for (const auto& request : posted_) {
+    if (request->complete) continue;
+    keys.push_back(key_for(*request, rt::FaultFilter::Clean));
+    open.push_back(request.get());
+    if (!keys.back().exact()) ++wildcards;
+  }
+  const rt::Mailbox::Residual residual = [&open](const rt::Envelope& e) {
+    for (const detail::RequestImpl* request : open) {
+      if (envelope_matches(e, *request)) return true;
     }
     return false;
   };
-  for (;;) {
-    const std::vector<rt::MatchKey> keys = posted_keys(posted_);
-    if (keys.empty()) break;
-    auto envelope = ctx.mailbox().try_extract(
-        keys, all_exact(keys) ? nullptr : &residual);
+  while (!keys.empty()) {
+    auto envelope =
+        ctx.mailbox().try_extract(keys, wildcards == 0 ? nullptr : &residual);
     if (!envelope) break;
-    for (auto& posted : posted_) {
-      if (!posted->complete && envelope_matches(*envelope, *posted)) {
-        deliver(ctx, *posted, *envelope);
-        break;
-      }
+    for (std::size_t i = 0; i < open.size(); ++i) {
+      if (!envelope_matches(*envelope, *open[i])) continue;
+      deliver(ctx, *open[i], *envelope);
+      if (!keys[i].exact()) --wildcards;
+      keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(i));
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+      break;
     }
   }
   posted_.erase(std::remove_if(posted_.begin(), posted_.end(),

@@ -73,37 +73,26 @@ bool Mailbox::wanted(const Envelope& envelope) const {
   return false;
 }
 
-std::optional<Mailbox::Found> Mailbox::find_in_bucket(Bucket& bucket,
-                                                      const MatchKey& key,
-                                                      const Residual* residual,
-                                                      std::uint64_t floor) {
-  if (key.exact()) {
-    auto sub = bucket.exact.find(exact_id(key.src, key.tag));
-    if (sub == bucket.exact.end()) return std::nullopt;
-    auto& seqs = sub->second;
-    for (auto it = seqs.begin(); it != seqs.end();) {
-      auto env_it = bucket.by_seq.find(*it);
-      if (env_it == bucket.by_seq.end()) {
-        it = seqs.erase(it);  // extracted through another key: stale
-        continue;
-      }
-      if (*it >= floor && key.admits(env_it->second) &&
-          (residual == nullptr || (*residual)(env_it->second))) {
-        return Found{&bucket, env_it};
-      }
-      ++it;
+std::optional<Mailbox::Found> Mailbox::find_exact(Bucket& bucket,
+                                                  const MatchKey& key,
+                                                  const Residual* residual,
+                                                  std::uint64_t floor) {
+  auto sub = bucket.exact.find(exact_id(key.src, key.tag));
+  if (sub == bucket.exact.end()) return std::nullopt;
+  auto& seqs = sub->second;
+  for (auto it = seqs.begin(); it != seqs.end();) {
+    auto env_it = bucket.by_seq.find(*it);
+    if (env_it == bucket.by_seq.end()) {
+      it = seqs.erase(it);  // extracted through another key: stale
+      continue;
     }
-    if (seqs.empty()) bucket.exact.erase(sub);
-    return std::nullopt;
-  }
-  for (auto it = bucket.by_seq.lower_bound(floor); it != bucket.by_seq.end();
-       ++it) {
-    if (wildcard_gate_ && !wildcard_gate_(it->second)) continue;
-    if (key.admits(it->second) &&
-        (residual == nullptr || (*residual)(it->second))) {
-      return Found{&bucket, it};
+    if (*it >= floor && key.admits(env_it->second) &&
+        (residual == nullptr || (*residual)(env_it->second))) {
+      return Found{&bucket, env_it};
     }
+    ++it;
   }
+  if (seqs.empty()) bucket.exact.erase(sub);
   return std::nullopt;
 }
 
@@ -111,13 +100,47 @@ std::optional<Mailbox::Found> Mailbox::find_any(std::span<const MatchKey> keys,
                                                 const Residual* residual,
                                                 std::uint64_t floor) {
   // Lowest seq across all keys, so multi-key extraction reproduces the
-  // arrival-order semantics of a single scan over the whole queue.
+  // arrival-order semantics of a single scan over the whole queue. Exact
+  // keys go through the (src, tag) sub-index first; their best seq then
+  // bounds the arrival-order pass below.
   std::optional<Found> best;
+  scratch_buckets_.clear();
   for (const MatchKey& key : keys) {
-    auto bucket = buckets_.find(bucket_id(key.channel, key.context));
+    const std::uint64_t id = bucket_id(key.channel, key.context);
+    if (!key.exact()) {
+      if (std::find(scratch_buckets_.begin(), scratch_buckets_.end(), id) ==
+          scratch_buckets_.end()) {
+        scratch_buckets_.push_back(id);
+      }
+      continue;
+    }
+    auto bucket = buckets_.find(id);
     if (bucket == buckets_.end()) continue;
-    auto found = find_in_bucket(bucket->second, key, residual, floor);
+    auto found = find_exact(bucket->second, key, residual, floor);
     if (found && (!best || found->it->first < best->it->first)) best = found;
+  }
+  // One arrival-order pass per bucket serves every non-exact key on it: the
+  // first envelope any of them admits (and the residual accepts) is, by
+  // definition, the minimum over those keys of each key's first match.
+  const auto admitted_by_wildcard = [&keys](const Envelope& e) {
+    for (const MatchKey& key : keys) {
+      if (!key.exact() && key.admits(e)) return true;
+    }
+    return false;
+  };
+  for (const std::uint64_t id : scratch_buckets_) {
+    auto bucket = buckets_.find(id);
+    if (bucket == buckets_.end()) continue;
+    SeqMap& by_seq = bucket->second.by_seq;
+    for (auto it = by_seq.lower_bound(floor);
+         it != by_seq.end() && (!best || it->first < best->it->first); ++it) {
+      if (wildcard_gate_ && !wildcard_gate_(it->second)) continue;
+      if (admitted_by_wildcard(it->second) &&
+          (residual == nullptr || (*residual)(it->second))) {
+        best = Found{&bucket->second, it};
+        break;
+      }
+    }
   }
   return best;
 }
@@ -128,12 +151,8 @@ Envelope Mailbox::extract(Found found) {
   auto sub = bucket.exact.find(exact_id(out.src, out.tag));
   if (sub != bucket.exact.end()) {
     auto& seqs = sub->second;
-    if (!seqs.empty() && seqs.front() == out.seq) {
-      seqs.pop_front();
-    } else {
-      auto pos = std::lower_bound(seqs.begin(), seqs.end(), out.seq);
-      if (pos != seqs.end() && *pos == out.seq) seqs.erase(pos);
-    }
+    auto pos = std::find(seqs.begin(), seqs.end(), out.seq);  // mostly front
+    if (pos != seqs.end()) seqs.erase(pos);
     if (seqs.empty()) bucket.exact.erase(sub);
   }
   bucket.by_seq.erase(found.it);

@@ -9,7 +9,8 @@
 //  - the common exact-match extract is a hash lookup + front-of-queue pop
 //    instead of a linear std::function scan of the whole queue;
 //  - wildcard matches scan one bucket in arrival order, never unrelated
-//    channels/contexts;
+//    channels/contexts, and one pass over a bucket serves every non-exact
+//    key on it;
 //  - MPI's non-overtaking guarantee holds by construction: within a bucket
 //    both the arrival list and every (src, tag) sub-queue are seq-ordered,
 //    and multi-key searches always return the lowest-seq match across keys;
@@ -21,9 +22,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <list>
 #include <map>
 #include <memory_resource>
 #include <mutex>
@@ -190,8 +191,10 @@ class Mailbox {
     /// Envelopes in arrival order.
     SeqMap by_seq;
     /// (src, tag) -> seqs in arrival order. Entries whose envelope was
-    /// extracted through another key are stale and skipped lazily.
-    std::pmr::unordered_map<std::uint64_t, std::pmr::deque<std::uint64_t>>
+    /// extracted through another key are stale and skipped lazily. A list,
+    /// not a deque: most sub-queues hold a single seq, and a deque allocates
+    /// a whole block for its first element.
+    std::pmr::unordered_map<std::uint64_t, std::pmr::list<std::uint64_t>>
         exact;
   };
 
@@ -210,14 +213,18 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
-  /// First (lowest-seq) admitted envelope with seq >= floor, or nullopt.
+  /// A queued envelope located by a search.
   struct Found {
     Bucket* bucket = nullptr;
     SeqMap::iterator it;
   };
-  std::optional<Found> find_in_bucket(Bucket& bucket, const MatchKey& key,
-                                      const Residual* residual,
-                                      std::uint64_t floor);
+  /// First (lowest-seq) envelope with seq >= floor that the exact `key`
+  /// admits and the residual accepts, via the (src, tag) sub-index.
+  std::optional<Found> find_exact(Bucket& bucket, const MatchKey& key,
+                                  const Residual* residual,
+                                  std::uint64_t floor);
+  /// First (lowest-seq) envelope with seq >= floor admitted by any key and
+  /// accepted by the residual, or nullopt.
   std::optional<Found> find_any(std::span<const MatchKey> keys,
                                 const Residual* residual,
                                 std::uint64_t floor);
@@ -254,6 +261,9 @@ class Mailbox {
   std::pmr::unsynchronized_pool_resource pool_;
   std::unordered_map<std::uint64_t, Bucket> buckets_;
   std::vector<const Waiter*> waiters_;
+  /// find_any's list of buckets holding non-exact keys; a member so the
+  /// per-extraction search does not allocate. Guarded by mutex_.
+  std::vector<std::uint64_t> scratch_buckets_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
   std::function<bool()> poisoned_;

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -771,6 +772,44 @@ TEST(MpiComm, NestedSplit) {
     auto quarter = half.split(half.rank() / 2, half.rank());
     EXPECT_EQ(quarter.size(), 2);
     EXPECT_EQ(quarter.world_rank(quarter.rank()), ctx.rank());
+  });
+}
+
+// Checks the world-rank -> comm-rank table of `comm` against its members.
+void expect_rank_table_matches_members(const mpi::Comm& comm, int nranks) {
+  std::vector<bool> member(static_cast<std::size_t>(nranks), false);
+  for (int i = 0; i < comm.size(); ++i) {
+    EXPECT_EQ(comm.comm_rank_of_world(comm.world_rank(i)), i);
+    member[static_cast<std::size_t>(comm.world_rank(i))] = true;
+  }
+  for (int w = 0; w < nranks; ++w) {
+    if (!member[static_cast<std::size_t>(w)]) {
+      EXPECT_EQ(comm.comm_rank_of_world(w), -1) << "world rank " << w;
+      EXPECT_FALSE(comm.is_member(w));
+    }
+  }
+  for (int outside : {-1, -2, std::numeric_limits<int>::min(), nranks,
+                      nranks + 1, std::numeric_limits<int>::max()}) {
+    EXPECT_EQ(comm.comm_rank_of_world(outside), -1) << "input " << outside;
+  }
+}
+
+TEST(MpiComm, RankOfWorldMatchesMembers) {
+  constexpr int kRanks = 12;
+  spmd(kRanks, [](RankCtx& ctx) {
+    const auto world = mpi::Comm::world();
+    EXPECT_EQ(mpi::Comm::world(), world);
+    expect_rank_table_matches_members(world, kRanks);
+    // Strided, key-reversed and nested groups: members are neither
+    // contiguous nor in world order.
+    const auto thirds = world.split(ctx.rank() % 3, kRanks - ctx.rank());
+    expect_rank_table_matches_members(thirds, kRanks);
+    const auto halves = thirds.split(thirds.rank() % 2, thirds.rank());
+    expect_rank_table_matches_members(halves, kRanks);
+    EXPECT_EQ(halves.comm_rank_of_world(ctx.rank()), halves.rank());
+    EXPECT_EQ(mpi::Comm::world(), world);
+    EXPECT_EQ(mpi::Comm::world(), mpi::Comm::world());
+    EXPECT_FALSE(mpi::Comm{}.is_member(ctx.rank()));
   });
 }
 

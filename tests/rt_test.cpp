@@ -6,10 +6,14 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "rt/arena.hpp"
+#include "rt/mailbox.hpp"
 #include "rt/payload.hpp"
 #include "rt/runtime.hpp"
 
@@ -472,6 +476,102 @@ TEST(MatchKey, ResidualRefinesKeyMatchesWithoutBreakingOrder) {
     EXPECT_EQ(third->src, 7);
     EXPECT_EQ(ctx.mailbox().size(), 1u);
   });
+}
+
+// Brute-force reference for multi-key extraction: for each key, the first
+// queued envelope (in arrival order) it admits, the residual accepts and,
+// for a non-exact key, the wildcard gate lets through; the answer is the
+// lowest of those seqs.
+std::optional<std::uint64_t> reference_seq(
+    const std::vector<cid::rt::Envelope>& queued,
+    const std::vector<cid::rt::MatchKey>& keys,
+    const cid::rt::Mailbox::Residual* residual,
+    const cid::rt::Mailbox::WildcardGate& gate) {
+  std::optional<std::uint64_t> best;
+  for (const cid::rt::MatchKey& key : keys) {
+    for (const cid::rt::Envelope& e : queued) {
+      if (!key.exact() && gate && !gate(e)) continue;
+      if (!key.admits(e) || (residual != nullptr && !(*residual)(e))) {
+        continue;
+      }
+      if (!best || e.seq < *best) best = e.seq;
+      break;
+    }
+  }
+  return best;
+}
+
+TEST(MatchKey, RandomQueuesExtractThePerKeyMinimumSeq) {
+  using cid::rt::kMatchAny;
+  const cid::rt::Mailbox::Residual residual = [](const cid::rt::Envelope& e) {
+    return (e.src * 7 + e.tag * 3 + static_cast<int>(e.seq)) % 3 != 0;
+  };
+  const cid::rt::Mailbox::WildcardGate gate = [](const cid::rt::Envelope& e) {
+    return e.explore_uid % 3 != 1;
+  };
+  constexpr int kSeeds = 240;
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    for (const bool with_residual : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (with_residual ? " with residual" : " without residual"));
+      cid::Rng rng(static_cast<std::uint64_t>(seed));
+      const bool gated = seed % 4 == 0;
+      cid::rt::Mailbox mailbox;
+      if (gated) mailbox.set_explore_hooks(gate, nullptr);
+      const cid::rt::Mailbox::WildcardGate no_gate;
+      std::vector<cid::rt::Envelope> queued;  // in arrival (seq) order
+      std::uint64_t next_seq = 0;
+      const auto push_random = [&] {
+        cid::rt::Envelope e;
+        e.src = static_cast<int>(rng.next_below(4));
+        e.tag = static_cast<int>(rng.next_below(4));
+        e.context = static_cast<int>(rng.next_below(3));
+        e.faulted = rng.next_below(5) == 0;
+        e.explore_uid = next_seq + 1;
+        e.seq = next_seq++;
+        queued.push_back(e);
+        mailbox.push(std::move(e));
+      };
+      const int initial = 1 + static_cast<int>(rng.next_below(40));
+      for (int i = 0; i < initial; ++i) push_random();
+
+      for (int round = 0; round < 60 && !queued.empty(); ++round) {
+        std::vector<cid::rt::MatchKey> keys(1 + rng.next_below(6));
+        for (cid::rt::MatchKey& key : keys) {
+          key.context = static_cast<int>(rng.next_below(3));
+          switch (rng.next_below(4)) {
+            case 0:  // exact
+              key.src = static_cast<int>(rng.next_below(4));
+              key.tag = static_cast<int>(rng.next_below(4));
+              break;
+            case 1:  // (any, tag)
+              key.tag = static_cast<int>(rng.next_below(4));
+              break;
+            case 2:  // (src, any)
+              key.src = static_cast<int>(rng.next_below(4));
+              break;
+            default:  // (any, any)
+              break;
+          }
+          key.faults = static_cast<cid::rt::FaultFilter>(rng.next_below(3));
+        }
+        const cid::rt::Mailbox::Residual* r =
+            with_residual ? &residual : nullptr;
+        const auto expected =
+            reference_seq(queued, keys, r, gated ? gate : no_gate);
+        const auto got = mailbox.try_extract(keys, r);
+        ASSERT_EQ(got.has_value(), expected.has_value()) << "round " << round;
+        if (got) {
+          ASSERT_EQ(got->seq, *expected) << "round " << round;
+          queued.erase(std::find_if(
+              queued.begin(), queued.end(),
+              [&](const cid::rt::Envelope& e) { return e.seq == got->seq; }));
+        }
+        if (rng.next_below(3) == 0) push_random();
+      }
+      EXPECT_EQ(mailbox.size(), queued.size());
+    }
+  }
 }
 
 TEST(World, SharedObjectReturnsSameInstance) {

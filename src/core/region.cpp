@@ -736,8 +736,7 @@ void comm_parameters(const Clauses& clauses,
   if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::RegionDirective,
                                 trace_ctx.rank(), trace_begin,
-                                trace_ctx.clock().now(),
-                                detail::site_key(site), 0, 0});
+                                trace_ctx.clock().now(), impl.site, 0, 0});
   }
 }
 

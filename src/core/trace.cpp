@@ -27,8 +27,8 @@ namespace detail {
 /// counters matter.
 void record_trace_event(const TraceEvent& event) {
   const std::string_view cat = trace_event_kind_name(event.kind);
-  obs::span({event.rank, std::string(cat), event.site, event.begin, event.end,
-             event.bytes, event.messages});
+  obs::span(event.rank, cat, event.site, event.begin, event.end, event.bytes,
+            event.messages);
   const double duration = event.end - event.begin;
   switch (event.kind) {
     case TraceEventKind::P2PDirective:

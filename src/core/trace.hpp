@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 #include "simnet/machine_model.hpp"
@@ -38,7 +37,7 @@ struct TraceEvent {
   int rank;
   simnet::SimTime begin;  ///< virtual seconds
   simnet::SimTime end;
-  std::string site;       ///< directive site (file:line)
+  std::string_view site;  ///< directive site (file:line); obs copies it
   std::uint64_t bytes;    ///< payload injected during the span (senders)
   std::uint64_t messages; ///< messages injected during the span
 };

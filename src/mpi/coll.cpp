@@ -75,8 +75,7 @@ class CollSpan {
     auto& ctx = rt::current_ctx();
     std::string name = std::string(tune::coll_op_name(op_)) + "[" +
                        std::string(tune::coll_algo_name(algo_)) + "]";
-    obs::span({ctx.rank(), "coll", name, begin_, ctx.clock().now(), bytes_,
-               /*messages=*/0});
+    obs::span(ctx.rank(), "coll", name, begin_, ctx.clock().now(), bytes_);
     obs::count("cid.coll.calls", name, ctx.rank());
   }
 

@@ -1,6 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "obs/recorder.hpp"
 
 namespace cid::obs {
 
@@ -32,47 +35,61 @@ void Histogram::observe(double value) noexcept {
   ++count_;
 }
 
+void Histogram::merge(const Histogram& other) noexcept {
+  if (other.count_ == 0) return;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  sum_ += other.sum_;
+  count_ += other.count_;
+}
+
 MetricsRegistry& MetricsRegistry::global() {
-  // Intentionally leaked: must survive static teardown for the atexit
-  // CID_TRACE_OUT writer (see obs/autotrace.cpp).
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
+  static MetricsRegistry registry;
+  return registry;
 }
 
 void MetricsRegistry::add(std::string_view metric, std::string_view site,
                           int rank, std::uint64_t delta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_[MetricKey{std::string(metric), std::string(site), rank}] += delta;
+  detail::record([&](detail::Recorder& r) {
+    r.counters.find_or_add(metric, site, rank, r.keys) += delta;
+  });
 }
 
 void MetricsRegistry::observe(std::string_view metric, std::string_view site,
                               int rank, double value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histograms_[MetricKey{std::string(metric), std::string(site), rank}]
-      .observe(value);
+  detail::record([&](detail::Recorder& r) {
+    r.histograms.find_or_add(metric, site, rank, r.keys).observe(value);
+  });
 }
 
 std::vector<MetricsRegistry::CounterRow> MetricsRegistry::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<CounterRow> out;
-  out.reserve(counters_.size());
-  for (const auto& [key, value] : counters_) out.push_back({key, value});
+  for (const auto& row : detail::merged_counters()) {
+    out.push_back({{std::string(row.metric), std::string(row.site), row.rank},
+                   row.value});
+  }
   return out;
 }
 
 std::vector<MetricsRegistry::HistogramRow> MetricsRegistry::histograms()
     const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<HistogramRow> out;
-  out.reserve(histograms_.size());
-  for (const auto& [key, hist] : histograms_) out.push_back({key, hist});
+  for (const auto& row : detail::merged_histograms()) {
+    out.push_back({{std::string(row.metric), std::string(row.site), row.rank},
+                   row.value});
+  }
   return out;
 }
 
 void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  histograms_.clear();
+  std::lock_guard<std::mutex> lock(detail::shared_recorder().mutex);
+  for (detail::Recorder* r : detail::all_recorders()) {
+    r->counters.clear();
+    r->histograms.clear();
+  }
 }
 
 }  // namespace cid::obs

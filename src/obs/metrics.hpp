@@ -7,15 +7,16 @@
 // (virtual seconds, wall nanoseconds, bytes) into power-of-two buckets above
 // a 1e-9 base, which covers a nanosecond to centuries in 64 buckets.
 //
-// The registry is process-global and mutex-guarded. It sits behind the
-// cid::obs::enabled() gate: when observability is off nothing ever reaches
-// it, so the hot paths pay one relaxed atomic load.
+// The registry is a process-global view over rank-local tables: each rank
+// adds into its own (metric, site, rank) table without a lock, threads with
+// no rank into one shared table behind a mutex (obs/recorder.hpp), and the
+// snapshots merge them in rank order. It sits behind the cid::obs::enabled()
+// gate: when observability is off nothing ever reaches it, so the hot paths
+// pay one relaxed atomic load.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,11 @@ class Histogram {
 
   void observe(double value) noexcept;
 
+  /// Fold in another histogram's samples: the result equals observing both
+  /// sample sets in one histogram, except that the sum adds the two partial
+  /// sums.
+  void merge(const Histogram& other) noexcept;
+
   std::uint64_t count() const noexcept { return count_; }
   double sum() const noexcept { return sum_; }
   double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
@@ -62,8 +68,8 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Identity of one metric series. Ordered (std::map key) so every export
-/// walks series in a deterministic order.
+/// Identity of one metric series. Ordered so every export walks series in a
+/// deterministic order.
 struct MetricKey {
   std::string metric;  ///< dotted name, e.g. "cid.p2p.bytes_sent"
   std::string site;    ///< directive site ("file:line") or subsystem label
@@ -72,7 +78,8 @@ struct MetricKey {
   auto operator<=>(const MetricKey&) const = default;
 };
 
-/// Process-global registry of counters and histograms.
+/// Process-global registry of counters and histograms. Snapshots and clear()
+/// run between runs, not while ranks record.
 class MetricsRegistry {
  public:
   static MetricsRegistry& global();
@@ -91,16 +98,12 @@ class MetricsRegistry {
     Histogram histogram;
   };
 
-  /// Snapshots in key order (deterministic).
+  /// Snapshots in key order (deterministic). A key added from several
+  /// ranks' tables is one row, merged in rank order.
   std::vector<CounterRow> counters() const;
   std::vector<HistogramRow> histograms() const;
 
   void clear();
-
- private:
-  mutable std::mutex mutex_;
-  std::map<MetricKey, std::uint64_t> counters_;
-  std::map<MetricKey, Histogram> histograms_;
 };
 
 }  // namespace cid::obs

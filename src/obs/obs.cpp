@@ -1,8 +1,14 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <mutex>
+#include <numeric>
+
+#include "common/log.hpp"
+#include "obs/recorder.hpp"
 
 namespace cid::obs {
 
@@ -10,20 +16,231 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
-struct SpanStore {
-  std::mutex mutex;
-  std::vector<Span> spans;
+}  // namespace
+
+namespace detail {
+
+std::string_view Arena::keep(std::string_view text) {
+  if (text.empty()) return {};
+  if (blocks_.empty() || used_ + text.size() > blocks_[block_].size) {
+    // Move on to the next kept block that fits, or add one at the end.
+    std::size_t next = blocks_.empty() ? 0 : block_ + 1;
+    while (next < blocks_.size() && blocks_[next].size < text.size()) ++next;
+    if (next == blocks_.size()) {
+      const std::size_t grown =
+          blocks_.empty() ? kFirstBlockBytes
+                          : std::min(2 * blocks_.back().size, kMaxBlockBytes);
+      const std::size_t size = std::max(grown, text.size());
+      blocks_.push_back({std::make_unique_for_overwrite<char[]>(size), size});
+    }
+    block_ = next;
+    used_ = 0;
+  }
+  char* at = blocks_[block_].data.get() + used_;
+  std::memcpy(at, text.data(), text.size());
+  used_ += text.size();
+  return {at, text.size()};
+}
+
+void Recorder::clear() noexcept {
+  spans.clear();
+  counters.clear();
+  histograms.clear();
+  keys.reset();
+  span_names.reset();
+}
+
+namespace {
+
+// Rank recorders live in a two-level directory of atomic pointers: readers
+// (the probes) never lock, and a recorder once published never moves. Ranks
+// past the directory record into the shared recorder.
+constexpr int kChunkBits = 10;
+constexpr int kChunkSize = 1 << kChunkBits;
+constexpr int kChunkCount = 1 << 10;
+
+struct Chunk {
+  std::array<std::atomic<Recorder*>, kChunkSize> recorders{};
 };
 
-SpanStore& span_store() {
-  // Intentionally leaked: the CID_TRACE_OUT atexit writer runs during
-  // process teardown, possibly after static destructors, so the store must
-  // outlive every destructor.
-  static SpanStore* store = new SpanStore();
-  return *store;
+struct Directory {
+  std::array<std::atomic<Chunk*>, kChunkCount> chunks{};
+  std::mutex create_mutex;
+};
+
+Directory& directory() {
+  // Intentionally leaked, like every recorder: the CID_TRACE_OUT atexit
+  // writer runs during process teardown, possibly after static destructors.
+  static Directory* dir = new Directory();
+  return *dir;
+}
+
+Recorder* create_recorder(int rank) {
+  Directory& dir = directory();
+  std::lock_guard<std::mutex> lock(dir.create_mutex);
+  std::atomic<Chunk*>& chunk_slot = dir.chunks[rank >> kChunkBits];
+  Chunk* chunk = chunk_slot.load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new Chunk();
+    chunk_slot.store(chunk, std::memory_order_release);
+  }
+  std::atomic<Recorder*>& slot = chunk->recorders[rank & (kChunkSize - 1)];
+  Recorder* recorder = slot.load(std::memory_order_relaxed);
+  if (recorder == nullptr) {
+    recorder = new Recorder();
+    slot.store(recorder, std::memory_order_release);
+  }
+  return recorder;
 }
 
 }  // namespace
+
+Recorder* rank_recorder() {
+  // A rank's probes come in runs between fiber switches: remember the last
+  // rank this thread looked up.
+  thread_local int cached_rank = -1;
+  thread_local Recorder* cached = nullptr;
+  const int rank = log::thread_rank();
+  if (rank == cached_rank) return cached;
+  Recorder* recorder = nullptr;
+  if (rank >= 0 && rank < kChunkCount * kChunkSize) {
+    const Chunk* chunk = directory().chunks[rank >> kChunkBits].load(
+        std::memory_order_acquire);
+    if (chunk != nullptr) {
+      recorder = chunk->recorders[rank & (kChunkSize - 1)].load(
+          std::memory_order_acquire);
+    }
+    if (recorder == nullptr) recorder = create_recorder(rank);
+  }
+  cached_rank = rank;
+  cached = recorder;
+  return recorder;
+}
+
+SharedRecorder& shared_recorder() {
+  static SharedRecorder* shared = new SharedRecorder();
+  return *shared;
+}
+
+std::vector<Recorder*> all_recorders() {
+  std::vector<Recorder*> out;
+  for (const auto& chunk_slot : directory().chunks) {
+    const Chunk* chunk = chunk_slot.load(std::memory_order_acquire);
+    if (chunk == nullptr) continue;
+    for (const auto& slot : chunk->recorders) {
+      if (Recorder* r = slot.load(std::memory_order_acquire)) {
+        out.push_back(r);
+      }
+    }
+  }
+  out.push_back(&shared_recorder().recorder);
+  return out;
+}
+
+std::vector<const SpanRecord*> sorted_spans() {
+  const auto less = [](const SpanRecord* a, const SpanRecord* b) {
+    if (a->rank != b->rank) return a->rank < b->rank;
+    if (a->begin != b->begin) return a->begin < b->begin;
+    if (a->end != b->end) return a->end < b->end;
+    if (a->cat != b->cat) return a->cat < b->cat;
+    if (a->name != b->name) return a->name < b->name;
+    if (a->bytes != b->bytes) return a->bytes < b->bytes;
+    return a->messages < b->messages;
+  };
+  std::vector<const SpanRecord*> out;
+  std::lock_guard<std::mutex> lock(shared_recorder().mutex);
+  const std::vector<Recorder*> recorders = all_recorders();
+  std::size_t total = 0;
+  for (const Recorder* r : recorders) total += r->spans.size();
+  out.reserve(total);
+  // Sort each recorder's spans while they are in cache. When every recorder
+  // holds only its own rank's spans, as a rank's fiber records them, the
+  // concatenation is then already in order.
+  for (const Recorder* r : recorders) {
+    const std::size_t first = out.size();
+    for (const SpanRecord& s : r->spans) out.push_back(&s);
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+              less);
+  }
+  if (!std::is_sorted(out.begin(), out.end(), less)) {
+    std::sort(out.begin(), out.end(), less);
+  }
+  return out;
+}
+
+namespace {
+
+/// Every entry of one table kind, merged by key: rows in (metric, site, rank)
+/// order, with the entries of one key folded in recorder (rank) order. The
+/// few distinct (metric, site) names are ordered by content once, so sorting
+/// the entries compares integers.
+template <class V, class Fold>
+std::vector<MergedRow<V>> merged_rows(MetricTable<V> Recorder::*table,
+                                      Fold fold) {
+  using Entry = typename MetricTable<V>::Entry;
+  struct Item {
+    std::uint32_t name;  ///< index into `names`, then the name's sort position
+    int rank;
+    const Entry* entry;
+  };
+  std::lock_guard<std::mutex> lock(shared_recorder().mutex);
+  Arena scratch;
+  MetricTable<std::uint32_t> name_ids;  // (metric, site, 0) -> 1 + name index
+  std::vector<const Entry*> names;      // the first entry carrying each name
+  std::vector<Item> items;
+  for (const Recorder* r : all_recorders()) {
+    for (const Entry& e : (r->*table).entries()) {
+      std::uint32_t& id = name_ids.find_or_add(e.metric, e.site, 0, scratch);
+      if (id == 0) {
+        names.push_back(&e);
+        id = static_cast<std::uint32_t>(names.size());
+      }
+      items.push_back({id - 1, e.rank, &e});
+    }
+  }
+  std::vector<std::uint32_t> order(names.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const Entry& x = *names[a];
+    const Entry& y = *names[b];
+    return x.metric != y.metric ? x.metric < y.metric : x.site < y.site;
+  });
+  std::vector<std::uint32_t> position(names.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) position[order[i]] = i;
+  for (Item& item : items) item.name = position[item.name];
+  std::stable_sort(items.begin(), items.end(),
+                   [](const Item& a, const Item& b) {
+                     return a.name != b.name ? a.name < b.name
+                                             : a.rank < b.rank;
+                   });
+
+  std::vector<MergedRow<V>> out;
+  out.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const Entry& e = *items[i].entry;
+    if (i > 0 && items[i].name == items[i - 1].name &&
+        items[i].rank == items[i - 1].rank) {
+      fold(out.back().value, e.value);
+    } else {
+      out.push_back({e.metric, e.site, e.rank, e.value});
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<MergedRow<std::uint64_t>> merged_counters() {
+  return merged_rows(&Recorder::counters,
+                     [](std::uint64_t& sum, std::uint64_t add) { sum += add; });
+}
+
+std::vector<MergedRow<Histogram>> merged_histograms() {
+  return merged_rows(&Recorder::histograms,
+                     [](Histogram& into, const Histogram& h) { into.merge(h); });
+}
+
+}  // namespace detail
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
@@ -31,11 +248,17 @@ void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-void span(Span s) {
+void span(int rank, std::string_view cat, std::string_view name, double begin,
+          double end, std::uint64_t bytes, std::uint64_t messages) {
   if (!enabled()) return;
-  SpanStore& store = span_store();
-  std::lock_guard<std::mutex> lock(store.mutex);
-  store.spans.push_back(std::move(s));
+  detail::record([&](detail::Recorder& r) {
+    r.spans.push_back({rank, r.span_names.keep(cat), r.span_names.keep(name),
+                       begin, end, bytes, messages});
+  });
+}
+
+void span(const Span& s) {
+  span(s.rank, s.cat, s.name, s.begin, s.end, s.bytes, s.messages);
 }
 
 void count(std::string_view metric, std::string_view site, int rank,
@@ -51,31 +274,19 @@ void observe(std::string_view metric, std::string_view site, int rank,
 }
 
 std::vector<Span> spans() {
-  SpanStore& store = span_store();
+  const std::vector<const detail::SpanRecord*> sorted = detail::sorted_spans();
   std::vector<Span> out;
-  {
-    std::lock_guard<std::mutex> lock(store.mutex);
-    out = store.spans;
+  out.reserve(sorted.size());
+  for (const detail::SpanRecord* s : sorted) {
+    out.push_back({s->rank, std::string(s->cat), std::string(s->name),
+                   s->begin, s->end, s->bytes, s->messages});
   }
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    if (a.rank != b.rank) return a.rank < b.rank;
-    if (a.begin != b.begin) return a.begin < b.begin;
-    if (a.end != b.end) return a.end < b.end;
-    if (a.cat != b.cat) return a.cat < b.cat;
-    if (a.name != b.name) return a.name < b.name;
-    if (a.bytes != b.bytes) return a.bytes < b.bytes;
-    return a.messages < b.messages;
-  });
   return out;
 }
 
 void clear() {
-  SpanStore& store = span_store();
-  {
-    std::lock_guard<std::mutex> lock(store.mutex);
-    store.spans.clear();
-  }
-  MetricsRegistry::global().clear();
+  std::lock_guard<std::mutex> lock(detail::shared_recorder().mutex);
+  for (detail::Recorder* r : detail::all_recorders()) r->clear();
 }
 
 }  // namespace cid::obs

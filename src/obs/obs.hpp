@@ -10,9 +10,11 @@
 //   observe(...)  a per-(metric, site, rank) histogram sample.
 //
 // Everything is gated on enabled(): one relaxed atomic load when off, so
-// instrumented hot paths cost nothing in normal runs. Recording never
-// touches a virtual clock — enabling export cannot perturb virtual-time
-// results (pinned by the golden fingerprints in tests/property_test.cpp).
+// instrumented hot paths cost nothing in normal runs. When on, each rank
+// records into its own buffers without a lock (obs/recorder.hpp); readers
+// merge them in rank order. Recording never touches a virtual clock —
+// enabling export cannot perturb virtual-time results (pinned by the golden
+// fingerprints in tests/property_test.cpp).
 //
 // Layering: obs depends only on cid_common + cid_simnet, so cid_rt, cid_mpi,
 // cid_shmem, cid_core and cid_faults may all call it directly. obs is the one
@@ -57,8 +59,11 @@ struct Span {
   bool operator==(const Span&) const = default;
 };
 
-/// Record a span (no-op when disabled).
-void span(Span s);
+/// Record a span (no-op when disabled). The recorder copies the names, so
+/// the views only need to live for the call.
+void span(int rank, std::string_view cat, std::string_view name, double begin,
+          double end, std::uint64_t bytes = 0, std::uint64_t messages = 0);
+void span(const Span& s);
 
 /// Counter / histogram probes (no-ops when disabled). `site` may be a
 /// directive site ("file:line") or a subsystem label; rank -1 means the
@@ -70,10 +75,12 @@ void observe(std::string_view metric, std::string_view site, int rank,
 
 /// All recorded spans, sorted by (rank, begin, end, cat, name, bytes,
 /// messages) — a total order over every serialized field, so a deterministic
-/// run exports byte-identical JSON regardless of thread interleaving.
+/// run exports byte-identical JSON regardless of thread interleaving, worker
+/// count or scheduler.
 std::vector<Span> spans();
 
-/// Drop all recorded spans and metrics.
+/// Drop all recorded spans and metrics (the recorders keep their capacity).
+/// Like the readers, call it between runs, not while ranks record.
 void clear();
 
 /// Chrome trace-event JSON (object form): {"traceEvents": [...],

@@ -3,11 +3,65 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <optional>
 
 namespace cid::obs {
 
 namespace {
+
+double number_or(const Json& event, std::string_view key, double fallback) {
+  const Json* value = event.find(key);
+  return value != nullptr && value->kind == Json::Kind::Number ? value->number
+                                                               : fallback;
+}
+
+std::string string_or(const Json& event, std::string_view key) {
+  const Json* value = event.find(key);
+  return value != nullptr && value->kind == Json::Kind::String ? value->string
+                                                               : std::string();
+}
+
+void load_event(const Json& event, TraceFile& out) {
+  const Json* ph = event.find("ph");
+  if (ph == nullptr || ph->string != "X") return;  // metadata / counters
+  TraceSpan span;
+  span.rank = static_cast<int>(number_or(event, "tid", 0.0));
+  span.cat = string_or(event, "cat");
+  span.name = string_or(event, "name");
+  span.ts_us = number_or(event, "ts", 0.0);
+  span.dur_us = number_or(event, "dur", 0.0);
+  if (const Json* args = event.find("args");
+      args != nullptr && args->kind == Json::Kind::Object) {
+    span.bytes = static_cast<std::uint64_t>(number_or(*args, "bytes", 0.0));
+    span.messages =
+        static_cast<std::uint64_t>(number_or(*args, "messages", 0.0));
+  }
+  out.spans.push_back(std::move(span));
+}
+
+void load_metrics(const Json& metrics, TraceFile& out) {
+  if (const Json* counters = metrics.find("counters");
+      counters != nullptr && counters->kind == Json::Kind::Array) {
+    for (const Json& row : counters->array) {
+      out.counters.push_back(
+          {string_or(row, "metric"), string_or(row, "site"),
+           static_cast<int>(number_or(row, "rank", -1.0)),
+           static_cast<std::uint64_t>(number_or(row, "value", 0.0))});
+    }
+  }
+  if (const Json* histograms = metrics.find("histograms");
+      histograms != nullptr && histograms->kind == Json::Kind::Array) {
+    for (const Json& row : histograms->array) {
+      out.histograms.push_back(
+          {string_or(row, "metric"), string_or(row, "site"),
+           static_cast<int>(number_or(row, "rank", -1.0)),
+           static_cast<std::uint64_t>(number_or(row, "count", 0.0)),
+           number_or(row, "sum", 0.0), number_or(row, "min", 0.0),
+           number_or(row, "max", 0.0)});
+    }
+  }
+}
 
 /// Recursive-descent JSON parser over a string_view cursor.
 class Parser {
@@ -22,7 +76,89 @@ class Parser {
     return value;
   }
 
+  /// Parse a trace document into `out` without building it as one tree:
+  /// walk the top-level object, load each "traceEvents" element and drop it,
+  /// and keep only "cidMetrics" as a tree. Validates like parse(); for a
+  /// repeated key the first occurrence counts, as in parse_json.
+  Status parse_trace(TraceFile& out) {
+    skip_ws();
+    if (pos_ >= text_.size() || text_[pos_] != '{') {
+      auto value = parse();
+      return value.is_ok() ? not_a_trace() : value.status();
+    }
+    bool seen_events = false;
+    bool events_ok = false;
+    std::optional<Json> metrics;
+    CID_RETURN_IF_ERROR(walk_object([&](const std::string& key) -> Status {
+      if (key == "traceEvents" && !seen_events) {
+        seen_events = true;
+        skip_ws();
+        events_ok = pos_ < text_.size() && text_[pos_] == '[';
+        if (events_ok) {
+          return walk_array([&](const Json& event) {
+            if (event.kind == Json::Kind::Object) load_event(event, out);
+          });
+        }
+      }
+      auto value = parse_value();
+      if (!value.is_ok()) return value.status();
+      if (key == "cidMetrics" && !metrics) metrics = std::move(value).take();
+      return Status::ok();
+    }));
+    skip_ws();
+    if (pos_ != text_.size()) return error("trailing characters");
+    if (!events_ok) return not_a_trace();
+    if (metrics && metrics->kind == Json::Kind::Object) {
+      load_metrics(*metrics, out);
+    }
+    return Status::ok();
+  }
+
  private:
+  static Status not_a_trace() {
+    return Status(ErrorCode::ParseError,
+                  "trace: expected an object with a \"traceEvents\" array");
+  }
+
+  /// An object's members in order (cursor on '{'); `member(key)` parses the
+  /// value after the key.
+  template <class Member>
+  Status walk_object(Member&& member) {
+    ++pos_;  // '{'
+    skip_ws();
+    if (consume('}')) return Status::ok();
+    for (;;) {
+      skip_ws();
+      auto key = parse_string();
+      if (!key.is_ok()) return key.status();
+      skip_ws();
+      if (!consume(':')) return error("expected ':'");
+      CID_RETURN_IF_ERROR(member(key.value().string));
+      skip_ws();
+      if (consume(',')) continue;
+      if (consume('}')) return Status::ok();
+      return error("expected ',' or '}'");
+    }
+  }
+
+  /// An array's elements in order (cursor on '['), each handed to
+  /// `element` as soon as it is parsed.
+  template <class Element>
+  Status walk_array(Element&& element) {
+    ++pos_;  // '['
+    skip_ws();
+    if (consume(']')) return Status::ok();
+    for (;;) {
+      auto value = parse_value();
+      if (!value.is_ok()) return value.status();
+      element(std::move(value).take());
+      skip_ws();
+      if (consume(',')) continue;
+      if (consume(']')) return Status::ok();
+      return error("expected ',' or ']'");
+    }
+  }
+
   Status error(const std::string& message) const {
     return Status(ErrorCode::ParseError,
                   "json: " + message + " at offset " + std::to_string(pos_));
@@ -79,41 +215,23 @@ class Parser {
   Result<Json> parse_object() {
     Json out;
     out.kind = Json::Kind::Object;
-    ++pos_;  // '{'
-    skip_ws();
-    if (consume('}')) return out;
-    for (;;) {
-      skip_ws();
-      auto key = parse_string();
-      if (!key.is_ok()) return key;
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
+    Status status = walk_object([&](std::string& key) -> Status {
       auto value = parse_value();
-      if (!value.is_ok()) return value;
-      out.object.emplace(std::move(key.value().string),
-                         std::move(value).take());
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return out;
-      return fail("expected ',' or '}'");
-    }
+      if (!value.is_ok()) return value.status();
+      out.object.emplace(std::move(key), std::move(value).take());
+      return Status::ok();
+    });
+    if (!status.is_ok()) return Result<Json>(status);
+    return out;
   }
 
   Result<Json> parse_array() {
     Json out;
     out.kind = Json::Kind::Array;
-    ++pos_;  // '['
-    skip_ws();
-    if (consume(']')) return out;
-    for (;;) {
-      auto value = parse_value();
-      if (!value.is_ok()) return value;
-      out.array.push_back(std::move(value).take());
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return out;
-      return fail("expected ',' or ']'");
-    }
+    Status status = walk_array(
+        [&](Json&& value) { out.array.push_back(std::move(value)); });
+    if (!status.is_ok()) return Result<Json>(status);
+    return out;
   }
 
   Result<Json> parse_string() {
@@ -180,59 +298,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-double number_or(const Json& event, std::string_view key, double fallback) {
-  const Json* value = event.find(key);
-  return value != nullptr && value->kind == Json::Kind::Number ? value->number
-                                                               : fallback;
-}
-
-std::string string_or(const Json& event, std::string_view key) {
-  const Json* value = event.find(key);
-  return value != nullptr && value->kind == Json::Kind::String ? value->string
-                                                               : std::string();
-}
-
-void load_event(const Json& event, TraceFile& out) {
-  const Json* ph = event.find("ph");
-  if (ph == nullptr || ph->string != "X") return;  // metadata / counters
-  TraceSpan span;
-  span.rank = static_cast<int>(number_or(event, "tid", 0.0));
-  span.cat = string_or(event, "cat");
-  span.name = string_or(event, "name");
-  span.ts_us = number_or(event, "ts", 0.0);
-  span.dur_us = number_or(event, "dur", 0.0);
-  if (const Json* args = event.find("args");
-      args != nullptr && args->kind == Json::Kind::Object) {
-    span.bytes = static_cast<std::uint64_t>(number_or(*args, "bytes", 0.0));
-    span.messages =
-        static_cast<std::uint64_t>(number_or(*args, "messages", 0.0));
-  }
-  out.spans.push_back(std::move(span));
-}
-
-void load_metrics(const Json& metrics, TraceFile& out) {
-  if (const Json* counters = metrics.find("counters");
-      counters != nullptr && counters->kind == Json::Kind::Array) {
-    for (const Json& row : counters->array) {
-      out.counters.push_back(
-          {string_or(row, "metric"), string_or(row, "site"),
-           static_cast<int>(number_or(row, "rank", -1.0)),
-           static_cast<std::uint64_t>(number_or(row, "value", 0.0))});
-    }
-  }
-  if (const Json* histograms = metrics.find("histograms");
-      histograms != nullptr && histograms->kind == Json::Kind::Array) {
-    for (const Json& row : histograms->array) {
-      out.histograms.push_back(
-          {string_or(row, "metric"), string_or(row, "site"),
-           static_cast<int>(number_or(row, "rank", -1.0)),
-           static_cast<std::uint64_t>(number_or(row, "count", 0.0)),
-           number_or(row, "sum", 0.0), number_or(row, "min", 0.0),
-           number_or(row, "max", 0.0)});
-    }
-  }
-}
-
 }  // namespace
 
 Result<Json> parse_json(std::string_view text) {
@@ -240,37 +305,33 @@ Result<Json> parse_json(std::string_view text) {
 }
 
 Result<TraceFile> parse_trace(std::string_view text) {
-  auto document = parse_json(text);
-  if (!document.is_ok()) return Result<TraceFile>(document.status());
-  const Json& root = document.value();
-
-  const Json* events =
-      root.kind == Json::Kind::Object ? root.find("traceEvents") : nullptr;
-  if (events == nullptr || events->kind != Json::Kind::Array) {
-    return Result<TraceFile>(
-        Status(ErrorCode::ParseError,
-               "trace: expected an object with a \"traceEvents\" array"));
-  }
   TraceFile out;
-  if (const Json* metrics = root.find("cidMetrics");
-      metrics != nullptr && metrics->kind == Json::Kind::Object) {
-    load_metrics(*metrics, out);
-  }
-  for (const Json& event : events->array) {
-    if (event.kind == Json::Kind::Object) load_event(event, out);
+  if (Status status = Parser(text).parse_trace(out); !status.is_ok()) {
+    return Result<TraceFile>(status);
   }
   return out;
 }
 
 Result<TraceFile> read_trace_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Result<TraceFile>(
         Status(ErrorCode::IoError, "cannot read '" + path + "'"));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_trace(buffer.str());
+  std::string text;
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size >= 0) {
+    text.resize(static_cast<std::size_t>(size));
+    in.seekg(0, std::ios::beg);
+    in.read(text.data(), size);
+    text.resize(static_cast<std::size_t>(in.gcount()));
+  } else {  // not seekable (a pipe): read to the end
+    in.clear();
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  return parse_trace(text);
 }
 
 }  // namespace cid::obs

@@ -86,8 +86,8 @@ RunResult run(int nranks, const simnet::MachineModel& model, const RankFn& fn,
     if (wall_time && obs::enabled()) {
       // On wall-clock backends the number that matters is how long the
       // rank really ran, not its (bookkeeping) virtual clock.
-      obs::span({ctx.rank(), "wall", "rank_main", wall_begin,
-                 net::wall_seconds(), 0, 0});
+      obs::span(ctx.rank(), "wall", "rank_main", wall_begin,
+                net::wall_seconds());
       obs::observe("net.rank_wall_seconds", "rt", ctx.rank(),
                    net::wall_seconds() - wall_begin);
     }

@@ -1,7 +1,5 @@
 #include "tune/profile.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
 
 #include "obs/trace_read.hpp"
@@ -29,45 +27,6 @@ constexpr std::string_view kRtt = "cid.reliability.rtt_seconds";
 constexpr std::string_view kWallRtt = "cid.reliability.wall_rtt_seconds";
 constexpr std::string_view kTimeout = "cid.reliability.timeout_seconds";
 
-/// Cross-rank accumulation of one histogram series.
-struct HistAccum {
-  std::array<std::uint64_t, obs::Histogram::kBucketCount> buckets{};
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-
-  void merge(const obs::Histogram& h) {
-    if (h.count() == 0) return;
-    for (int i = 0; i < obs::Histogram::kBucketCount; ++i) {
-      buckets[static_cast<std::size_t>(i)] +=
-          h.buckets()[static_cast<std::size_t>(i)];
-    }
-    min = count == 0 ? h.min() : std::min(min, h.min());
-    max = count == 0 ? h.max() : std::max(max, h.max());
-    count += h.count();
-    sum += h.sum();
-  }
-
-  double mean() const noexcept {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
-
-  double quantile(double q) const noexcept {
-    if (count == 0) return 0.0;
-    const double want = q * static_cast<double>(count);
-    std::uint64_t cumulative = 0;
-    for (int i = 0; i < obs::Histogram::kBucketCount; ++i) {
-      cumulative += buckets[static_cast<std::size_t>(i)];
-      if (static_cast<double>(cumulative) >= want) {
-        return obs::Histogram::bucket_upper_bound(i);
-      }
-    }
-    return obs::Histogram::bucket_upper_bound(obs::Histogram::kBucketCount -
-                                              1);
-  }
-};
-
 void write_number(std::string& out, double value) {
   char buffer[64];
   // %.17g round-trips doubles exactly; trim to the shortest representation
@@ -87,9 +46,16 @@ double number_or(const obs::Json& site, std::string_view key,
 }  // namespace
 
 double histogram_quantile(const obs::Histogram& histogram, double q) {
-  HistAccum accum;
-  accum.merge(histogram);
-  return accum.quantile(q);
+  if (histogram.count() == 0) return 0.0;
+  const double want = q * static_cast<double>(histogram.count());
+  std::uint64_t cumulative = 0;
+  for (int i = 0; i < obs::Histogram::kBucketCount; ++i) {
+    cumulative += histogram.buckets()[static_cast<std::size_t>(i)];
+    if (static_cast<double>(cumulative) >= want) {
+      return obs::Histogram::bucket_upper_bound(i);
+    }
+  }
+  return obs::Histogram::bucket_upper_bound(obs::Histogram::kBucketCount - 1);
 }
 
 const SiteProfile* Profile::find(std::string_view site) const {
@@ -200,14 +166,14 @@ void Profile::harvest(const obs::MetricsRegistry& registry) {
     std::uint64_t coll_o2m = 0;
     std::uint64_t coll_m2o = 0;
     std::uint64_t coll_a2a = 0;
-    HistAccum coll_block;
-    HistAccum coll_group;
-    HistAccum msg_bytes;
-    HistAccum plan_rate;
-    HistAccum flat_rate;
-    HistAccum rtt;
-    HistAccum wall_rtt;
-    HistAccum timeout;
+    obs::Histogram coll_block;
+    obs::Histogram coll_group;
+    obs::Histogram msg_bytes;
+    obs::Histogram plan_rate;
+    obs::Histogram flat_rate;
+    obs::Histogram rtt;
+    obs::Histogram wall_rtt;
+    obs::Histogram timeout;
   };
   std::map<std::string, SiteAccum> accums;
 
@@ -253,16 +219,16 @@ void Profile::harvest(const obs::MetricsRegistry& registry) {
   for (const auto& [site, a] : accums) {
     // Only directive sites with observed traffic get profile rows; registry
     // rows from subsystem labels ("world", "rt") carry no site to tune.
-    if (a.messages == 0 && a.msg_bytes.count == 0 && a.rtt.count == 0 &&
-        a.coll_block.count == 0) {
+    if (a.messages == 0 && a.msg_bytes.count() == 0 && a.rtt.count() == 0 &&
+        a.coll_block.count() == 0) {
       continue;
     }
     SiteProfile p;
     p.messages = a.messages;
     p.bytes = a.bytes;
-    p.min_bytes = a.msg_bytes.min;
+    p.min_bytes = a.msg_bytes.min();
     p.mean_bytes = a.msg_bytes.mean();
-    p.max_bytes = a.msg_bytes.max;
+    p.max_bytes = a.msg_bytes.max();
     if (p.mean_bytes == 0.0 && a.messages > 0) {
       p.mean_bytes =
           static_cast<double>(a.bytes) / static_cast<double>(a.messages);
@@ -270,13 +236,13 @@ void Profile::harvest(const obs::MetricsRegistry& registry) {
     p.symmetric_ok = a.sym_ok > 0 && a.sym_fail == 0;
     p.plan_ns_per_byte = a.plan_rate.mean();
     p.flat_ns_per_byte = a.flat_rate.mean();
-    p.rtt_p50 = a.rtt.quantile(0.50);
-    p.rtt_p99 = a.rtt.quantile(0.99);
-    p.wall_rtt_p99 = a.wall_rtt.quantile(0.99);
-    p.min_timeout = a.timeout.count == 0 ? 0.0 : a.timeout.min;
-    p.coll_calls = a.coll_block.count;
+    p.rtt_p50 = histogram_quantile(a.rtt, 0.50);
+    p.rtt_p99 = histogram_quantile(a.rtt, 0.99);
+    p.wall_rtt_p99 = histogram_quantile(a.wall_rtt, 0.99);
+    p.min_timeout = a.timeout.min();
+    p.coll_calls = a.coll_block.count();
     p.coll_mean_bytes = a.coll_block.mean();
-    p.coll_max_bytes = a.coll_block.max;
+    p.coll_max_bytes = a.coll_block.max();
     p.coll_group = a.coll_group.mean();
     p.coll_o2m = a.coll_o2m;
     p.coll_m2o = a.coll_m2o;

@@ -1,15 +1,19 @@
 // Tests for cid::obs — histogram bucketing, the metrics registry, the
-// golden Chrome trace-event export, the trace-file reader, and the live
-// instrumentation path through a two-rank directive region.
+// golden Chrome trace-event export, the trace-file reader, the live
+// instrumentation path through a two-rank directive region, and the
+// rank-local recorders' merge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/log.hpp"
 #include "core/core.hpp"
 #include "obs/obs.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace_read.hpp"
 #include "obs/trace_tool.hpp"
 #include "rt/runtime.hpp"
@@ -370,6 +374,211 @@ TEST_F(ObsTest, EnablingObsDoesNotPerturbVirtualTime) {
   cid::obs::set_enabled(true);
   const double on = makespan_of();
   EXPECT_EQ(off, on);  // bit-exact, not approximately
+}
+
+// --- rank-local recorders ----------------------------------------------------
+
+TEST_F(ObsTest, HistogramMergeEqualsObservingAllSamples) {
+  // Dyadic samples keep every partial sum exact, so the merged sum must
+  // equal the one-histogram sum bit for bit. The minimum and the maximum
+  // both come from the second operand.
+  const std::vector<double> left = {0.25, 3.0, 2048.5, 0.5};
+  const std::vector<double> right = {1.0 / 1024, 4096.0, 7.75};
+  Histogram all, a, b;
+  for (const double v : left) {
+    all.observe(v);
+    a.observe(v);
+  }
+  for (const double v : right) {
+    all.observe(v);
+    b.observe(v);
+  }
+  Histogram merged = a;
+  merged.merge(b);
+  EXPECT_EQ(merged, all);
+
+  Histogram from_empty;
+  from_empty.merge(all);
+  EXPECT_EQ(from_empty, all);
+  Histogram unchanged = all;
+  unchanged.merge(Histogram{});
+  EXPECT_EQ(unchanged, all);
+}
+
+TEST_F(ObsTest, ProbesWithoutARankLandInTheSharedTable) {
+  cid::obs::set_enabled(true);
+  ASSERT_EQ(cid::log::thread_rank(), -1);
+  cid::obs::count("main.thread", "s", 3, 2);
+  std::thread([] {
+    cid::obs::count("other.thread", "s", 5, 7);
+    cid::obs::observe("other.thread.h", "s", 5, 1.0);
+  }).join();
+
+  const auto& shared = cid::obs::detail::shared_recorder().recorder;
+  ASSERT_EQ(shared.counters.entries().size(), 2u);
+  EXPECT_EQ(shared.counters.entries()[0].metric, "main.thread");
+  EXPECT_EQ(shared.counters.entries()[0].rank, 3);
+  EXPECT_EQ(shared.counters.entries()[1].value, 7u);
+  ASSERT_EQ(shared.histograms.entries().size(), 1u);
+  // No rank recorder saw them: the snapshot is exactly the shared table.
+  const auto counters = MetricsRegistry::global().counters();
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0].key.metric, "main.thread");
+  EXPECT_EQ(counters[1].key.metric, "other.thread");
+}
+
+TEST_F(ObsTest, KeyWrittenByManyRanksExportsOneSummedRow) {
+  // Like rt.deliver.messages, which every sender adds to under the
+  // destination's rank: four ranks write the same keys, plus the shared
+  // table from the main thread.
+  cid::obs::set_enabled(true);
+  cid::rt::run(4, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
+    cid::obs::count("many.writers", "world", 0,
+                    static_cast<std::uint64_t>(ctx.rank() + 1));
+    cid::obs::observe("many.writers.h", "world", 0, 0.25 * (ctx.rank() + 1));
+  });
+  cid::obs::count("many.writers", "world", 0, 100);
+
+  const auto counters = MetricsRegistry::global().counters();
+  std::vector<cid::obs::MetricsRegistry::CounterRow> rows;
+  for (const auto& row : counters) {
+    if (row.key.metric == "many.writers") rows.push_back(row);
+  }
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].value, 1u + 2u + 3u + 4u + 100u);
+
+  const auto histograms = MetricsRegistry::global().histograms();
+  ASSERT_EQ(histograms.size(), 1u);
+  EXPECT_EQ(histograms[0].histogram.count(), 4u);
+  EXPECT_EQ(histograms[0].histogram.sum(), 2.5);
+  EXPECT_EQ(histograms[0].histogram.min(), 0.25);
+  EXPECT_EQ(histograms[0].histogram.max(), 1.0);
+
+  // The export carries the merged rows once each, in key order.
+  for (std::size_t i = 1; i < counters.size(); ++i) {
+    EXPECT_LT(counters[i - 1].key, counters[i].key);
+  }
+}
+
+/// A ring on `ranks` ranks: a region with two p2p directives per iteration,
+/// one overlapped, so every directive event kind and the delivery counters
+/// (keyed by destination) are recorded.
+cid::rt::RunResult run_ring(int ranks, const cid::rt::RunOptions& options) {
+  return cid::rt::run(
+      ranks, MachineModel::cray_xk7_gemini(),
+      [](RankCtx& ctx) {
+        const int n = ctx.nranks();
+        const int me = ctx.rank();
+        const int right = (me + 1) % n;
+        const int left = (me + n - 1) % n;
+        double out[16], from_left[16] = {}, from_right[16] = {};
+        for (int i = 0; i < 16; ++i) out[i] = me * 100.0 + i;
+        for (int it = 0; it < 3; ++it) {
+          comm_parameters(Clauses().count(16), [&](Region& region) {
+            region.p2p(Clauses()
+                           .sender(left)
+                           .receiver(right)
+                           .sbuf(buf(out))
+                           .rbuf(buf(from_left)));
+            region.p2p(Clauses()
+                           .sender(right)
+                           .receiver(left)
+                           .sbuf(buf(out))
+                           .rbuf(buf(from_right)),
+                       [&] { ctx.charge_compute(1e-6 * (me + 1)); });
+          });
+        }
+        EXPECT_EQ(from_left[1], left * 100.0 + 1);
+        EXPECT_EQ(from_right[2], right * 100.0 + 2);
+      },
+      options);
+}
+
+struct Recording {
+  std::vector<cid::obs::Span> spans;
+  std::vector<MetricsRegistry::CounterRow> counters;
+  std::vector<MetricsRegistry::HistogramRow> histograms;
+};
+
+/// Everything recorded so far, without the schedule-dependent rt.sched.*
+/// rows (the pooled scheduler reports its worker count there).
+Recording snapshot() {
+  Recording out;
+  out.spans = cid::obs::spans();
+  for (auto& row : MetricsRegistry::global().counters()) {
+    if (!row.key.metric.starts_with("rt.sched.")) out.counters.push_back(row);
+  }
+  for (auto& row : MetricsRegistry::global().histograms()) {
+    if (!row.key.metric.starts_with("rt.sched.")) {
+      out.histograms.push_back(row);
+    }
+  }
+  return out;
+}
+
+TEST_F(ObsTest, RecordingIsIdenticalAcrossSchedulers) {
+  cid::obs::set_enabled(true);
+  std::vector<Recording> recordings;
+  for (const auto& [mode, workers] :
+       {std::pair{cid::rt::sched::Mode::kPool, 1},
+        std::pair{cid::rt::sched::Mode::kPool, 4},
+        std::pair{cid::rt::sched::Mode::kThreads, 0}}) {
+    cid::obs::clear();
+    cid::rt::RunOptions options;
+    options.scheduler = mode;
+    options.sim_workers = workers;
+    run_ring(8, options);
+    recordings.push_back(snapshot());
+  }
+  const Recording& first = recordings.front();
+  ASSERT_FALSE(first.spans.empty());
+  ASSERT_FALSE(first.histograms.empty());
+  bool saw_deliveries = false;
+  for (const auto& row : first.counters) {
+    saw_deliveries = saw_deliveries || row.key.metric == "rt.deliver.messages";
+  }
+  EXPECT_TRUE(saw_deliveries);
+  for (std::size_t i = 1; i < recordings.size(); ++i) {
+    SCOPED_TRACE("recording " + std::to_string(i));
+    EXPECT_EQ(recordings[i].spans, first.spans);
+    ASSERT_EQ(recordings[i].counters.size(), first.counters.size());
+    for (std::size_t r = 0; r < first.counters.size(); ++r) {
+      EXPECT_EQ(recordings[i].counters[r].key, first.counters[r].key);
+      EXPECT_EQ(recordings[i].counters[r].value, first.counters[r].value)
+          << first.counters[r].key.metric;
+    }
+    ASSERT_EQ(recordings[i].histograms.size(), first.histograms.size());
+    for (std::size_t r = 0; r < first.histograms.size(); ++r) {
+      EXPECT_EQ(recordings[i].histograms[r].key, first.histograms[r].key);
+      EXPECT_EQ(recordings[i].histograms[r].histogram,
+                first.histograms[r].histogram)
+          << first.histograms[r].key.metric;
+    }
+  }
+}
+
+TEST_F(ObsTest, ClearLeavesOnlyTheNextRunsRecording) {
+  // The recorders keep their capacity across clear(); nothing of the first
+  // run may survive into the second run's snapshot.
+  cid::obs::set_enabled(true);
+  run_ring(3, {});
+  const Recording alone = snapshot();
+
+  cid::obs::clear();
+  run_ring(6, {});
+  run_two_rank_region();
+  cid::obs::clear();
+  run_ring(3, {});
+  const Recording after = snapshot();
+
+  EXPECT_EQ(after.spans, alone.spans);
+  ASSERT_EQ(after.counters.size(), alone.counters.size());
+  for (std::size_t r = 0; r < alone.counters.size(); ++r) {
+    EXPECT_EQ(after.counters[r].key, alone.counters[r].key);
+    EXPECT_EQ(after.counters[r].value, alone.counters[r].value);
+  }
+  ASSERT_EQ(after.histograms.size(), alone.histograms.size());
+  for (const auto& span : after.spans) EXPECT_LT(span.rank, 3);
 }
 
 }  // namespace

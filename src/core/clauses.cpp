@@ -1,5 +1,7 @@
 #include "core/clauses.hpp"
 
+#include "core/intern.hpp"
+
 namespace cid::core {
 
 std::string_view target_keyword(Target target) noexcept {
@@ -59,6 +61,49 @@ Result<SyncPlacement> parse_sync_placement_keyword(std::string_view keyword) {
                 "unknown place_sync keyword '" + std::string(keyword) + "'");
 }
 
+namespace {
+
+/// Distinct clause texts kept by the parse cache. A program that builds a
+/// new text on every execution fills it once; later texts are parsed each
+/// time, exactly as without a cache, so memory stays bounded.
+constexpr std::size_t kMaxCachedTexts = 4096;
+
+ClauseExpr::Parsed parse_text(std::string_view text, std::size_t hash) {
+  ClauseExpr::Parsed parsed;
+  parsed.hash = hash;
+  parsed.text = std::string(text);
+  auto expr = Expr::parse(text);
+  if (expr.is_ok()) {
+    parsed.expr = std::move(expr).take();
+  } else {
+    parsed.error = expr.status();
+  }
+  return parsed;
+}
+
+}  // namespace
+
+ClauseExpr::ClauseExpr(Expr expr) : kind_(Kind::Parsed) {
+  auto parsed = std::make_shared<Parsed>();
+  parsed->expr = std::move(expr);
+  parsed_ = std::move(parsed);
+}
+
+ClauseExpr::ClauseExpr(std::string_view text) : kind_(Kind::Parsed) {
+  // Never destroyed: cached parses are shared by every rank and thread for
+  // the life of the process.
+  static auto& cache = *new detail::InternTable<Parsed>(kMaxCachedTexts);
+  const std::size_t hash = std::hash<std::string_view>{}(text);
+  const Parsed* cached = cache.intern(
+      hash, [&](const Parsed& entry) { return entry.text == text; },
+      [&] { return parse_text(text, hash); });
+  // A cached parse outlives every clause, so the handle does not own it and
+  // copying a clause bumps no reference count.
+  parsed_ = cached != nullptr
+                ? std::shared_ptr<const Parsed>(std::shared_ptr<void>(), cached)
+                : std::make_shared<const Parsed>(parse_text(text, hash));
+}
+
 Result<ExprValue> ClauseExpr::eval(const Env& env) const {
   switch (kind_) {
     case Kind::Absent:
@@ -66,8 +111,8 @@ Result<ExprValue> ClauseExpr::eval(const Env& env) const {
     case Kind::Value:
       return value_;
     case Kind::Parsed:
-      if (!parse_error_.is_ok()) return parse_error_;
-      return expr_.eval(env);
+      if (!parsed_->error.is_ok()) return parsed_->error;
+      return parsed_->expr.eval(env);
     case Kind::Callable:
       return fn_();
   }
@@ -81,40 +126,57 @@ std::string ClauseExpr::describe() const {
     case Kind::Value:
       return std::to_string(value_);
     case Kind::Parsed:
-      if (!parse_error_.is_ok()) {
-        return "<parse error: " + parse_error_.message() + ">";
+      if (!parsed_->error.is_ok()) {
+        return "<parse error: " + parsed_->error.message() + ">";
       }
-      return expr_.to_string();
+      return parsed_->expr.to_string();
     case Kind::Callable:
       return "<callable>";
   }
   return "<bad>";
 }
 
-Clauses Clauses::merged(const Clauses& region, const Clauses& p2p) {
-  Clauses out = region;
-  if (p2p.sender_.present()) out.sender_ = p2p.sender_;
-  if (p2p.receiver_.present()) out.receiver_ = p2p.receiver_;
-  if (p2p.sendwhen_.present()) out.sendwhen_ = p2p.sendwhen_;
-  if (p2p.receivewhen_.present()) out.receivewhen_ = p2p.receivewhen_;
-  if (p2p.count_.present()) out.count_ = p2p.count_;
-  if (p2p.max_comm_iter_.present()) out.max_comm_iter_ = p2p.max_comm_iter_;
-  if (p2p.reliability_timeout_us_.present()) {
-    out.reliability_timeout_us_ = p2p.reliability_timeout_us_;
-    out.reliability_max_retries_ = p2p.reliability_max_retries_;
+ClauseView::ClauseView(const Clauses& clauses)
+    : bindings_(&clauses.bindings_),
+      sender_(&clauses.sender_),
+      receiver_(&clauses.receiver_),
+      sendwhen_(&clauses.sendwhen_),
+      receivewhen_(&clauses.receivewhen_),
+      count_(&clauses.count_),
+      max_comm_iter_(&clauses.max_comm_iter_),
+      reliability_timeout_us_(&clauses.reliability_timeout_us_),
+      reliability_max_retries_(&clauses.reliability_max_retries_),
+      target_(&clauses.target_),
+      place_sync_(&clauses.place_sync_),
+      sbuf_(&clauses.sbuf_),
+      rbuf_(&clauses.rbuf_) {}
+
+ClauseView::ClauseView(const ClauseView& outer, const Clauses& inner)
+    : ClauseView(outer) {
+  outer_ = &outer;
+  bindings_ = &inner.bindings_;
+  const auto inherit = [](const ClauseExpr*& winner, const ClauseExpr& own) {
+    if (own.present()) winner = &own;
+  };
+  inherit(sender_, inner.sender_);
+  inherit(receiver_, inner.receiver_);
+  inherit(sendwhen_, inner.sendwhen_);
+  inherit(receivewhen_, inner.receivewhen_);
+  inherit(count_, inner.count_);
+  inherit(max_comm_iter_, inner.max_comm_iter_);
+  if (inner.reliability_timeout_us_.present()) {
+    reliability_timeout_us_ = &inner.reliability_timeout_us_;
+    reliability_max_retries_ = &inner.reliability_max_retries_;
   }
-  if (p2p.target_.has_value()) out.target_ = p2p.target_;
-  if (p2p.place_sync_.has_value()) out.place_sync_ = p2p.place_sync_;
-  if (p2p.pattern_.has_value()) out.pattern_ = p2p.pattern_;
-  if (p2p.root_.present()) out.root_ = p2p.root_;
-  if (p2p.group_.present()) out.group_ = p2p.group_;
-  if (!p2p.sbuf_.empty()) out.sbuf_ = p2p.sbuf_;
-  if (!p2p.rbuf_.empty()) out.rbuf_ = p2p.rbuf_;
-  // Bindings accumulate; p2p-level bindings shadow region ones by appearing
-  // later (Env::bind overwrites).
-  out.bindings_.insert(out.bindings_.end(), p2p.bindings_.begin(),
-                       p2p.bindings_.end());
-  return out;
+  if (inner.target_.has_value()) target_ = &inner.target_;
+  if (inner.place_sync_.has_value()) place_sync_ = &inner.place_sync_;
+  if (!inner.sbuf_.empty()) sbuf_ = &inner.sbuf_;
+  if (!inner.rbuf_.empty()) rbuf_ = &inner.rbuf_;
+}
+
+void ClauseView::bind_lets(Env& env) const {
+  if (outer_ != nullptr) outer_->bind_lets(env);
+  for (const auto& [name, value] : *bindings_) env.bind(name, value);
 }
 
 Status Clauses::validate_p2p_site() const {
@@ -134,36 +196,40 @@ Status Clauses::validate_p2p_site() const {
 }
 
 Status Clauses::validate_for_p2p() const {
-  if (!sender_.present()) {
+  return ClauseView(*this).validate_for_p2p();
+}
+
+Status ClauseView::validate_for_p2p() const {
+  if (!sender_clause().present()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires the sender clause");
   }
-  if (!receiver_.present()) {
+  if (!receiver_clause().present()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires the receiver clause");
   }
-  if (sbuf_.empty()) {
+  if (sbuf_list().empty()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires a non-empty sbuf clause");
   }
-  if (rbuf_.empty()) {
+  if (rbuf_list().empty()) {
     return Status(ErrorCode::InvalidClause,
                   "comm_p2p requires a non-empty rbuf clause");
   }
-  if (sbuf_.size() != rbuf_.size()) {
+  if (sbuf_list().size() != rbuf_list().size()) {
     return Status(ErrorCode::InvalidClause,
                   "sbuf and rbuf must list the same number of buffers (got " +
-                      std::to_string(sbuf_.size()) + " and " +
-                      std::to_string(rbuf_.size()) + ")");
+                      std::to_string(sbuf_list().size()) + " and " +
+                      std::to_string(rbuf_list().size()) + ")");
   }
-  if (sendwhen_.present() != receivewhen_.present()) {
+  if (sendwhen_clause().present() != receivewhen_clause().present()) {
     return Status(ErrorCode::InvalidClause,
                   "sendwhen and receivewhen must both be present or both be "
                   "omitted");
   }
-  for (std::size_t i = 0; i < sbuf_.size(); ++i) {
-    const BufferRef& s = sbuf_[i];
-    const BufferRef& r = rbuf_[i];
+  for (std::size_t i = 0; i < sbuf_list().size(); ++i) {
+    const BufferRef& s = sbuf_list()[i];
+    const BufferRef& r = rbuf_list()[i];
     if (s.element_size != r.element_size ||
         s.is_composite() != r.is_composite() ||
         (s.is_composite() ? s.layout != r.layout : s.basic != r.basic)) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -53,16 +54,18 @@ class ClauseExpr {
   ClauseExpr(ExprValue value) : value_(value), kind_(Kind::Value) {}  // NOLINT
   ClauseExpr(int value)                                                // NOLINT
       : value_(value), kind_(Kind::Value) {}
-  ClauseExpr(Expr expr) : expr_(std::move(expr)), kind_(Kind::Parsed) {}  // NOLINT
+  ClauseExpr(Expr expr);  // NOLINT
   template <typename F>
     requires std::is_invocable_r_v<ExprValue, F> &&
              (!std::is_arithmetic_v<std::decay_t<F>>)
   ClauseExpr(F fn)  // NOLINT(google-explicit-constructor)
       : fn_(std::move(fn)), kind_(Kind::Callable) {}
-  /// Parses eagerly; a parse failure is reported at evaluation time so the
-  /// builder API stays chainable.
-  ClauseExpr(const char* text) { assign_text(text); }  // NOLINT
-  ClauseExpr(const std::string& text) { assign_text(text); }  // NOLINT
+  /// Clause text is parsed once per distinct content, process-wide: a text
+  /// seen before shares its immutable parse. A parse failure is reported at
+  /// evaluation time so the builder API stays chainable.
+  ClauseExpr(const char* text) : ClauseExpr(std::string_view(text)) {}  // NOLINT
+  ClauseExpr(const std::string& text)  // NOLINT
+      : ClauseExpr(std::string_view(text)) {}
 
   bool present() const noexcept { return kind_ != Kind::Absent; }
 
@@ -71,24 +74,23 @@ class ClauseExpr {
   /// Human-readable form for diagnostics and codegen.
   std::string describe() const;
 
+  /// The outcome of parsing one clause text: an expression or the parser's
+  /// error. Immutable, so one parse serves every ClauseExpr of that text.
+  struct Parsed {
+    std::size_t hash = 0;  ///< of `text`; the parse cache's key
+    std::string text;
+    Expr expr;
+    Status error;
+  };
+
  private:
   enum class Kind { Absent, Value, Parsed, Callable };
 
-  void assign_text(const std::string& text) {
-    auto parsed = Expr::parse(text);
-    if (parsed.is_ok()) {
-      expr_ = std::move(parsed).take();
-      kind_ = Kind::Parsed;
-    } else {
-      parse_error_ = parsed.status();
-      kind_ = Kind::Parsed;  // present but broken; eval() reports the error
-    }
-  }
+  explicit ClauseExpr(std::string_view text);
 
   ExprValue value_ = 0;
-  Expr expr_{};
+  std::shared_ptr<const Parsed> parsed_;
   std::function<ExprValue()> fn_;
-  Status parse_error_;
   Kind kind_ = Kind::Absent;
 };
 
@@ -152,23 +154,13 @@ class Clauses {
   const ClauseExpr& group_clause() const noexcept { return group_; }
   const std::vector<BufferRef>& sbuf_list() const noexcept { return sbuf_; }
   const std::vector<BufferRef>& rbuf_list() const noexcept { return rbuf_; }
-  const std::vector<std::pair<std::string, ExprValue>>& bindings() const noexcept {
-    return bindings_;
-  }
-
-  /// Inheritance: p2p clauses layered over a comm_parameters region's
-  /// clauses. Every clause present on the p2p wins; absent ones inherit
-  /// (paper: instances "do not need to re-express these communication
-  /// clauses, but may provide additional assertions").
-  static Clauses merged(const Clauses& region, const Clauses& p2p);
 
   /// Validation of the clauses written directly on a comm_p2p site (before
   /// inheritance): rejects the comm_parameters-only clauses place_sync and
   /// max_comm_iter.
   Status validate_p2p_site() const;
 
-  /// Validation for a standalone or merged comm_p2p: required clauses
-  /// present, sendwhen/receivewhen paired, buffer lists consistent.
+  /// Validation for a standalone comm_p2p; see ClauseView::validate_for_p2p.
   Status validate_for_p2p() const;
 
   /// Validation for a comm_parameters directive: any subset of clauses, with
@@ -181,6 +173,8 @@ class Clauses {
   Status validate_for_collective() const;
 
  private:
+  friend class ClauseView;
+
   ClauseExpr sender_;
   ClauseExpr receiver_;
   ClauseExpr sendwhen_;
@@ -197,6 +191,59 @@ class Clauses {
   std::vector<BufferRef> sbuf_;
   std::vector<BufferRef> rbuf_;
   std::vector<std::pair<std::string, ExprValue>> bindings_;
+};
+
+/// Clause inheritance resolved without copying: each accessor returns the
+/// winning point-to-point clause of a comm_p2p site (or a nested region)
+/// layered over the clauses of its enclosing comm_parameters regions. Every clause present on
+/// the inner set wins; absent ones inherit (paper: instances "do not need to
+/// re-express these communication clauses, but may provide additional
+/// assertions"). A view borrows: the Clauses it reads, and its outer view,
+/// must outlive it. Nothing here is cached across executions — buffers,
+/// callables and let() values may change between them.
+class ClauseView {
+ public:
+  explicit ClauseView(const Clauses& clauses);
+  /// `inner` layered over `outer`.
+  ClauseView(const ClauseView& outer, const Clauses& inner);
+
+  const ClauseExpr& sender_clause() const noexcept { return *sender_; }
+  const ClauseExpr& receiver_clause() const noexcept { return *receiver_; }
+  const ClauseExpr& sendwhen_clause() const noexcept { return *sendwhen_; }
+  const ClauseExpr& receivewhen_clause() const noexcept { return *receivewhen_; }
+  const ClauseExpr& count_clause() const noexcept { return *count_; }
+  const ClauseExpr& max_comm_iter_clause() const noexcept { return *max_comm_iter_; }
+  const ClauseExpr& reliability_timeout_clause() const noexcept { return *reliability_timeout_us_; }
+  const ClauseExpr& reliability_retries_clause() const noexcept { return *reliability_max_retries_; }
+  bool reliability_present() const noexcept { return reliability_timeout_us_->present(); }
+  const std::optional<Target>& target_clause() const noexcept { return *target_; }
+  const std::optional<SyncPlacement>& place_sync_clause() const noexcept { return *place_sync_; }
+  const std::vector<BufferRef>& sbuf_list() const noexcept { return *sbuf_; }
+  const std::vector<BufferRef>& rbuf_list() const noexcept { return *rbuf_; }
+
+  /// Binds every let() value, outermost region first, so inner bindings
+  /// shadow outer ones (Env::bind overwrites).
+  void bind_lets(Env& env) const;
+
+  /// Validation for a standalone or inherited comm_p2p: required clauses
+  /// present, sendwhen/receivewhen paired, buffer lists consistent.
+  Status validate_for_p2p() const;
+
+ private:
+  const ClauseView* outer_ = nullptr;
+  const std::vector<std::pair<std::string, ExprValue>>* bindings_;
+  const ClauseExpr* sender_;
+  const ClauseExpr* receiver_;
+  const ClauseExpr* sendwhen_;
+  const ClauseExpr* receivewhen_;
+  const ClauseExpr* count_;
+  const ClauseExpr* max_comm_iter_;
+  const ClauseExpr* reliability_timeout_us_;
+  const ClauseExpr* reliability_max_retries_;
+  const std::optional<Target>* target_;
+  const std::optional<SyncPlacement>* place_sync_;
+  const std::vector<BufferRef>* sbuf_;
+  const std::vector<BufferRef>* rbuf_;
 };
 
 }  // namespace cid::core

@@ -17,30 +17,10 @@ namespace cid::core {
 namespace detail {
 namespace {
 
-Env make_env(const Clauses& clauses) {
-  Env env;
-  auto& ctx = rt::current_ctx();
-  env.bind("rank", ctx.rank());
-  env.bind("nprocs", ctx.nranks());
-  for (const auto& [name, value] : clauses.bindings()) env.bind(name, value);
-  return env;
-}
-
-ExprValue eval_clause(const ClauseExpr& clause, const Env& env,
-                      const char* what) {
-  auto value = clause.eval(env);
-  CID_REQUIRE(value.is_ok(), ErrorCode::InvalidClause,
-              std::string(what) + " clause: " + value.status().to_string());
-  return value.value();
-}
-
 std::size_t resolve_count(const Clauses& clauses, const Env& env,
                           Pattern pattern, int group_size) {
   if (clauses.count_clause().present()) {
-    const ExprValue value = eval_clause(clauses.count_clause(), env, "count");
-    CID_REQUIRE(value > 0, ErrorCode::InvalidClause,
-                "count clause must evaluate to a positive value");
-    return static_cast<std::size_t>(value);
+    return eval_count(clauses.count_clause(), env);
   }
   // Inference: the per-block count derived from the smallest array extent,
   // divided by the group size where the buffer holds one block per member.
@@ -133,7 +113,7 @@ tune::CollOp coll_op_for(Pattern pattern) {
   return tune::CollOp::Bcast;
 }
 
-void lower_shmem(ExecState& state, const SiteKey& site, const mpi::Comm& comm,
+void lower_shmem(ExecState& state, SiteId site, const mpi::Comm& comm,
                  Pattern pattern, int root, std::size_t count,
                  const BufferRef& sbuf, const BufferRef& rbuf) {
   auto& ctx = rt::current_ctx();
@@ -151,7 +131,8 @@ void lower_shmem(ExecState& state, const SiteKey& site, const mpi::Comm& comm,
   const std::size_t npes = static_cast<std::size_t>(ctx.nranks());
   auto& coll = state.shmem_collectives[site];
   if (coll.flags == nullptr) {
-    coll.flags = shmem::shared_flags("cid.coll." + site, 2 * npes);
+    coll.flags =
+        shmem::shared_flags("cid.coll." + std::string(site.name()), 2 * npes);
   }
   const bool first_round = coll.executions++ == 0;
 
@@ -293,7 +274,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   // window fences) is safe here.
   state.flush(state.pending);
 
-  const Env env = make_env(clauses);
+  const Env env = make_env(ClauseView(clauses));
   const Pattern pattern = *clauses.pattern_clause();
   const Target target = clauses.target_clause().value_or(Target::Mpi2Side);
   CID_REQUIRE(target != Target::Mpi1Side, ErrorCode::UnsupportedTarget,
@@ -304,7 +285,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
       clauses.group_clause().present()
           ? eval_clause(clauses.group_clause(), env, "group")
           : 0;
-  const SiteKey site = site_key(site_loc);
+  const SiteId site = SiteId::of(site_loc);
 
   auto& cache = state.group_comms[site];
   if (!cache.valid || cache.color != color) {
@@ -338,18 +319,19 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   const std::size_t block_bytes = count * sbuf.element_size;
   std::optional<mpi::coll::CollAlgo> hint;
   if (tune::recording()) {
-    obs::observe("cid.tune.coll_block_bytes", site, ctx.rank(),
+    obs::observe("cid.tune.coll_block_bytes", site.name(), ctx.rank(),
                  static_cast<double>(block_bytes));
-    obs::observe("cid.tune.coll_group", site, ctx.rank(),
+    obs::observe("cid.tune.coll_group", site.name(), ctx.rank(),
                  static_cast<double>(comm.size()));
     const char* pattern_metric = pattern == Pattern::OneToMany
                                      ? "cid.tune.coll_o2m"
                                      : pattern == Pattern::ManyToOne
                                            ? "cid.tune.coll_m2o"
                                            : "cid.tune.coll_a2a";
-    obs::count(pattern_metric, site, ctx.rank());
+    obs::count(pattern_metric, site.name(), ctx.rank());
   } else if (tune::active()) {
-    const tune::SiteProfile* profile = tune::Tuner::global().site(site);
+    const tune::SiteProfile* profile =
+        tune::Tuner::global().site(site.name());
     if (profile != nullptr && profile->coll_calls > 0) {
       const tune::CollOp op = coll_op_for(pattern);
       const tune::CollShape shape{
@@ -371,7 +353,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::CollectiveDirective,
                                 ctx.rank(), trace_begin, ctx.clock().now(),
-                                site, 0, 0});
+                                site.name(), 0, 0});
   }
 }
 

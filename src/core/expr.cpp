@@ -552,6 +552,38 @@ void collect_variables(const Expr::Node& node, std::set<std::string>& out) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// Env
+// ---------------------------------------------------------------------------
+
+const Env::Binding* Env::find(std::string_view name) const {
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (inline_[i].name == name) return &inline_[i];
+  }
+  for (const Binding& binding : spill_) {
+    if (binding.name == name) return &binding;
+  }
+  return nullptr;
+}
+
+void Env::bind(std::string_view name, ExprValue value) {
+  if (const Binding* existing = find(name)) {
+    // find() points into this (non-const) Env's own storage.
+    const_cast<Binding*>(existing)->value = value;
+  } else if (size_ < kInline) {
+    inline_[size_++] = {name, value};
+  } else {
+    spill_.push_back({name, value});
+  }
+}
+
+Result<ExprValue> Env::lookup(std::string_view name) const {
+  if (const Binding* binding = find(name)) return binding->value;
+  return Status(ErrorCode::ParseError, "unbound variable '" +
+                                           std::string(name) +
+                                           "' in clause expression");
+}
+
+// ---------------------------------------------------------------------------
 // Expr public interface
 // ---------------------------------------------------------------------------
 

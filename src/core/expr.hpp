@@ -9,8 +9,8 @@
 // translator.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -23,24 +23,33 @@ namespace cid::core {
 using ExprValue = std::int64_t;
 
 /// Variable bindings for evaluation. `rank` and `nprocs` are bound by the
-/// executor; user variables come from Clauses::let().
+/// executor; user variables come from Clauses::let(). A small flat table
+/// that borrows its names: a name must outlive the Env (string literals and
+/// the names a Clauses holds do), so binding a temporary string is rejected
+/// at compile time.
 class Env {
  public:
-  void bind(std::string name, ExprValue value) {
-    values_[std::move(name)] = value;
+  /// Binds `name`, overwriting an earlier binding of the same name.
+  void bind(std::string_view name, ExprValue value);
+  void bind(const char* name, ExprValue value) {
+    bind(std::string_view(name), value);
   }
+  void bind(std::string&& name, ExprValue value) = delete;
+
   /// Looks up a variable; error Status when unbound.
-  Result<ExprValue> lookup(const std::string& name) const {
-    auto it = values_.find(name);
-    if (it == values_.end()) {
-      return Status(ErrorCode::ParseError,
-                    "unbound variable '" + name + "' in clause expression");
-    }
-    return it->second;
-  }
+  Result<ExprValue> lookup(std::string_view name) const;
 
  private:
-  std::map<std::string, ExprValue> values_;
+  struct Binding {
+    std::string_view name;
+    ExprValue value = 0;
+  };
+  const Binding* find(std::string_view name) const;
+
+  static constexpr std::size_t kInline = 8;
+  std::array<Binding, kInline> inline_{};
+  std::size_t size_ = 0;  ///< entries of inline_ in use
+  std::vector<Binding> spill_;  ///< bindings past the first kInline
 };
 
 /// Parsed expression; immutable, shareable.

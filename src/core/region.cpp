@@ -20,32 +20,15 @@ namespace detail {
 /// One open comm_parameters region (lives on the Region RAII stack).
 class RegionImpl {
  public:
-  Clauses clauses;  ///< already merged with any enclosing region
-  SiteKey site;
+  RegionImpl(ClauseView clauses, SiteId site) : clauses(clauses), site(site) {}
+
+  const ClauseView clauses;  ///< layered over any enclosing region's
+  const SiteId site;
 };
 
 namespace {
 
 constexpr int kDirectiveTag = 2000;
-
-Env make_env(const Clauses& merged) {
-  Env env;
-  auto& ctx = rt::current_ctx();
-  env.bind("rank", ctx.rank());
-  env.bind("nprocs", ctx.nranks());
-  for (const auto& [name, value] : merged.bindings()) {
-    env.bind(name, value);
-  }
-  return env;
-}
-
-ExprValue eval_clause(const ClauseExpr& clause, const Env& env,
-                      const char* what) {
-  auto value = clause.eval(env);
-  CID_REQUIRE(value.is_ok(), ErrorCode::InvalidClause,
-              std::string(what) + " clause: " + value.status().to_string());
-  return value.value();
-}
 
 void throw_if_error(const Status& status) {
   if (!status.is_ok()) {
@@ -55,14 +38,9 @@ void throw_if_error(const Status& status) {
 
 /// Count inference: explicit count clause, else the smallest known array
 /// extent among the listed buffers (paper Section III-B).
-std::size_t resolve_count(const Clauses& merged, const Env& env) {
+std::size_t resolve_count(const ClauseView& merged, const Env& env) {
   if (merged.count_clause().present()) {
-    const ExprValue value =
-        eval_clause(merged.count_clause(), env, "count");
-    CID_REQUIRE(value > 0, ErrorCode::InvalidClause,
-                "count clause must evaluate to a positive value, got " +
-                    std::to_string(value));
-    return static_cast<std::size_t>(value);
+    return eval_count(merged.count_clause(), env);
   }
   std::size_t smallest = SIZE_MAX;
   for (const auto* list : {&merged.sbuf_list(), &merged.rbuf_list()}) {
@@ -95,7 +73,7 @@ Target to_core_target(tune::Lowering lowering) noexcept {
 /// pack-plan walk vs a flat extent copy — the two rates whose measured
 /// crossover drives the flat-copy lowering decision. Wall time only; the
 /// virtual clock is untouched.
-void calibrate_pack(const SiteKey& site, rt::RankCtx& ctx,
+void calibrate_pack(SiteId site, rt::RankCtx& ctx,
                     const mpi::Datatype& dtype, const void* base,
                     std::size_t count) {
   const std::size_t payload = dtype.payload_size() * count;
@@ -112,10 +90,10 @@ void calibrate_pack(const SiteKey& site, rt::RankCtx& ctx,
     std::memcpy(scratch.data(), base, extent);
   }
   const auto t2 = std::chrono::steady_clock::now();
-  obs::observe("cid.tune.plan_ns_per_byte", site, ctx.rank(),
+  obs::observe("cid.tune.plan_ns_per_byte", site.name(), ctx.rank(),
                std::chrono::duration<double, std::nano>(t1 - t0).count() /
                    (kReps * static_cast<double>(payload)));
-  obs::observe("cid.tune.flat_ns_per_byte", site, ctx.rank(),
+  obs::observe("cid.tune.flat_ns_per_byte", site.name(), ctx.rank(),
                std::chrono::duration<double, std::nano>(t2 - t1).count() /
                    (kReps * static_cast<double>(extent)));
 }
@@ -123,70 +101,87 @@ void calibrate_pack(const SiteKey& site, rt::RankCtx& ctx,
 /// Record mode: per-site size profile and symmetric-heap eligibility, the
 /// inputs of the target(auto) decision (docs/TUNING.md).
 void record_tune_observations(ExecState& state, rt::RankCtx& ctx,
-                              const SiteKey& site,
+                              SiteId site,
                               const std::vector<BufferRef>& sbufs,
                               const std::vector<BufferRef>& rbufs,
                               std::size_t count) {
   for (std::size_t i = 0; i < sbufs.size(); ++i) {
     const mpi::Datatype dtype = datatype_for_buffer(state, sbufs[i]);
-    obs::observe("cid.tune.msg_bytes", site, ctx.rank(),
+    obs::observe("cid.tune.msg_bytes", site.name(), ctx.rank(),
                  static_cast<double>(count * dtype.payload_size()));
     obs::count(shmem::is_symmetric(rbufs[i].data) ? "cid.tune.sym_ok"
                                                   : "cid.tune.sym_fail",
-               site, ctx.rank());
-    if (!dtype.is_contiguous() && !state.tune_calibrated[site]) {
-      state.tune_calibrated[site] = true;
+               site.name(), ctx.rank());
+    if (!dtype.is_contiguous() && state.tune_calibrated.insert(site).second) {
       calibrate_pack(site, ctx, dtype, sbufs[i].data, count);
     }
   }
 }
 
-/// Fetch a persistent slot (growing the site's request table as the
-/// compiler's generated code would), rebinding and starting it.
-mpi::Request& acquire_send_slot(ExecState& state, const SiteKey& site,
+/// The request table of `key`, with its usage reset when a waitall has
+/// completed its slots since it was last used.
+ChannelSlots& channel_slots(ExecState& state, const SlotKey& key) {
+  ChannelSlots& slots = state.channels[key];
+  if (slots.epoch != state.slot_epoch) {
+    slots.epoch = state.slot_epoch;
+    slots.send_used = 0;
+    slots.recv_used = 0;
+  }
+  return slots;
+}
+
+/// Fetch a persistent slot (growing the request table as the compiler's
+/// generated code would), rebinding and starting it.
+mpi::Request& acquire_send_slot(ExecState& state, const SlotKey& key,
                                 const mpi::Comm& comm, const void* buf,
                                 std::size_t count, const mpi::Datatype& dtype,
                                 int dest) {
-  auto& slots = state.channels[site];
+  ChannelSlots& slots = channel_slots(state, key);
   const std::size_t index = slots.send_used++;
   if (index < slots.send_slots.size()) {
-    mpi::Request& slot = slots.send_slots[index];
-    if (slot.valid() && !slot.complete()) {
-      // Safety valve: the slot is somehow still in flight; replace it.
-      slot = mpi::send_init(comm, buf, count, dtype, dest, kDirectiveTag);
+    PersistentSlot& slot = slots.send_slots[index];
+    // A slot still in flight (a safety valve) or initialized for another
+    // element type (one site, two template instantiations) is re-created.
+    if (slot.dtype != dtype ||
+        (slot.request.valid() && !slot.request.complete())) {
+      slot = {mpi::send_init(comm, buf, count, dtype, dest, kDirectiveTag),
+              dtype};
     } else {
-      mpi::rebind_send(slot, buf, count);
+      mpi::rebind_send(slot.request, buf, count);
     }
-    mpi::start(slot);
-    return slot;
+    mpi::start(slot.request);
+    return slot.request;
   }
   slots.send_slots.push_back(
-      mpi::send_init(comm, buf, count, dtype, dest, kDirectiveTag));
-  mpi::start(slots.send_slots.back());
-  return slots.send_slots.back();
+      {mpi::send_init(comm, buf, count, dtype, dest, kDirectiveTag), dtype});
+  mpi::start(slots.send_slots.back().request);
+  return slots.send_slots.back().request;
 }
 
-mpi::Request& acquire_recv_slot(ExecState& state, const SiteKey& site,
+mpi::Request& acquire_recv_slot(ExecState& state, const SlotKey& key,
                                 const mpi::Comm& comm, void* buf,
                                 std::size_t capacity,
                                 const mpi::Datatype& dtype, int source) {
-  auto& slots = state.channels[site];
+  ChannelSlots& slots = channel_slots(state, key);
   const std::size_t index = slots.recv_used++;
   if (index < slots.recv_slots.size()) {
-    mpi::Request& slot = slots.recv_slots[index];
-    if (slot.valid() && !slot.complete()) {
-      // Safety valve: the slot is somehow still in flight; replace it.
-      slot = mpi::recv_init(comm, buf, capacity, dtype, source, kDirectiveTag);
+    PersistentSlot& slot = slots.recv_slots[index];
+    if (slot.dtype != dtype ||
+        (slot.request.valid() && !slot.request.complete())) {
+      slot = {mpi::recv_init(comm, buf, capacity, dtype, source,
+                             kDirectiveTag),
+              dtype};
     } else {
-      mpi::rebind_recv(slot, buf, capacity);
+      mpi::rebind_recv(slot.request, buf, capacity);
     }
-    mpi::start(slot);
-    return slot;
+    mpi::start(slot.request);
+    return slot.request;
   }
   slots.recv_slots.push_back(
-      mpi::recv_init(comm, buf, capacity, dtype, source, kDirectiveTag));
-  mpi::start(slots.recv_slots.back());
-  return slots.recv_slots.back();
+      {mpi::recv_init(comm, buf, capacity, dtype, source, kDirectiveTag),
+       dtype});
+  mpi::start(slots.recv_slots.back().request);
+  return slots.recv_slots.back().request;
 }
 
 /// The reliable lowering of an MPI-two-sided pair list. Mirrors the plain
@@ -196,8 +191,8 @@ mpi::Request& acquire_recv_slot(ExecState& state, const SiteKey& site,
 /// state itself (acks, retransmission timers) lives in the epoch loop that
 /// runs at the synchronization point (core/reliability.cpp).
 void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
-                           const Clauses& merged, const Env& env,
-                           const SiteKey& site, std::size_t count,
+                           const ClauseView& merged, const Env& env,
+                           SiteId site, std::size_t count,
                            bool send_active, bool recv_active,
                            int receiver_rank, int sender_rank,
                            bool use_persistent) {
@@ -216,10 +211,11 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
   if (tune::active()) {
     // Both sides derive the same tightened timeout from the same profile
     // entry, so sender deadlines and receiver deadlines stay consistent.
-    timeout = tune::tuned_timeout(tune::Tuner::global().site(site), timeout);
+    timeout = tune::tuned_timeout(tune::Tuner::global().site(site.name()),
+                                  timeout);
   }
   if (tune::recording()) {
-    obs::observe("cid.reliability.timeout_seconds", site, ctx.rank(),
+    obs::observe("cid.reliability.timeout_seconds", site.name(), ctx.rank(),
                  timeout);
   }
   const int max_retries = static_cast<int>(retries);
@@ -344,7 +340,7 @@ void sync_if_buffers_conflict(ExecState& state,
 }
 
 void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
-                 const std::function<void()>* overlap, const SiteKey& site) {
+                 const std::function<void()>* overlap, SiteId site) {
   auto& ctx = rt::current_ctx();
   auto& state = ExecState::mine();
 
@@ -354,9 +350,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 
   ++state.stats.p2p_directives;
   throw_if_error(site_clauses.validate_p2p_site());
-  const Clauses merged = region != nullptr
-                             ? Clauses::merged(region->clauses, site_clauses)
-                             : site_clauses;
+  const ClauseView merged = region != nullptr
+                               ? ClauseView(region->clauses, site_clauses)
+                               : ClauseView(site_clauses);
   throw_if_error(merged.validate_for_p2p());
 
   const Env env = make_env(merged);
@@ -426,7 +422,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
   // to the untuned dispatch.
   const bool tuning = tune::active();
   const tune::SiteProfile* profile =
-      tuning ? tune::Tuner::global().site(site) : nullptr;
+      tuning ? tune::Tuner::global().site(site.name()) : nullptr;
   if (target == Target::Auto) {
     tune::SiteFacts facts;
     facts.reliability = merged.reliability_present();
@@ -491,11 +487,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             // Slot identity includes the peer: a persistent request's
             // source/destination is fixed at init time, so each (site,
             // buffer index, peer) triple owns its own request table.
-            const SiteKey slot_key = site + "#" + std::to_string(i) + "@" +
-                                     std::to_string(sender_rank);
-            state.pending.mpi_requests.push_back(
-                acquire_recv_slot(state, slot_key, world, rbufs[i].data,
-                                  count, dtype, sender_rank));
+            state.pending.mpi_requests.push_back(acquire_recv_slot(
+                state, {site, i, sender_rank}, world, rbufs[i].data, count,
+                dtype, sender_rank));
           } else {
             state.pending.mpi_requests.push_back(mpi::irecv(
                 world, rbufs[i].data, count, dtype, sender_rank,
@@ -535,11 +529,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             continue;
           }
           if (use_persistent) {
-            const SiteKey slot_key = site + "#" + std::to_string(i) + "@" +
-                                     std::to_string(receiver_rank);
-            state.pending.mpi_requests.push_back(
-                acquire_send_slot(state, slot_key, world, sbufs[i].data,
-                                  count, dtype, receiver_rank));
+            state.pending.mpi_requests.push_back(acquire_send_slot(
+                state, {site, i, receiver_rank}, world, sbufs[i].data, count,
+                dtype, receiver_rank));
           } else {
             state.pending.mpi_requests.push_back(mpi::isend(
                 world, sbufs[i].data, count, dtype, receiver_rank,
@@ -560,8 +552,9 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
       // not disturb the offsets of those that do.
       auto& shmem_site = state.shmem_sites[site];
       if (shmem_site.flags == nullptr) {
-        shmem_site.flags = shmem::shared_flags(
-            "cid.p2p." + site, static_cast<std::size_t>(ctx.nranks()));
+        shmem_site.flags =
+            shmem::shared_flags("cid.p2p." + std::string(site.name()),
+                                static_cast<std::size_t>(ctx.nranks()));
       }
       if (send_active) {
         for (std::size_t i = 0; i < pairs; ++i) {
@@ -609,8 +602,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
       // One window per (site, buffer pair); creation is collective — every
       // rank reaches the directive and exposes its own rbuf.
       for (std::size_t i = 0; i < pairs; ++i) {
-        const SiteKey window_key = site + "#" + std::to_string(i);
-        auto& cache = state.windows[window_key];
+        auto& cache = state.windows[{site, i}];
         void* expose_base = rbufs[i].data;
         const std::size_t expose_bytes = count * rbufs[i].element_size;
         if (!cache.win.valid() || cache.base != expose_base ||
@@ -645,7 +637,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     (*overlap)();
     if (obs::enabled()) {
       record_trace_event({TraceEventKind::Overlap, ctx.rank(), overlap_begin,
-                          ctx.clock().now(), site, 0, 0});
+                          ctx.clock().now(), site.name(), 0, 0});
     }
   }
 
@@ -655,7 +647,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 
   if (obs::enabled()) {
     record_trace_event({TraceEventKind::P2PDirective, ctx.rank(), trace_begin,
-                        ctx.clock().now(), site,
+                        ctx.clock().now(), site.name(),
                         state.stats.total_bytes() - trace_bytes0,
                         state.stats.total_messages() - trace_msgs0});
   }
@@ -665,12 +657,12 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
 }  // namespace detail
 
 void Region::p2p(const Clauses& clauses, std::source_location site) {
-  detail::execute_p2p(clauses, impl_, nullptr, detail::site_key(site));
+  detail::execute_p2p(clauses, impl_, nullptr, detail::SiteId::of(site));
 }
 
 void Region::p2p(const Clauses& clauses, const std::function<void()>& overlap,
                  std::source_location site) {
-  detail::execute_p2p(clauses, impl_, &overlap, detail::site_key(site));
+  detail::execute_p2p(clauses, impl_, &overlap, detail::SiteId::of(site));
 }
 
 void comm_parameters(const Clauses& clauses,
@@ -692,12 +684,11 @@ void comm_parameters(const Clauses& clauses,
   }
 
   ++state.stats.regions;
-  detail::RegionImpl impl;
-  impl.site = detail::site_key(site);
-  impl.clauses = state.region_stack.empty()
-                     ? clauses
-                     : Clauses::merged(state.region_stack.back()->clauses,
-                                       clauses);
+  detail::RegionImpl impl(
+      state.region_stack.empty()
+          ? ClauseView(clauses)
+          : ClauseView(state.region_stack.back()->clauses, clauses),
+      detail::SiteId::of(site));
   state.region_stack.push_back(&impl);
 
   Region region(impl);
@@ -736,7 +727,8 @@ void comm_parameters(const Clauses& clauses,
   if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::RegionDirective,
                                 trace_ctx.rank(), trace_begin,
-                                trace_ctx.clock().now(), impl.site, 0, 0});
+                                trace_ctx.clock().now(), impl.site.name(), 0,
+                                0});
   }
 }
 
@@ -746,7 +738,7 @@ void comm_p2p(const Clauses& clauses, std::source_location site) {
   auto& state = detail::ExecState::mine();
   const detail::RegionImpl* region =
       state.region_stack.empty() ? nullptr : state.region_stack.back();
-  detail::execute_p2p(clauses, region, nullptr, detail::site_key(site));
+  detail::execute_p2p(clauses, region, nullptr, detail::SiteId::of(site));
 }
 
 void comm_p2p(const Clauses& clauses, const std::function<void()>& overlap,
@@ -756,7 +748,7 @@ void comm_p2p(const Clauses& clauses, const std::function<void()>& overlap,
   auto& state = detail::ExecState::mine();
   const detail::RegionImpl* region =
       state.region_stack.empty() ? nullptr : state.region_stack.back();
-  detail::execute_p2p(clauses, region, &overlap, detail::site_key(site));
+  detail::execute_p2p(clauses, region, &overlap, detail::SiteId::of(site));
 }
 
 void comm_flush() {

@@ -199,15 +199,15 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
     ++state.stats.timeouts;
     if (trace) {
       record_trace_event({TraceEventKind::Timeout, self, sp.attempt_sent_at,
-                          fired, sp.op->site, 0, 0});
+                          fired, sp.op->site.name(), 0, 0});
     }
     sp.t = std::max(sp.t, fired);
     if (sp.attempt >= sp.op->max_retries) {
       sp.done = true;
       ++state.stats.undelivered_pairs;
       state.delivery_report.lost.push_back(
-          {sp.op->site, sp.op->pair_index, sp.op->dest, sp.op->transfer_id,
-           /*sender_side=*/true, sp.attempt + 1});
+          {std::string(sp.op->site.name()), sp.op->pair_index, sp.op->dest,
+           sp.op->transfer_id, /*sender_side=*/true, sp.attempt + 1});
       emit(sp.op->dest, sp.op->transfer_id, kReliableFinCtx, {}, sp.t);
       return;
     }
@@ -239,7 +239,7 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
     ++state.stats.retransmits;
     if (trace) {
       record_trace_event({TraceEventKind::Retransmit, self, injection_start,
-                          delivery, sp.op->site, bytes, 1});
+                          delivery, sp.op->site.name(), bytes, 1});
     }
   };
 
@@ -295,11 +295,12 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
           if (tune::recording()) {
             // Clean round trip: injection-complete to ack arrival. Feeds the
             // rtt quantiles that tighten the retransmission timeout.
-            obs::observe("cid.reliability.rtt_seconds", sp.op->site, self,
-                         e.available_at - sp.attempt_sent_at);
+            obs::observe("cid.reliability.rtt_seconds", sp.op->site.name(),
+                         self, e.available_at - sp.attempt_sent_at);
             if (real_loss) {
-              obs::observe("cid.reliability.wall_rtt_seconds", sp.op->site,
-                           self, net::wall_seconds() - sp.wall_sent_at);
+              obs::observe("cid.reliability.wall_rtt_seconds",
+                           sp.op->site.name(), self,
+                           net::wall_seconds() - sp.wall_sent_at);
             }
           }
           sp.done = true;
@@ -330,8 +331,8 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
         rp.gave_up = true;
         ++state.stats.undelivered_pairs;
         state.delivery_report.lost.push_back(
-            {rp.op->site, rp.op->pair_index, rp.op->src, rp.op->transfer_id,
-             /*sender_side=*/false, rp.next_attempt});
+            {std::string(rp.op->site.name()), rp.op->pair_index, rp.op->src,
+             rp.op->transfer_id, /*sender_side=*/false, rp.next_attempt});
       }
       continue;
     }
@@ -349,8 +350,9 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
         rp.gave_up = true;
         ++state.stats.undelivered_pairs;
         state.delivery_report.lost.push_back(
-            {rp.op->site, rp.op->pair_index, rp.op->src, rp.op->transfer_id,
-             /*sender_side=*/false, rp.next_attempt + 1});
+            {std::string(rp.op->site.name()), rp.op->pair_index, rp.op->src,
+             rp.op->transfer_id, /*sender_side=*/false,
+             rp.next_attempt + 1});
       }
       ++rp.next_attempt;
       continue;

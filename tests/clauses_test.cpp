@@ -1,6 +1,11 @@
-// Tests for the clause model: builder, inheritance (merge), validation
-// rules, pragma parsing and clause construction from parsed pragmas.
+// Tests for the clause model: builder, inheritance (ClauseView), validation
+// rules, the parse cache, pragma parsing and clause construction from parsed
+// pragmas.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/buffer.hpp"
 #include "core/clauses.hpp"
@@ -196,7 +201,8 @@ TEST(Clauses, MergeInheritsAbsentClauses) {
   Clauses site;
   site.sbuf(buf(a)).rbuf(buf(b));
 
-  const Clauses merged = Clauses::merged(region, site);
+  const ClauseView outer(region);
+  const ClauseView merged(outer, site);
   EXPECT_TRUE(merged.validate_for_p2p().is_ok());
   EXPECT_EQ(merged.sender_clause().describe(), "(rank-1)");
   EXPECT_EQ(merged.target_clause(), Target::Shmem);
@@ -208,7 +214,8 @@ TEST(Clauses, MergeP2PClausesWin) {
   region.count(3).target(Target::Shmem);
   Clauses site;
   site.count(9).target(Target::Mpi2Side);
-  const Clauses merged = Clauses::merged(region, site);
+  const ClauseView outer(region);
+  const ClauseView merged(outer, site);
   EXPECT_EQ(merged.target_clause(), Target::Mpi2Side);
   Env env;
   EXPECT_EQ(merged.count_clause().eval(env).value(), 9);
@@ -228,7 +235,7 @@ TEST(Clauses, StringClauseWithBinding) {
   Clauses c;
   c.count("size*2").let("size", 21);
   Env env;
-  for (const auto& [name, value] : c.bindings()) env.bind(name, value);
+  ClauseView(c).bind_lets(env);
   EXPECT_EQ(c.count_clause().eval(env).value(), 42);
 }
 
@@ -238,6 +245,31 @@ TEST(Clauses, BrokenStringClauseReportsAtEval) {
   EXPECT_TRUE(c.count_clause().present());
   Env env;
   EXPECT_FALSE(c.count_clause().eval(env).is_ok());
+}
+
+TEST(Clauses, ParseCacheSharedAcrossThreads) {
+  // Four threads intern the same 300 texts in different orders: concurrent
+  // first sights, table growth and lock-free lookups of one shared cache.
+  constexpr int kTexts = 300;
+  std::vector<std::string> texts;
+  for (int i = 0; i < kTexts; ++i) {
+    texts.push_back("rank*" + std::to_string(i) + "+" + std::to_string(i));
+  }
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      Env env;
+      env.bind("rank", 2);
+      for (int n = 0; n < kTexts; ++n) {
+        const int i = (n * (2 * t + 1) + 37 * t) % kTexts;
+        const ClauseExpr clause(texts[i]);
+        if (clause.eval(env).value() != 3 * i) ++wrong[t];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong, std::vector<int>(4, 0));
 }
 
 TEST(Clauses, KeywordRoundTrip) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -284,6 +285,53 @@ TEST(CollectiveDirective, OutOfRangeRootThrows) {
                                           .rbuf(buf(b)));
                     }),
                cid::CidError);
+}
+
+TEST(CollectiveDirective, NonPositiveCountMessageNamesTheValue) {
+  spmd(2, [](RankCtx&) {
+    double a[2] = {};
+    double b[2] = {};
+    try {
+      comm_collective(Clauses()
+                          .pattern(Pattern::AllToAll)
+                          .count(0)
+                          .sbuf(buf(a))
+                          .rbuf(buf(b)));
+      ADD_FAILURE() << "count(0) did not throw";
+    } catch (const cid::CidError& error) {
+      EXPECT_EQ(error.code(), cid::ErrorCode::InvalidClause);
+      EXPECT_NE(std::string(error.what())
+                    .find("count clause must evaluate to a positive value, "
+                          "got 0"),
+                std::string::npos)
+          << error.what();
+    }
+  });
+}
+
+TEST(CollectiveDirective, MalformedClauseThrowsOnEveryExecution) {
+  const std::string parser_message =
+      Expr::parse("rank+").status().message();
+  spmd(2, [&](RankCtx&) {
+    double a[2] = {};
+    double b[2] = {};
+    for (int round = 0; round < 3; ++round) {
+      try {
+        comm_collective(Clauses()
+                            .pattern(Pattern::OneToMany)
+                            .root("rank+")
+                            .count(2)
+                            .sbuf(buf(a))
+                            .rbuf(buf(b)));
+        ADD_FAILURE() << "round " << round << " did not throw";
+      } catch (const cid::CidError& error) {
+        EXPECT_EQ(error.code(), cid::ErrorCode::InvalidClause);
+        EXPECT_NE(std::string(error.what()).find(parser_message),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+  });
 }
 
 // --- pragma / translator ---------------------------------------------------

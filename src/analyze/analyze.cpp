@@ -1,8 +1,9 @@
 // The analysis driver: scans the source into a directive tree, recovers the
 // declaration model, then walks the tree the way the translator walks it —
-// same clause inheritance, same synchronization placement — dispatching the
-// match, buffer and type passes and performing the sync-placement checks
-// itself (they need sibling context the per-directive passes do not have).
+// same clause inheritance, same synchronization placement (core::SyncPlan) —
+// dispatching the match, buffer and type passes and performing the
+// sync-placement checks itself (they need sibling context the per-directive
+// passes do not have).
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -11,6 +12,7 @@
 #include "analyze/passes.hpp"
 #include "core/clauses.hpp"
 #include "core/expr.hpp"
+#include "core/pragma.hpp"
 #include "translate/scan.hpp"
 
 namespace cid::analyze {
@@ -70,38 +72,25 @@ namespace {
 
 using detail::AnalysisContext;
 using detail::InFlight;
-
-/// Receives whose consolidated sync was deferred past their region by
-/// place_sync, waiting for the next sibling region.
-struct PendingSync {
-  std::vector<InFlight> entries;
-  bool clears_at_next_begin = false;  ///< BEGIN_NEXT vs END_ADJ
-};
+using detail::InFlightPlan;
 
 class Walker {
  public:
   explicit Walker(AnalysisContext& ctx) : ctx_(ctx) {}
 
   void run(const std::vector<DirectiveNode>& roots) {
-    std::vector<InFlight> inflight;
-    sequence(roots, nullptr, inflight);
+    sequence(roots, nullptr);
   }
 
  private:
   AnalysisContext& ctx_;
+  /// Receives in flight, placed the way the executor and translator place
+  /// their synchronization; a landed batch is simply forgotten.
+  InFlightPlan plan_;
+  static void forget(std::vector<InFlight>& batch) { batch.clear(); }
 
   static bool is_region(const DirectiveNode& node) {
     return node.directive.kind == core::DirectiveKind::CommParameters;
-  }
-
-  /// The region's own synchronization placement (never inherited — matching
-  /// the translator, which reads place_sync off the region directive only).
-  core::SyncPlacement placement_of(const DirectiveNode& node) {
-    const core::RawClause* clause = node.directive.find("place_sync");
-    if (clause == nullptr) return core::SyncPlacement::EndParamRegion;
-    auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
-    if (!parsed.is_ok()) return core::SyncPlacement::EndParamRegion;
-    return parsed.value();
   }
 
   /// Clause-value checks on a region directive: place_sync/target keywords
@@ -189,9 +178,7 @@ class Walker {
 
   /// Walk one sibling sequence (the file top level, or a region body).
   void sequence(const std::vector<DirectiveNode>& nodes,
-                const core::ParsedDirective* inherited,
-                std::vector<InFlight>& inflight) {
-    std::vector<PendingSync> pending;
+                const core::ParsedDirective* inherited) {
     std::size_t previous_end = std::string::npos;
 
     for (std::size_t k = 0; k < nodes.size(); ++k) {
@@ -200,12 +187,12 @@ class Walker {
 
       // Statements between this node and the previous sibling run while
       // deferred receives are still in flight.
-      if (!pending.empty() && previous_end != std::string::npos &&
+      if (previous_end != std::string::npos &&
           previous_end < node.pragma_begin) {
-        for (const PendingSync& sync : pending) {
+        plan_.for_each_deferred([&](const std::vector<InFlight>& batch) {
           detail::check_gap_references(ctx_, previous_end, node.pragma_begin,
-                                       sync.entries);
-        }
+                                       batch);
+        });
       }
 
       const core::ParsedDirective merged =
@@ -216,10 +203,12 @@ class Walker {
       if (is_region(node)) {
         check_region_clauses(node, inherited, merged);
 
-        const core::SyncPlacement placement = placement_of(node);
-        const bool defers =
-            placement != core::SyncPlacement::EndParamRegion;
-        if (defers) {
+        // An invalid keyword is reported above (CID-S032).
+        const auto parsed = core::place_sync_of(node.directive);
+        const core::SyncPlacement placement =
+            parsed.is_ok() ? parsed.value()
+                           : core::SyncPlacement::EndParamRegion;
+        if (placement != core::SyncPlacement::EndParamRegion) {
           // Deferred syncs drain only at a later sibling region.
           bool has_following_region = false;
           for (std::size_t j = k + 1; j < nodes.size(); ++j) {
@@ -241,39 +230,16 @@ class Walker {
           }
         }
 
-        // BEGIN_NEXT deferred syncs from earlier siblings land at this
-        // region's begin; END_ADJ ones stay in flight through its body.
-        pending.erase(
-            std::remove_if(pending.begin(), pending.end(),
-                           [](const PendingSync& sync) {
-                             return sync.clears_at_next_begin;
-                           }),
-            pending.end());
-        const std::size_t injected_begin = inflight.size();
-        for (const PendingSync& sync : pending) {
-          inflight.insert(inflight.end(), sync.entries.begin(),
-                          sync.entries.end());
-        }
-
-        const std::size_t fresh_begin = inflight.size();
-        sequence(node.children, &merged, inflight);
-
-        std::vector<InFlight> fresh(inflight.begin() + fresh_begin,
-                                    inflight.end());
-        inflight.resize(injected_begin);
-        pending.clear();  // END_ADJ syncs land at this adjacent region's end
-        if (defers && !fresh.empty()) {
-          pending.push_back(
-              {std::move(fresh),
-               placement == core::SyncPlacement::BeginNextParamRegion});
-        }
+        plan_.begin_region(forget);
+        sequence(node.children, &merged);
+        plan_.end_region(placement, forget);
       } else {
         const bool usable =
             detail::check_required_clauses(ctx_, node, merged);
         if (usable) {
           detail::check_match_and_counts(ctx_, node, merged);
           detail::check_buffer_types(ctx_, node, merged);
-          detail::check_p2p_buffers(ctx_, node, merged, inflight,
+          detail::check_p2p_buffers(ctx_, node, merged, plan_,
                                     /*append=*/inherited != nullptr);
         }
         if (const auto* clause = node.directive.find("target")) {
@@ -287,7 +253,7 @@ class Walker {
         }
         // Directives nested inside a p2p body (unusual, but the scanner
         // models it) inherit the same surrounding region.
-        sequence(node.children, inherited, inflight);
+        sequence(node.children, inherited);
       }
       previous_end = node.node_end;
     }

@@ -103,8 +103,8 @@ std::string guard_text(const core::ParsedDirective& merged, const char* name) {
 }  // namespace
 
 void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
-                       const core::ParsedDirective& merged,
-                       std::vector<InFlight>& inflight, bool append) {
+                       const core::ParsedDirective& merged, InFlightPlan& plan,
+                       bool append) {
   if (merged.kind != core::DirectiveKind::CommP2P) return;
   const RawClause* sbuf = merged.find("sbuf");
   const RawClause* rbuf = merged.find("rbuf");
@@ -113,29 +113,33 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
   const std::string receivewhen = guard_text(merged, "receivewhen");
   const Guard recv_guard = Guard::from_text(receivewhen);
 
-  // CID-B020: a receive into a buffer an earlier directive of the same
-  // region chain is still receiving into.
+  // CID-B020: a receive into a buffer an earlier directive is still
+  // receiving into (its synchronization has not landed yet).
   bool reported_b020 = false;
-  for (const std::string& argument : rbuf->args) {
-    const std::string text = normalized(argument);
-    for (const InFlight& earlier : inflight) {
-      if (earlier.text != text || reported_b020) continue;
-      const Guard earlier_guard = Guard::from_text(earlier.receivewhen);
-      const auto overlap = first_overlap(ctx, recv_guard, earlier_guard);
-      if (!overlap.has_value()) continue;
-      reported_b020 = true;
-      ctx.report.add(
-          "CID-B020", Severity::Error, node.line,
-          clause_column(node, *rbuf),
-          "rbuf(" + argument + ") is reused while the receive posted by the "
-              "directive at line " + std::to_string(earlier.line) +
-              " is still in flight (rank " + std::to_string(overlap->second) +
-              " posts both at nprocs=" + std::to_string(overlap->first) + ")",
-          "both receives complete only at the consolidated sync, so the "
-          "second arrival overwrites the first; use distinct buffers or "
-          "split the region");
+  const auto check_reuse = [&](const std::vector<InFlight>& batch) {
+    for (const std::string& argument : rbuf->args) {
+      const std::string text = normalized(argument);
+      for (const InFlight& earlier : batch) {
+        if (earlier.text != text || reported_b020) continue;
+        const Guard earlier_guard = Guard::from_text(earlier.receivewhen);
+        const auto overlap = first_overlap(ctx, recv_guard, earlier_guard);
+        if (!overlap.has_value()) continue;
+        reported_b020 = true;
+        ctx.report.add(
+            "CID-B020", Severity::Error, node.line,
+            clause_column(node, *rbuf),
+            "rbuf(" + argument + ") is reused while the receive posted by "
+                "the directive at line " + std::to_string(earlier.line) +
+                " is still in flight (rank " +
+                std::to_string(overlap->second) + " posts both at nprocs=" +
+                std::to_string(overlap->first) + ")",
+            "both receives complete only at the consolidated sync, so the "
+            "second arrival overwrites the first; use distinct buffers or "
+            "split the region");
+      }
     }
-  }
+  };
+  plan.for_each_in_flight(check_reuse);
 
   // CID-B021: send and receive staged through the same memory on a rank
   // that does both.
@@ -192,7 +196,7 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
     entry.base = buffer_base_identifier(argument);
     entry.receivewhen = receivewhen;
     entry.line = node.line;
-    inflight.push_back(std::move(entry));
+    plan.open().push_back(std::move(entry));
   }
 }
 

@@ -8,6 +8,7 @@
 #include "analyze/analyze.hpp"
 #include "analyze/diagnostics.hpp"
 #include "analyze/source_model.hpp"
+#include "core/sync_plan.hpp"
 #include "translate/scan.hpp"
 
 namespace cid::analyze::detail {
@@ -28,6 +29,10 @@ struct InFlight {
   std::string receivewhen;  ///< guard expression text ("" when unguarded)
   int line = 0;             ///< line of the posting directive
 };
+
+/// The receives in flight, one batch per synchronization point
+/// (core/sync_plan.hpp).
+using InFlightPlan = core::SyncPlan<std::vector<InFlight>>;
 
 /// Column of a clause within its pragma (falls back to the pragma's own
 /// column for '\'-continued pragmas, where joined offsets do not map back).
@@ -55,16 +60,17 @@ bool check_required_clauses(AnalysisContext& ctx,
                             const translate::DirectiveNode& node,
                             const core::ParsedDirective& merged);
 
-/// Buffer race checks for one comm_p2p: rbuf already in flight (CID-B020),
-/// sbuf/rbuf self-alias on a rank that both sends and receives (CID-B021),
-/// overlap statements touching an in-flight rbuf (CID-B022). Appends the
-/// directive's rbufs to `inflight` when `append` is set (directives inside a
-/// comm_parameters region, whose consolidated sync is still to come);
-/// standalone directives synchronize immediately and leave nothing behind.
+/// Buffer race checks for one comm_p2p: rbuf already in flight in any batch
+/// of `plan` (CID-B020), sbuf/rbuf self-alias on a rank that both sends and
+/// receives (CID-B021), overlap statements touching an in-flight rbuf
+/// (CID-B022). Appends the directive's rbufs to the plan's open batch when
+/// `append` is set (directives inside a comm_parameters region, whose
+/// consolidated sync is still to come); standalone directives synchronize
+/// immediately and leave nothing behind.
 void check_p2p_buffers(AnalysisContext& ctx,
                        const translate::DirectiveNode& node,
-                       const core::ParsedDirective& merged,
-                       std::vector<InFlight>& inflight, bool append);
+                       const core::ParsedDirective& merged, InFlightPlan& plan,
+                       bool append);
 
 /// CID-B023: statements in [begin,end) touching buffers whose sync was
 /// deferred past their region (place_sync BEGIN_NEXT/END_ADJ).

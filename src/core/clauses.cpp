@@ -147,7 +147,6 @@ ClauseView::ClauseView(const Clauses& clauses)
       reliability_timeout_us_(&clauses.reliability_timeout_us_),
       reliability_max_retries_(&clauses.reliability_max_retries_),
       target_(&clauses.target_),
-      place_sync_(&clauses.place_sync_),
       sbuf_(&clauses.sbuf_),
       rbuf_(&clauses.rbuf_) {}
 
@@ -169,7 +168,6 @@ ClauseView::ClauseView(const ClauseView& outer, const Clauses& inner)
     reliability_max_retries_ = &inner.reliability_max_retries_;
   }
   if (inner.target_.has_value()) target_ = &inner.target_;
-  if (inner.place_sync_.has_value()) place_sync_ = &inner.place_sync_;
   if (!inner.sbuf_.empty()) sbuf_ = &inner.sbuf_;
   if (!inner.rbuf_.empty()) rbuf_ = &inner.rbuf_;
 }

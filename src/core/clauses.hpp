@@ -200,7 +200,8 @@ class Clauses {
 /// re-express these communication clauses, but may provide additional
 /// assertions"). A view borrows: the Clauses it reads, and its outer view,
 /// must outlive it. Nothing here is cached across executions — buffers,
-/// callables and let() values may change between them.
+/// callables and let() values may change between them. place_sync is not
+/// here: it belongs to one region and is never inherited (core/sync_plan.hpp).
 class ClauseView {
  public:
   explicit ClauseView(const Clauses& clauses);
@@ -217,7 +218,6 @@ class ClauseView {
   const ClauseExpr& reliability_retries_clause() const noexcept { return *reliability_max_retries_; }
   bool reliability_present() const noexcept { return reliability_timeout_us_->present(); }
   const std::optional<Target>& target_clause() const noexcept { return *target_; }
-  const std::optional<SyncPlacement>& place_sync_clause() const noexcept { return *place_sync_; }
   const std::vector<BufferRef>& sbuf_list() const noexcept { return *sbuf_; }
   const std::vector<BufferRef>& rbuf_list() const noexcept { return *rbuf_; }
 
@@ -241,7 +241,6 @@ class ClauseView {
   const ClauseExpr* reliability_timeout_us_;
   const ClauseExpr* reliability_max_retries_;
   const std::optional<Target>* target_;
-  const std::optional<SyncPlacement>* place_sync_;
   const std::vector<BufferRef>* sbuf_;
   const std::vector<BufferRef>* rbuf_;
 };

@@ -272,7 +272,7 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   // first so buffer reuse across the directive stays ordered. All ranks
   // reach the directive (SPMD), so the full flush (including collective
   // window fences) is safe here.
-  state.flush(state.pending);
+  state.flush(state.sync_plan.open());
 
   const Env env = make_env(ClauseView(clauses));
   const Pattern pattern = *clauses.pattern_clause();

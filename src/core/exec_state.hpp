@@ -1,5 +1,5 @@
-// Rank-local executor state: pending (not yet synchronized) communication,
-// carryover synchronization deferred across regions (place_sync), cached
+// Rank-local executor state: the sync plan of not yet synchronized
+// communication (core/sync_plan.hpp, place_sync), cached
 // derived datatypes ("reused within the function scope"), persistent-request
 // slots per directive site, SHMEM flag words, and cached one-sided windows.
 #pragma once
@@ -18,6 +18,7 @@
 #include "core/expr.hpp"
 #include "core/reliability.hpp"
 #include "core/stats.hpp"
+#include "core/sync_plan.hpp"
 #include "core/type_layout.hpp"
 #include "mpi/mpi.hpp"
 #include "rt/payload.hpp"
@@ -175,7 +176,7 @@ struct FlatScatter {
   std::size_t count = 0;
 };
 
-/// Everything that still needs synchronization.
+/// One batch of communication that still needs synchronization.
 struct PendingOps {
   std::vector<mpi::Request> mpi_requests;
   std::vector<ReliableSend> reliable_sends;
@@ -257,11 +258,8 @@ class ExecState {
   /// State of the calling rank; resets automatically when a new World runs.
   static ExecState& mine();
 
-  PendingOps pending;
-  /// Sync deferred past a region boundary by place_sync.
-  PendingOps carryover;
-  bool carryover_flush_at_next_region_begin = false;
-  bool carryover_adjacent = false;
+  /// Everything not yet synchronized, placed by place_sync.
+  SyncPlan<PendingOps> sync_plan;
 
   /// Rank-local communication statistics (see core/stats.hpp).
   CommStats stats;

@@ -65,6 +65,12 @@ const RawClause* ParsedDirective::find(std::string_view name) const noexcept {
   return nullptr;
 }
 
+Result<SyncPlacement> place_sync_of(const ParsedDirective& directive) {
+  const RawClause* clause = directive.find("place_sync");
+  if (clause == nullptr) return SyncPlacement::EndParamRegion;
+  return parse_sync_placement_keyword(clause->args[0]);
+}
+
 Result<ParsedDirective> parse_pragma(std::string_view line) {
   std::string_view rest = trim(line);
   if (starts_with(rest, "#")) {

@@ -37,6 +37,10 @@ struct ParsedDirective {
   const RawClause* find(std::string_view name) const noexcept;
 };
 
+/// A region directive's own place_sync (never inherited from an enclosing
+/// region), END_PARAM_REGION when the clause is absent.
+Result<SyncPlacement> place_sync_of(const ParsedDirective& directive);
+
 /// Parse one pragma line (continuation lines already joined). Accepts both
 /// "#pragma comm_p2p ..." and the bare "comm_p2p ..." form. Validates clause
 /// names, arity and duplicates.

@@ -252,7 +252,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
       recv.timeout = timeout;
       recv.max_retries = max_retries;
       recv.posted_at = ctx.clock().now();
-      state.pending.reliable_recvs.push_back(std::move(recv));
+      state.sync_plan.open().reliable_recvs.push_back(std::move(recv));
     }
   }
   if (send_active) {
@@ -317,32 +317,39 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
       ctx.world().deliver(receiver_rank, std::move(envelope));
 
       send.payload = attempt0_payload;
-      state.pending.reliable_sends.push_back(std::move(send));
+      state.sync_plan.open().reliable_sends.push_back(std::move(send));
     }
   }
 }
 
 /// The adjacency analysis of Section III-A: adjacent directives with
-/// independent buffers share one synchronization; a dependence forces an
-/// intermediate sync of the rank-local completions. Window fences are
-/// collective and stay deferred to the region end, which every rank reaches.
+/// independent buffers share one synchronization; a dependence on any
+/// in-flight batch (open, or deferred by place_sync) forces an intermediate
+/// sync of that batch's rank-local completions. Window fences are collective
+/// and stay with the batch until it lands, which every rank reaches.
 void sync_if_buffers_conflict(ExecState& state,
                               const std::vector<BufferRange>& incoming) {
-  for (const auto& range : incoming) {
-    for (const auto& pending : state.pending.ranges) {
-      if (ranges_conflict(range, pending)) {
-        ++state.stats.conflict_flushes;
-        state.complete_local(state.pending);
-        return;
+  const auto conflicts = [&](const PendingOps& batch) {
+    for (const auto& range : incoming) {
+      for (const auto& in_flight : batch.ranges) {
+        if (ranges_conflict(range, in_flight)) return true;
       }
     }
-  }
+    return false;
+  };
+  state.sync_plan.for_each_in_flight([&](PendingOps& batch) {
+    if (conflicts(batch)) {
+      ++state.stats.conflict_flushes;
+      state.complete_local(batch);
+    }
+  });
 }
 
 void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
                  const std::function<void()>* overlap, SiteId site) {
   auto& ctx = rt::current_ctx();
   auto& state = ExecState::mine();
+  PendingOps& pending = state.sync_plan.open();
 
   const simnet::SimTime trace_begin = ctx.clock().now();
   const std::uint64_t trace_bytes0 = state.stats.total_bytes();
@@ -391,7 +398,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     sender_rank = static_cast<int>(value);
   }
 
-  // Adjacency analysis against pending (unsynchronized) operations.
+  // Adjacency analysis against every unsynchronized batch.
   std::vector<BufferRange> touched;
   if (send_active) {
     for (const auto& buffer : sbufs) {
@@ -473,11 +480,11 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             // Flat-copy receive: the wire carries whole element images into
             // a staging buffer; the pack-plan scatter runs at the flush
             // (apply_flat_scatters), touching payload runs only.
-            state.pending.flat_scatters.push_back(
+            pending.flat_scatters.push_back(
                 FlatScatter{std::vector<std::byte>(count * dtype.extent()),
                             rbufs[i].data, dtype, count});
-            auto& staging = state.pending.flat_scatters.back().staging;
-            state.pending.mpi_requests.push_back(mpi::irecv(
+            auto& staging = pending.flat_scatters.back().staging;
+            pending.mpi_requests.push_back(mpi::irecv(
                 world, staging.data(), staging.size(),
                 mpi::Datatype::basic(mpi::BasicType::Byte), sender_rank,
                 kDirectiveTag));
@@ -487,11 +494,11 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             // Slot identity includes the peer: a persistent request's
             // source/destination is fixed at init time, so each (site,
             // buffer index, peer) triple owns its own request table.
-            state.pending.mpi_requests.push_back(acquire_recv_slot(
+            pending.mpi_requests.push_back(acquire_recv_slot(
                 state, {site, i, sender_rank}, world, rbufs[i].data, count,
                 dtype, sender_rank));
           } else {
-            state.pending.mpi_requests.push_back(mpi::irecv(
+            pending.mpi_requests.push_back(mpi::irecv(
                 world, rbufs[i].data, count, dtype, sender_rank,
                 kDirectiveTag));
           }
@@ -511,29 +518,29 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
                   static_cast<simnet::SimTime>(dtype.payload_size() * count) /
                   ctx.model().host.datatype_pack_bytes_per_second);
             }
-            rt::agg::append(state.pending.agg_buffers[receiver_rank],
+            rt::agg::append(pending.agg_buffers[receiver_rank],
                             kDirectiveTag, world.context(),
                             dtype.gather(sbufs[i].data, count));
             continue;
           }
           // A direct send must not overtake batched predecessors bound for
           // the same destination.
-          inject_aggregate_for(state, state.pending, receiver_rank);
+          inject_aggregate_for(state, pending, receiver_rank);
           if (pair_flat(dtype)) {
             // Flat-copy send: one straight memcpy of the whole extent onto
             // the wire instead of the per-run pack-plan walk.
-            state.pending.mpi_requests.push_back(mpi::isend(
+            pending.mpi_requests.push_back(mpi::isend(
                 world, sbufs[i].data, count * dtype.extent(),
                 mpi::Datatype::basic(mpi::BasicType::Byte), receiver_rank,
                 kDirectiveTag));
             continue;
           }
           if (use_persistent) {
-            state.pending.mpi_requests.push_back(acquire_send_slot(
+            pending.mpi_requests.push_back(acquire_send_slot(
                 state, {site, i, receiver_rank}, world, sbufs[i].data, count,
                 dtype, receiver_rank));
           } else {
-            state.pending.mpi_requests.push_back(mpi::isend(
+            pending.mpi_requests.push_back(mpi::isend(
                 world, sbufs[i].data, count, dtype, receiver_rank,
                 kDirectiveTag));
           }
@@ -570,7 +577,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
         shmem_site.sent_to[receiver_rank] += pairs;
         // The flag publication is deferred to the consolidated sync point:
         // one fence + one flag put per (site, destination) per epoch.
-        auto& updates = state.pending.shmem_flag_updates;
+        auto& updates = pending.shmem_flag_updates;
         const bool already_pending = std::any_of(
             updates.begin(), updates.end(), [&](const ShmemFlagUpdate& u) {
               return u.site == &shmem_site && u.dest == receiver_rank;
@@ -578,20 +585,20 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
         if (!already_pending) {
           updates.push_back({&shmem_site, receiver_rank});
         }
-        state.pending.shmem_quiet_needed = true;
+        pending.shmem_quiet_needed = true;
       }
       if (recv_active) {
         const std::uint64_t* flag = &shmem_site.flags[sender_rank];
         shmem_site.expected_from[sender_rank] += pairs;
         // Replace any previous expectation on the same flag slot.
         auto it = std::find_if(
-            state.pending.shmem_expects.begin(),
-            state.pending.shmem_expects.end(),
+            pending.shmem_expects.begin(),
+            pending.shmem_expects.end(),
             [&](const ShmemExpect& e) { return e.flag == flag; });
-        if (it != state.pending.shmem_expects.end()) {
+        if (it != pending.shmem_expects.end()) {
           it->expected = shmem_site.expected_from[sender_rank];
         } else {
-          state.pending.shmem_expects.push_back(
+          pending.shmem_expects.push_back(
               {flag, shmem_site.expected_from[sender_rank]});
         }
       }
@@ -617,7 +624,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
           ++state.stats.mpi1_puts;
           state.stats.mpi1_bytes += count * dtype.payload_size();
         }
-        auto& fences = state.pending.windows_to_fence;
+        auto& fences = pending.windows_to_fence;
         if (std::find(fences.begin(), fences.end(), cache.win) ==
             fences.end()) {
           fences.push_back(cache.win);
@@ -627,7 +634,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
     }
   }
 
-  state.pending.ranges.insert(state.pending.ranges.end(), touched.begin(),
+  pending.ranges.insert(pending.ranges.end(), touched.begin(),
                               touched.end());
 
   // Communication/computation overlap: the block runs while transfers are
@@ -642,7 +649,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
   }
 
   if (!in_region) {
-    state.flush(state.pending);
+    state.flush(pending);
   }
 
   if (obs::enabled()) {
@@ -676,12 +683,10 @@ void comm_parameters(const Clauses& clauses,
   auto& trace_ctx = rt::current_ctx();
   const simnet::SimTime trace_begin = trace_ctx.clock().now();
 
-  // place_sync(BEGIN_NEXT_PARAM_REGION) from an earlier region: its deferred
-  // synchronization happens now, at this region's beginning.
-  if (state.carryover_flush_at_next_region_begin) {
-    state.flush(state.carryover);
-    state.carryover_flush_at_next_region_begin = false;
-  }
+  const auto land = [&state](detail::PendingOps& batch) {
+    state.flush(batch);
+  };
+  state.sync_plan.begin_region(land);
 
   ++state.stats.regions;
   detail::RegionImpl impl(
@@ -700,29 +705,11 @@ void comm_parameters(const Clauses& clauses,
   }
   state.region_stack.pop_back();
 
+  // The region's own place_sync: a nested region does not inherit it.
   const SyncPlacement placement =
-      impl.clauses.place_sync_clause().value_or(SyncPlacement::EndParamRegion);
-  switch (placement) {
-    case SyncPlacement::EndParamRegion:
-      // A pending END_ADJ_PARAM_REGIONS series also drains here: this is the
-      // first non-deferring region that ends.
-      if (state.carryover_adjacent) {
-        state.flush(state.carryover);
-        state.carryover_adjacent = false;
-      }
-      state.flush(state.pending);
-      break;
-    case SyncPlacement::BeginNextParamRegion:
-      ++state.stats.deferred_syncs;
-      state.carryover.merge_from(std::move(state.pending));
-      state.carryover_flush_at_next_region_begin = true;
-      break;
-    case SyncPlacement::EndAdjParamRegions:
-      ++state.stats.deferred_syncs;
-      state.carryover.merge_from(std::move(state.pending));
-      state.carryover_adjacent = true;
-      break;
-  }
+      clauses.place_sync_clause().value_or(SyncPlacement::EndParamRegion);
+  if (placement != SyncPlacement::EndParamRegion) ++state.stats.deferred_syncs;
+  state.sync_plan.end_region(placement, land);
 
   if (obs::enabled()) {
     detail::record_trace_event({TraceEventKind::RegionDirective,
@@ -755,10 +742,8 @@ void comm_flush() {
   CID_REQUIRE(rt::in_spmd_region(), ErrorCode::RuntimeFault,
               "comm_flush outside an SPMD region");
   auto& state = detail::ExecState::mine();
-  state.flush(state.carryover);
-  state.carryover_flush_at_next_region_begin = false;
-  state.carryover_adjacent = false;
-  state.flush(state.pending);
+  state.sync_plan.flush_all(
+      [&state](detail::PendingOps& batch) { state.flush(batch); });
 }
 
 }  // namespace cid::core

@@ -1,7 +1,7 @@
 // cid::mpi::coll — the multi-algorithm collective engine.
 //
-// Every public collective in mpi/collectives.hpp forwards here; the engine
-// picks an algorithm per call and runs it on the p2p layer. Selection
+// The public collectives of mpi/collectives.hpp are these entries; the
+// engine picks an algorithm per call and runs it on the p2p layer. Selection
 // precedence (resolved per call, all layers deterministic):
 //
 //   1. CID_COLL=<collective>:<algo>[,...] operator override (parsed once per
@@ -36,8 +36,16 @@
 
 #include <optional>
 
-#include "mpi/collectives.hpp"
+#include "mpi/comm.hpp"
+#include "mpi/datatype.hpp"
 #include "tune/coll.hpp"
+
+namespace cid::mpi {
+
+/// Reduction operators for reduce/allreduce.
+enum class ReduceOp { Sum, Min, Max, Prod };
+
+}  // namespace cid::mpi
 
 namespace cid::mpi::coll {
 
@@ -51,9 +59,10 @@ using tune::CollOp;
 CollAlgo resolve(CollOp op, std::size_t block_bytes, std::size_t total_bytes,
                  int nprocs, std::optional<CollAlgo> hint = std::nullopt);
 
-// Engine entry points: semantics of the mpi/collectives.hpp functions, plus
-// the optional algorithm hint. Root-rooted entries validate the root range;
-// all entries early-out on empty payloads and single-member groups.
+// Engine entry points, exported as the cid::mpi collectives (documented in
+// mpi/collectives.hpp), plus the optional algorithm hint. Root-rooted
+// entries validate the root range; all entries early-out on empty payloads
+// and single-member groups.
 
 void bcast(const Comm& comm, void* buffer, std::size_t count,
            const Datatype& dtype, int root,

@@ -1,57 +1,44 @@
-// miniMPI collectives, built on the point-to-point layer with the classical
-// algorithms (binomial trees, ring allgather, pairwise alltoall) so their
-// virtual-time cost reflects real implementations. These are the lowering
-// targets of the collective directive extension (the paper's Section V
-// future work).
+// miniMPI collectives, run by the cid::mpi::coll engine (mpi/coll.hpp) on
+// the point-to-point layer, so their virtual-time cost reflects real
+// implementations. The engine chooses among several algorithms per call
+// (trees, ring, recursive doubling, Bruck, Rabenseifner; mpi/coll.hpp lists
+// them): a CID_COLL override, then a caller's hint, then the cost model.
+// Called as declared here, they pass no hint. They are the lowering targets of the collective directive
+// extension (the paper's Section V future work).
 #pragma once
 
-#include <functional>
-
+#include "mpi/coll.hpp"
 #include "mpi/comm.hpp"
 #include "mpi/datatype.hpp"
 
 namespace cid::mpi {
 
-/// Reduction operators for reduce/allreduce.
-enum class ReduceOp { Sum, Min, Max, Prod };
-
-/// MPI_Bcast: binomial tree from `root`.
-void bcast(const Comm& comm, void* buffer, std::size_t count,
-           const Datatype& dtype, int root);
+/// MPI_Bcast from `root`.
+using coll::bcast;
 
 /// MPI_Gather: every rank contributes `count` elements; root receives
 /// size*count into `recv` (rank i's block at offset i*count). `recv` may be
 /// null on non-root ranks.
-void gather(const Comm& comm, const void* send, std::size_t count,
-            const Datatype& dtype, void* recv, int root);
+using coll::gather;
 
 /// MPI_Scatter: root holds size*count elements in `send` (block i to rank
 /// i); every rank receives `count` into `recv`. `send` may be null on
 /// non-root ranks.
-void scatter(const Comm& comm, const void* send, std::size_t count,
-             const Datatype& dtype, void* recv, int root);
+using coll::scatter;
 
-/// MPI_Allgather: ring algorithm; `recv` holds size*count elements.
-void allgather(const Comm& comm, const void* send, std::size_t count,
-               const Datatype& dtype, void* recv);
+/// MPI_Allgather: `recv` holds size*count elements.
+using coll::allgather;
 
-/// MPI_Alltoall: pairwise exchange; `send`/`recv` hold size*count elements
-/// (block j of `send` goes to rank j).
-void alltoall(const Comm& comm, const void* send, std::size_t count,
-              const Datatype& dtype, void* recv);
+/// MPI_Alltoall: `send`/`recv` hold size*count elements (block j of `send`
+/// goes to rank j).
+using coll::alltoall;
 
-/// MPI_Reduce over doubles or ints (binomial tree). `recv` may alias `send`
-/// on the root; may be null elsewhere.
-void reduce(const Comm& comm, const double* send, double* recv,
-            std::size_t count, ReduceOp op, int root);
-void reduce(const Comm& comm, const int* send, int* recv, std::size_t count,
-            ReduceOp op, int root);
+/// MPI_Reduce over doubles or ints. `recv` may alias `send` on the root; may
+/// be null elsewhere.
+using coll::reduce;
 
-/// MPI_Allreduce = reduce + bcast.
-void allreduce(const Comm& comm, const double* send, double* recv,
-               std::size_t count, ReduceOp op);
-void allreduce(const Comm& comm, const int* send, int* recv,
-               std::size_t count, ReduceOp op);
+/// MPI_Allreduce over doubles or ints.
+using coll::allreduce;
 
 // Typed conveniences for basic element types.
 template <typename T>

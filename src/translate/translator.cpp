@@ -1,11 +1,13 @@
 #include "translate/translator.hpp"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <vector>
 
 #include "common/strings.hpp"
 #include "core/pragma.hpp"
+#include "core/sync_plan.hpp"
 #include "translate/scan.hpp"
 
 namespace cid::translate {
@@ -49,11 +51,11 @@ class Translator {
     if (!body.is_ok()) return body.status();
     Translation out;
     out.source = std::move(body).take();
-    if (!deferred_syncs_.empty()) {
+    if (!sync_plan_.idle()) {
       out.source +=
           "\n/* cid-translate WARNING: deferred synchronization without a "
           "following comm_parameters region; draining here. */\n";
-      out.source += drain_deferred(/*only_begin_next=*/false);
+      sync_plan_.flush_all(EmitInto{out.source});
     }
     out.summary = summary_;
     return out;
@@ -74,10 +76,22 @@ class Translator {
     std::string region_var;  ///< the ::cid::core::Region lambda parameter
   };
 
-  struct DeferredSync {
-    std::string code;       ///< the synchronization statement(s)
-    bool at_next_begin;     ///< BEGIN_NEXT_PARAM_REGION vs END_ADJ_*
+  /// The SyncPlan landing callback: emits a batch of sync statements.
+  struct EmitInto {
+    std::string& out;
+    void operator()(std::vector<std::string>& batch) const {
+      for (const std::string& statement : batch) out += statement;
+      batch.clear();
+    }
   };
+
+  /// A posted transfer's sync statement joins the open batch (once).
+  void post_sync(std::string statement) {
+    auto& open = sync_plan_.open();
+    if (std::find(open.begin(), open.end(), statement) == open.end()) {
+      open.push_back(std::move(statement));
+    }
+  }
 
   /// Translate source_[begin, end); `region` is the innermost enclosing
   /// comm_parameters context (nullptr at top level).
@@ -326,6 +340,15 @@ class Translator {
     region.reliable = region.clauses.find("reliability") != nullptr;
     region.region_var = "cid_region_" + std::to_string(id);
 
+    auto placement = core::place_sync_of(directive);
+    if (!placement.is_ok()) return placement.status();
+    std::string landed_at_begin;
+    sync_plan_.begin_region(EmitInto{landed_at_begin});
+    auto body = translate_range(body_begin, body_end, &region);
+    if (!body.is_ok()) return body.status();
+    std::string landed_at_end;
+    sync_plan_.end_region(placement.value(), EmitInto{landed_at_end});
+
     if (region.reliable) {
       ++summary_.reliable_regions;
       // The reliability protocol (ack/timeout/retransmit, DeliveryReport)
@@ -334,12 +357,10 @@ class Translator {
       // directives become Region::p2p calls on the lambda's Region.
       auto builder = clauses_builder(region.clauses);
       if (!builder.is_ok()) return builder.status();
-      auto body = translate_range(body_begin, body_end, &region);
-      if (!body.is_ok()) return body.status();
       std::string out;
       out += "{ " + annotate("comm_parameters region " + std::to_string(id) +
                              " (reliable: runtime-lowered)") + "\n";
-      out += drain_deferred(/*only_begin_next=*/true);
+      out += landed_at_begin;
       out += "::cid::core::comm_parameters(" + std::move(builder).take() +
              ",\n    [&](::cid::core::Region& " + region.region_var +
              ") {\n";
@@ -348,37 +369,15 @@ class Translator {
              annotate("reliable synchronization: ack/retransmit protocol "
                       "drains here") +
              "\n";
+      out += landed_at_end;
       out += "}\n";
       ++summary_.consolidated_syncs;
       return out;
     }
 
-    auto body = translate_range(body_begin, body_end, &region);
-    if (!body.is_ok()) return body.status();
+    if (region.used_mpi2) ++summary_.consolidated_syncs;
+    if (region.used_shmem) ++summary_.consolidated_syncs;
 
-    SyncPlacement placement = SyncPlacement::EndParamRegion;
-    if (const RawClause* clause = directive.find("place_sync")) {
-      auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
-      if (!parsed.is_ok()) return parsed.status();
-      placement = parsed.value();
-    }
-
-    std::string sync_code;
-    if (region.used_mpi2) {
-      sync_code += "::cid::mpi::waitall(" + region.requests_var + "); " +
-                   annotate("consolidated synchronization") + "\n";
-      ++summary_.consolidated_syncs;
-    }
-    if (region.used_shmem) {
-      sync_code += "::cid::shmem::barrier_all(); " +
-                   annotate("consolidated SHMEM synchronization") + "\n";
-      ++summary_.consolidated_syncs;
-    }
-
-    std::string out;
-    // Requests vector lives in the enclosing scope when synchronization is
-    // deferred past the region, else inside the region block.
-    const bool deferred = placement != SyncPlacement::EndParamRegion;
     std::string decls;
     if (region.used_mpi2) {
       decls += "std::vector<::cid::mpi::Request> " + region.requests_var +
@@ -389,50 +388,25 @@ class Translator {
     }
     region_needs_comm_ = false;
 
-    if (deferred && region.used_mpi2) {
-      out += decls;  // enclosing scope
-      out += "{ " + annotate("comm_parameters region " + std::to_string(id)) +
-             "\n";
-    } else {
-      out += "{ " + annotate("comm_parameters region " + std::to_string(id)) +
-             "\n";
-      out += decls;
+    // A request vector whose waitall may still be deferred must outlive the
+    // region's block: declare it before the outermost enclosing region.
+    if (region.used_mpi2 && !sync_plan_.idle()) {
+      hoisted_decls_ += decls;
+      decls.clear();
     }
 
-    // BEGIN_NEXT deferred syncs from earlier regions drain at this region's
-    // beginning; END_ADJ ones at this region's end (when not deferring).
-    out += drain_deferred(/*only_begin_next=*/true);
-    out += std::move(body).take();
-
-    switch (placement) {
-      case SyncPlacement::EndParamRegion:
-        out += drain_deferred(/*only_begin_next=*/false);
-        out += sync_code;
-        out += "}\n";
-        break;
-      case SyncPlacement::BeginNextParamRegion:
-        out += "}\n";
-        deferred_syncs_.push_back({sync_code, /*at_next_begin=*/true});
-        break;
-      case SyncPlacement::EndAdjParamRegions:
-        out += "}\n";
-        deferred_syncs_.push_back({sync_code, /*at_next_begin=*/false});
-        break;
-    }
-    return out;
-  }
-
-  std::string drain_deferred(bool only_begin_next) {
     std::string out;
-    auto it = deferred_syncs_.begin();
-    while (it != deferred_syncs_.end()) {
-      if (!only_begin_next || it->at_next_begin) {
-        out += it->code;
-        it = deferred_syncs_.erase(it);
-      } else {
-        ++it;
-      }
+    if (parent == nullptr) {
+      out += hoisted_decls_;
+      hoisted_decls_.clear();
     }
+    out += "{ " + annotate("comm_parameters region " + std::to_string(id)) +
+           "\n";
+    out += decls;
+    out += landed_at_begin;
+    out += std::move(body).take();
+    out += landed_at_end;
+    out += "}\n";
     return out;
   }
 
@@ -620,6 +594,8 @@ class Translator {
           reqs_var = region->requests_var;
           comm_var = region->comm_var;
           region->used_mpi2 = true;
+          post_sync("::cid::mpi::waitall(" + reqs_var + "); " +
+                    annotate("consolidated synchronization") + "\n");
         }
         const std::string indent = "  ";
         std::string recv_code;
@@ -665,7 +641,11 @@ class Translator {
         } else {
           out += put_code;
         }
-        if (region != nullptr) region->used_shmem = true;
+        if (region != nullptr) {
+          region->used_shmem = true;
+          post_sync("::cid::shmem::barrier_all(); " +
+                    annotate("consolidated SHMEM synchronization") + "\n");
+        }
         break;
       }
 
@@ -734,7 +714,10 @@ class Translator {
   Options options_;
   Summary summary_;
   int next_id_ = 1;
-  std::vector<DeferredSync> deferred_syncs_;
+  core::SyncPlan<std::vector<std::string>> sync_plan_;
+  /// Declarations of request vectors that outlive their region's block,
+  /// emitted before the outermost enclosing region.
+  std::string hoisted_decls_;
   std::vector<std::string> window_fences_;
   bool region_needs_comm_ = false;
 };

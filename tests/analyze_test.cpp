@@ -356,6 +356,37 @@ int main() {
   EXPECT_TRUE(has(report, "CID-B023")) << render(report);
 }
 
+// An END_ADJ region's receives stay in flight through an intervening
+// BEGIN_NEXT region: they land at the end of the next non-deferring region.
+TEST(Analyze, DeferredSyncSurvivesAnInterveningDeferringRegion) {
+  const Report report = analyze(R"(
+double a[8], b[8], c[8], d[8], e[8], f[8];
+int main() {
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1) count(8) place_sync(END_ADJ_PARAM_REGIONS)
+{
+#pragma comm_p2p sbuf(a) rbuf(b)
+{ }
+}
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1) count(8) place_sync(BEGIN_NEXT_PARAM_REGION)
+{
+#pragma comm_p2p sbuf(c) rbuf(d)
+{ }
+}
+  b[0] = 1.0;
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1) count(8)
+{
+#pragma comm_p2p sbuf(e) rbuf(f)
+{ }
+}
+}
+)");
+  const Diagnostic& d = find(report, "CID-B023");
+  EXPECT_NE(d.message.find("touches 'b'"), std::string::npos)
+      << render(report);
+  EXPECT_NE(d.message.find("posted at line 6"), std::string::npos)
+      << render(report);
+}
+
 // --- synchronization placement ----------------------------------------------
 
 TEST(Analyze, BeginNextWithoutFollowingRegion) {

@@ -259,6 +259,66 @@ TEST(TranslatorPipeline, RegionProgramCompilesRuns) {
   EXPECT_NE(output.find("REGION-OK"), std::string::npos) << output;
 }
 
+/// A nested region defers its sync, and with it the enclosing region's open
+/// requests, past the enclosing block: the request vectors it waits on at
+/// the next region's begin must still be in scope there.
+constexpr const char* kNestedDeferralProgram = R"prog(
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
+#include "mpi/mpi.hpp"
+#include "rt/runtime.hpp"
+#include "shmem/shmem.hpp"
+#include "translate/runtime.hpp"
+
+int main() {
+  cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    double a[2] = {1.0, 2.0}, b[2] = {0.0, 0.0};
+    double c[2] = {3.0, 4.0}, d[2] = {0.0, 0.0};
+    double e[2] = {5.0, 6.0}, f[2] = {0.0, 0.0};
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1)
+    {
+#pragma comm_p2p sbuf(a) rbuf(b)
+      { }
+#pragma comm_parameters place_sync(BEGIN_NEXT_PARAM_REGION)
+      {
+#pragma comm_p2p sbuf(c) rbuf(d)
+        { }
+      }
+    }
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1)
+    {
+      if (rank == 1 && (b[1] != 2.0 || d[1] != 4.0)) std::exit(1);
+#pragma comm_p2p sbuf(e) rbuf(f)
+      { }
+    }
+    if (rank == 1 && f[1] != 6.0) std::exit(2);
+  });
+  std::printf("NESTED-OK\n");
+  return 0;
+}
+)prog";
+
+TEST(TranslatorPipeline, NestedDeferralCompilesRuns) {
+  const std::string dir = temp_dir();
+  auto translated = cid::translate::translate_source(kNestedDeferralProgram);
+  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
+
+  const std::string source_path = dir + "/nested_translated.cpp";
+  write_file(source_path, translated.value().source);
+
+  std::string log;
+  ASSERT_EQ(compile(source_path, dir + "/nested_translated", &log), 0)
+      << "compiler output:\n"
+      << log;
+
+  int status = 0;
+  const std::string output = run_capture(dir + "/nested_translated", &status);
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("NESTED-OK"), std::string::npos) << output;
+}
+
 TEST(TranslatorPipeline, CidtCliRoundTrip) {
   const std::string dir = temp_dir();
   write_file(dir + "/cli_input.cpp", kRingProgram);

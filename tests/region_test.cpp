@@ -576,6 +576,61 @@ TEST(Directive, CommFlushDrainsDeferredSync) {
   });
 }
 
+// A transfer that depends on a receive whose sync a place_sync deferred
+// completes that receive first, exactly as a dependence inside one region
+// does: the adjacency check walks every in-flight batch, not just the open
+// one. The message is past the eager threshold, so an unsynchronized send
+// of `b` would ship the zeros it held before the receive landed.
+TEST(Directive, AdjacencyCheckSeesDeferredReceives) {
+  spmd(2, [](RankCtx& ctx) {
+    constexpr int kCount = 65536;
+    std::vector<double> a(kCount, 1.0), b(kCount, 0.0), c(kCount, 0.0);
+    comm_parameters(
+        Clauses().sender(0).receiver(1).sendwhen("rank==0")
+            .receivewhen("rank==1").count(kCount)
+            .place_sync(SyncPlacement::EndAdjParamRegions),
+        [&](Region& region) {
+          region.p2p(Clauses().sbuf(buf(a)).rbuf(buf(b)));
+        });
+    // Adjacent region: rank 1 sends the still-deferred `b` back.
+    comm_parameters(
+        Clauses().sender(1).receiver(0).sendwhen("rank==1")
+            .receivewhen("rank==0").count(kCount),
+        [&](Region& region) {
+          region.p2p(Clauses().sbuf(buf(b)).rbuf(buf(c)));
+        });
+    if (ctx.rank() == 0) {
+      EXPECT_DOUBLE_EQ(c.front(), 1.0);
+      EXPECT_DOUBLE_EQ(c.back(), 1.0);
+    } else {
+      EXPECT_EQ(comm_stats().conflict_flushes, 1u);
+    }
+  });
+}
+
+// place_sync belongs to the region that names it: a nested region without
+// the clause synchronizes at its own end even inside a deferring region.
+TEST(Directive, NestedRegionDoesNotInheritPlaceSync) {
+  spmd(2, [](RankCtx& ctx) {
+    double a[2] = {1.0, 2.0}, b[2] = {};
+    comm_parameters(
+        Clauses().sender(0).receiver(1).sendwhen("rank==0")
+            .receivewhen("rank==1")
+            .place_sync(SyncPlacement::BeginNextParamRegion),
+        [&](Region&) {
+          comm_parameters(Clauses(), [&](Region& inner) {
+            inner.p2p(Clauses().sbuf(buf(a)).rbuf(buf(b)));
+          });
+          EXPECT_EQ(comm_stats().waitalls, 1u);
+          if (ctx.rank() == 1) {
+            EXPECT_DOUBLE_EQ(b[1], 2.0);
+          }
+        });
+    EXPECT_EQ(comm_stats().deferred_syncs, 1u);
+    comm_flush();
+  });
+}
+
 // --- overlap ---------------------------------------------------------------
 
 TEST(Directive, OverlapBlockRunsBeforeSync) {

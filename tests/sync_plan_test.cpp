@@ -1,0 +1,448 @@
+// The one synchronization-placement model (core/sync_plan.hpp) and its three
+// consumers. Every place_sync sequence of three sibling regions, and every
+// nesting of one region in another, is scripted once and run through the
+// plan itself, the directive executor, the source translator and the static
+// analyzer; each consumer must land every transfer where the plan does.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "analyze/analyze.hpp"
+#include "core/core.hpp"
+#include "core/sync_plan.hpp"
+#include "rt/runtime.hpp"
+#include "translate/translator.hpp"
+
+namespace {
+
+using namespace cid::core;
+
+// --- scripted programs -------------------------------------------------------
+
+/// One step of a directive program: a region opens (with its own place_sync,
+/// if any), the innermost open region posts a transfer, a region closes, or
+/// host statements run between two sibling directives (a gap).
+struct Step {
+  enum Kind { Begin, Post, End, Gap };
+  Kind kind;
+  int id;  ///< region (Begin/End), transfer (Post) or gap (Gap) number
+  std::optional<SyncPlacement> place_sync = std::nullopt;  ///< Begin only
+};
+using Program = std::vector<Step>;
+
+Step begin(int region, std::optional<SyncPlacement> place_sync) {
+  return {Step::Begin, region, place_sync};
+}
+Step post(int transfer) { return {Step::Post, transfer}; }
+Step end(int region) { return {Step::End, region}; }
+Step gap(int id) { return {Step::Gap, id}; }
+
+constexpr SyncPlacement kPlacements[] = {SyncPlacement::EndParamRegion,
+                                         SyncPlacement::BeginNextParamRegion,
+                                         SyncPlacement::EndAdjParamRegions};
+
+/// R1, R2, R3 in a row, each posting one transfer, with a gap after each.
+Program siblings(SyncPlacement p1, SyncPlacement p2, SyncPlacement p3) {
+  return {begin(1, p1), post(0), end(1), gap(0),
+          begin(2, p2), post(1), end(2), gap(1),
+          begin(3, p3), post(2), end(3), gap(2)};
+}
+
+/// R2 nested in R1 between two of R1's transfers, then a plain R3.
+Program nested(SyncPlacement outer, std::optional<SyncPlacement> inner) {
+  return {begin(1, outer), post(0),
+          begin(2, inner), post(1), end(2), gap(0),
+          post(2),         end(1),  gap(1),
+          begin(3, std::nullopt), post(3), end(3), gap(2)};
+}
+
+std::string describe(const Program& program) {
+  std::ostringstream out;
+  for (const Step& step : program) {
+    switch (step.kind) {
+      case Step::Begin:
+        out << "R" << step.id << "("
+            << (step.place_sync ? sync_placement_keyword(*step.place_sync)
+                                : "-")
+            << "){";
+        break;
+      case Step::Post: out << "t" << step.id << " "; break;
+      case Step::End: out << "} "; break;
+      case Step::Gap: out << "gap" << step.id << " "; break;
+    }
+  }
+  return out.str();
+}
+
+/// Where synchronization landed: "begin R<n>", "end R<n>" or "flush", with
+/// the transfers (bit t = transfer t) and the number of batches landed there.
+struct Landing {
+  std::string where;
+  unsigned transfers = 0;
+  int batches = 0;
+  bool operator==(const Landing&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Landing& landing) {
+  return out << landing.where << ":" << landing.transfers << "/"
+             << landing.batches;
+}
+
+void record(std::vector<Landing>& log, const std::string& where,
+            unsigned transfers, int batches) {
+  if (!log.empty() && log.back().where == where) {
+    log.back().transfers |= transfers;
+    log.back().batches += batches;
+  } else {
+    log.push_back({where, transfers, batches});
+  }
+}
+
+// --- the plan ----------------------------------------------------------------
+
+struct TransferSet {
+  unsigned bits = 0;
+  bool empty() const noexcept { return bits == 0; }
+  void merge_from(TransferSet&& other) {
+    bits |= other.bits;
+    other.bits = 0;
+  }
+};
+
+struct Expected {
+  std::vector<Landing> landings;
+  std::map<int, unsigned> deferred_at_gap;  ///< transfers deferred past it
+};
+
+Expected plan_of(const Program& program) {
+  SyncPlan<TransferSet> plan;
+  Expected out;
+  std::map<int, SyncPlacement> own;
+  std::string where;
+  const auto land = [&](TransferSet& batch) {
+    record(out.landings, where, batch.bits, 1);
+    batch.bits = 0;
+  };
+  for (const Step& step : program) {
+    switch (step.kind) {
+      case Step::Begin:
+        own[step.id] = step.place_sync.value_or(SyncPlacement::EndParamRegion);
+        where = "begin R" + std::to_string(step.id);
+        plan.begin_region(land);
+        break;
+      case Step::Post:
+        plan.open().bits |= 1u << step.id;
+        break;
+      case Step::End:
+        where = "end R" + std::to_string(step.id);
+        plan.end_region(own[step.id], land);
+        break;
+      case Step::Gap: {
+        unsigned deferred = 0;
+        plan.for_each_deferred(
+            [&](const TransferSet& batch) { deferred |= batch.bits; });
+        out.deferred_at_gap[step.id] = deferred;
+        break;
+      }
+    }
+  }
+  where = "flush";
+  plan.flush_all(land);
+  return out;
+}
+
+/// The region (bit r = region r) that posts each transfer.
+std::map<int, int> owners(const Program& program) {
+  std::map<int, int> owner;
+  std::vector<int> open;
+  for (const Step& step : program) {
+    if (step.kind == Step::Begin) open.push_back(step.id);
+    if (step.kind == Step::End) open.pop_back();
+    if (step.kind == Step::Post) owner[step.id] = open.back();
+  }
+  return owner;
+}
+
+// --- the executor ------------------------------------------------------------
+
+/// Runs a program through the embedded API on two ranks. Transfer t is
+/// 2^t one-element p2p directives (rank 0 to rank 1), so the requests a
+/// landing retires spell out which transfers it completed.
+class ExecutorRun {
+ public:
+  explicit ExecutorRun(const Program& program) : program_(program) {}
+
+  std::vector<Landing> run() {
+    next_ = 0;
+    log_.clear();
+    while (next_ < program_.size()) {
+      const Step& step = program_[next_++];
+      if (step.kind == Step::Begin) run_region(step);
+    }
+    const Snapshot before = snapshot();
+    comm_flush();
+    note("flush", before);
+    return log_;
+  }
+
+ private:
+  struct Snapshot {
+    std::uint64_t retired = 0;
+    std::uint64_t waitalls = 0;
+  };
+
+  static Snapshot snapshot() {
+    return {comm_stats().requests_retired, comm_stats().waitalls};
+  }
+
+  void note(const std::string& where, const Snapshot& before) {
+    const Snapshot now = snapshot();
+    if (now.retired == before.retired) return;
+    record(log_, where, static_cast<unsigned>(now.retired - before.retired),
+           static_cast<int>(now.waitalls - before.waitalls));
+  }
+
+  void run_region(const Step& opening) {
+    Clauses clauses = Clauses()
+                          .sender(0)
+                          .receiver(1)
+                          .sendwhen("rank==0")
+                          .receivewhen("rank==1")
+                          .count(1);
+    if (opening.place_sync) clauses.place_sync(*opening.place_sync);
+    const std::string name = "R" + std::to_string(opening.id);
+    const Snapshot before = snapshot();
+    Snapshot body_end;
+    comm_parameters(clauses, [&](Region& region) {
+      note("begin " + name, before);
+      for (;;) {
+        const Step& step = program_[next_++];
+        if (step.kind == Step::End) break;
+        if (step.kind == Step::Begin) run_region(step);
+        if (step.kind == Step::Post) {
+          for (int i = 0; i < (1 << step.id); ++i) {
+            region.p2p(Clauses()
+                           .sbuf(buf(&send_[step.id][i]))
+                           .rbuf(buf(&recv_[step.id][i])));
+          }
+        }
+      }
+      body_end = snapshot();
+    });
+    note("end " + name, body_end);
+  }
+
+  const Program& program_;
+  std::size_t next_ = 0;
+  std::vector<Landing> log_;
+  double send_[4][8] = {};
+  double recv_[4][8] = {};
+};
+
+std::vector<std::vector<Landing>> run_executor(const Program& program) {
+  std::vector<std::vector<Landing>> per_rank(2);
+  cid::rt::run(2, cid::simnet::MachineModel::zero(),
+               [&](cid::rt::RankCtx& ctx) {
+                 per_rank[ctx.rank()] = ExecutorRun(program).run();
+               });
+  return per_rank;
+}
+
+// --- the translator and the analyzer ------------------------------------------
+
+/// Directive source for a program. Markers before each region's pragma and
+/// at the end of its body tell the translator's landing points apart. The
+/// gap `touched_gap` writes every receive buffer. `trailing_sibling` adds a
+/// standalone directive after the program, so its last gap lies between two
+/// siblings (where the analyzer checks gaps).
+struct Source {
+  std::string text;
+  std::map<int, int> region_of_id;  ///< translator directive id -> region
+};
+
+Source source_of(const Program& program, int touched_gap,
+                 bool trailing_sibling) {
+  Source out;
+  int next_id = 1;
+  out.text = "double s0[8], s1[8], s2[8], s3[8], s9[8];\n"
+             "double r0[8], r1[8], r2[8], r3[8], r9[8];\n"
+             "void program() {\n";
+  for (const Step& step : program) {
+    const std::string id = std::to_string(step.id);
+    switch (step.kind) {
+      case Step::Begin:
+        out.region_of_id[next_id++] = step.id;
+        out.text += "mark_open(" + id + ");\n"
+                    "#pragma comm_parameters sender(0) receiver(1) "
+                    "sendwhen(rank==0) receivewhen(rank==1) count(1)";
+        if (step.place_sync) {
+          out.text += " place_sync(" +
+                      std::string(sync_placement_keyword(*step.place_sync)) +
+                      ")";
+        }
+        out.text += "\n{\n";
+        break;
+      case Step::Post:
+        ++next_id;
+        out.text += "#pragma comm_p2p sbuf(s" + id + ") rbuf(r" + id +
+                    ")\n{ }\n";
+        break;
+      case Step::End:
+        out.text += "mark_end(" + id + ");\n}\n";
+        break;
+      case Step::Gap:
+        if (step.id == touched_gap) {
+          out.text += "r0[0] = r1[0] = r2[0] = r3[0] = 0.0;\n";
+        }
+        break;
+    }
+  }
+  if (trailing_sibling) {
+    out.text += "#pragma comm_p2p sender(0) receiver(1) sendwhen(rank==0) "
+                "receivewhen(rank==1) count(1) sbuf(s9) rbuf(r9)\n{ }\n";
+  }
+  out.text += "}\n";
+  return out;
+}
+
+int number_after(const std::string& line, const std::string& prefix) {
+  return std::stoi(line.substr(line.find(prefix) + prefix.size()));
+}
+
+/// The translator's landings, with `transfers` holding regions (bit r =
+/// region r): generated code waits on one request vector per region.
+std::vector<Landing> run_translator(const Program& program) {
+  const Source source = source_of(program, /*touched_gap=*/-1, false);
+  auto result = cid::translate::translate_source(source.text);
+  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+  if (!result.is_ok()) return {};
+  std::vector<Landing> log;
+  std::string where;
+  std::istringstream lines(result.value().source);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("mark_open(") != std::string::npos) {
+      where = "begin R" + std::to_string(number_after(line, "mark_open("));
+    } else if (line.find("mark_end(") != std::string::npos) {
+      where = "end R" + std::to_string(number_after(line, "mark_end("));
+    } else if (line.find("WARNING: deferred synchronization") !=
+               std::string::npos) {
+      where = "flush";
+    } else if (line.find("::cid::mpi::waitall(cid_reqs_") !=
+               std::string::npos) {
+      const int id = number_after(line, "waitall(cid_reqs_");
+      record(log, where, 1u << source.region_of_id.at(id), 1);
+    }
+  }
+  return log;
+}
+
+/// The analyzer's view of one gap: the transfers whose receive buffer it
+/// reports as still waiting for a deferred synchronization (CID-B023).
+unsigned run_analyzer(const Program& program, int gap_id) {
+  const Source source = source_of(program, gap_id, /*trailing_sibling=*/true);
+  const auto report = cid::analyze::analyze_source(source.text);
+  unsigned deferred = 0;
+  for (const auto& diagnostic : report.diagnostics) {
+    if (diagnostic.id != "CID-B023") continue;
+    deferred |= 1u << number_after(diagnostic.message, "touches 'r");
+  }
+  return deferred;
+}
+
+/// The plan's landings re-expressed per region, as the translator sees them.
+std::vector<Landing> by_region(const std::vector<Landing>& landings,
+                               const std::map<int, int>& owner) {
+  std::vector<Landing> out;
+  for (const Landing& landing : landings) {
+    unsigned regions = 0;
+    for (const auto& [transfer, region] : owner) {
+      if (landing.transfers & (1u << transfer)) regions |= 1u << region;
+    }
+    record(out, landing.where, regions, 1);
+  }
+  for (Landing& landing : out) landing.batches = 0;
+  return out;
+}
+
+void expect_consumers_agree(const Program& program) {
+  SCOPED_TRACE(describe(program));
+  const Expected expected = plan_of(program);
+
+  for (const auto& landings : run_executor(program)) {
+    EXPECT_EQ(landings, expected.landings) << "executor";
+  }
+
+  std::vector<Landing> translated = run_translator(program);
+  for (Landing& landing : translated) landing.batches = 0;
+  EXPECT_EQ(translated, by_region(expected.landings, owners(program)))
+      << "translator";
+
+  for (const auto& [gap_id, deferred] : expected.deferred_at_gap) {
+    EXPECT_EQ(run_analyzer(program, gap_id), deferred)
+        << "analyzer, gap " << gap_id;
+  }
+}
+
+// --- the rules ---------------------------------------------------------------
+
+// The rules themselves, on the two sequences where earlier copies of them
+// disagreed: mixed deferrals, and a region nested in a deferring region.
+TEST(SyncPlan, EachDeferredBatchLandsAtItsOwnPoint) {
+  const Expected plan = plan_of(
+      {begin(1, SyncPlacement::EndAdjParamRegions), post(0), end(1), gap(0),
+       begin(2, SyncPlacement::BeginNextParamRegion), post(1), end(2), gap(1),
+       begin(3, std::nullopt), post(2), end(3)});
+  const std::vector<Landing> expected = {{"begin R3", 0b010, 1},
+                                         {"end R3", 0b101, 2}};
+  EXPECT_EQ(plan.landings, expected);
+  EXPECT_EQ(plan.deferred_at_gap.at(0), 0b001u);
+  EXPECT_EQ(plan.deferred_at_gap.at(1), 0b011u);
+}
+
+TEST(SyncPlan, NestedRegionLandsOpenTransfersUnderItsOwnClause) {
+  const Expected plan = plan_of(nested(SyncPlacement::BeginNextParamRegion,
+                                       std::nullopt));
+  const std::vector<Landing> expected = {{"end R2", 0b0011, 1},
+                                         {"begin R3", 0b0100, 1},
+                                         {"end R3", 0b1000, 1}};
+  EXPECT_EQ(plan.landings, expected);
+}
+
+TEST(SyncPlan, FlushLandsEveryBatch) {
+  const Expected plan = plan_of(
+      {begin(1, SyncPlacement::EndAdjParamRegions), post(0), end(1),
+       begin(2, SyncPlacement::BeginNextParamRegion), post(1), end(2)});
+  const std::vector<Landing> expected = {{"flush", 0b11, 2}};
+  EXPECT_EQ(plan.landings, expected);
+}
+
+// --- the consumers -------------------------------------------------------------
+
+TEST(SyncPlan, ThreeSiblingRegionsLandAlikeInEveryConsumer) {
+  int sequences = 0;
+  for (const SyncPlacement p1 : kPlacements) {
+    for (const SyncPlacement p2 : kPlacements) {
+      for (const SyncPlacement p3 : kPlacements) {
+        expect_consumers_agree(siblings(p1, p2, p3));
+        ++sequences;
+      }
+    }
+  }
+  EXPECT_EQ(sequences, 27);
+}
+
+TEST(SyncPlan, NestedRegionsLandAlikeInEveryConsumer) {
+  for (const SyncPlacement outer : kPlacements) {
+    expect_consumers_agree(nested(outer, std::nullopt));  // nothing inherited
+    for (const SyncPlacement inner : kPlacements) {
+      expect_consumers_agree(nested(outer, inner));
+    }
+  }
+}
+
+}  // namespace

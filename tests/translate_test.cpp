@@ -239,6 +239,41 @@ TEST(Translate, EndAdjacentRegionsDrainAtSeriesEnd) {
   EXPECT_GT(deferred, second_post);
 }
 
+// A nested region's end lands every transfer posted since the last
+// landing, the enclosing region's included, exactly like the runtime.
+TEST(Translate, NestedRegionEndWaitsEnclosingRequests) {
+  const std::string out = translate_ok(R"(
+#pragma comm_parameters sender(0) receiver(1) count(1)
+{
+#pragma comm_p2p sbuf(a) rbuf(b)
+{ }
+#pragma comm_parameters count(1)
+{
+#pragma comm_p2p sbuf(c) rbuf(d)
+{ }
+}
+}
+)");
+  // The nested region (id 3) is the block opened by its annotation.
+  const std::size_t open =
+      out.rfind('{', out.find("comm_parameters region 3"));
+  ASSERT_NE(open, std::string::npos);
+  std::size_t close = open;
+  for (int depth = 0; close < out.size(); ++close) {
+    if (out[close] == '{') ++depth;
+    if (out[close] == '}' && --depth == 0) break;
+  }
+  const std::string nested = out.substr(open, close - open);
+  const std::size_t post = nested.find("data_ptr(c)");
+  const std::size_t outer_wait = nested.find("waitall(cid_reqs_1)");
+  const std::size_t own_wait = nested.find("waitall(cid_reqs_3)");
+  ASSERT_NE(post, std::string::npos) << out;
+  ASSERT_NE(outer_wait, std::string::npos) << out;
+  ASSERT_NE(own_wait, std::string::npos) << out;
+  EXPECT_GT(outer_wait, post);
+  EXPECT_GT(own_wait, post);
+}
+
 TEST(Translate, DeferredSyncWithoutNextRegionWarnsAndDrains) {
   auto result = translate_source(R"(
 #pragma comm_parameters sender(0) receiver(1) count(1) place_sync(BEGIN_NEXT_PARAM_REGION)

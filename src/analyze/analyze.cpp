@@ -1,9 +1,10 @@
-// The analysis driver: scans the source into a directive tree, recovers the
+// The analysis driver: scans the source into the directive tree the
+// translator also lowers (translate::scan_directives), recovers the
 // declaration model, then walks the tree the way the translator walks it —
-// same clause inheritance, same synchronization placement (core::SyncPlan) —
-// dispatching the match, buffer and type passes and performing the
-// sync-placement checks itself (they need sibling context the per-directive
-// passes do not have).
+// same clause inheritance, same required-clause rule, same synchronization
+// placement (core::SyncPlan) — dispatching the match, buffer and type passes
+// and performing the sync-placement checks itself (they need sibling context
+// the per-directive passes do not have).
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -251,8 +252,8 @@ class Walker {
                                 parsed.status().message());
           }
         }
-        // Directives nested inside a p2p body (unusual, but the scanner
-        // models it) inherit the same surrounding region.
+        // Directives nested inside a p2p body inherit the same surrounding
+        // region, as the translator lowers them.
         sequence(node.children, inherited);
       }
       previous_end = node.node_end;

@@ -25,7 +25,6 @@ namespace cid::analyze::detail {
 namespace {
 
 using core::Env;
-using core::Expr;
 using core::RawClause;
 using translate::DirectiveNode;
 
@@ -38,66 +37,34 @@ std::string normalized(std::string_view text) {
   return out;
 }
 
-/// A sendwhen/receivewhen guard prepared for the sweep. Absent guards are
-/// always true (the directive fires unconditionally); symbolic guards make
-/// every query unprovable.
-struct Guard {
-  bool present = false;
-  bool symbolic = false;
-  Expr expr;
+using translate::ClauseExpr;
 
-  static Guard from_text(const std::string& text) {
-    Guard guard;
-    if (text.empty()) return guard;
-    guard.present = true;
-    auto parsed = Expr::parse(text);
-    if (!parsed.is_ok()) {
-      guard.symbolic = true;  // unparseable: treat as unprovable
-      return guard;
-    }
-    guard.expr = std::move(parsed).take();
-    for (const std::string& variable : guard.expr.free_variables()) {
-      if (variable != "rank" && variable != "nprocs") guard.symbolic = true;
-    }
-    return guard;
-  }
-
-  static Guard from_clause(const core::ParsedDirective& merged,
-                           const char* name) {
-    const RawClause* clause = merged.find(name);
-    return from_text(clause == nullptr ? std::string() : clause->args[0]);
-  }
-
-  bool true_on(int rank, int nprocs) const {
-    if (!present) return true;
-    Env env;
-    env.bind("rank", rank);
-    env.bind("nprocs", nprocs);
-    auto value = expr.eval(env);
-    return value.is_ok() && value.value() != 0;
-  }
-};
+/// Does a sendwhen/receivewhen guard hold on `rank`? Absent guards are always
+/// true (the directive fires unconditionally).
+bool true_on(const ClauseExpr& guard, int rank, int nprocs) {
+  if (!guard.present) return true;
+  Env env;
+  env.bind("rank", rank);
+  env.bind("nprocs", nprocs);
+  auto value = guard.expr.eval(env);
+  return value.is_ok() && value.value() != 0;
+}
 
 /// First (nprocs, rank) in the sweep where both guards hold; nullopt when
-/// provably disjoint or when either guard is symbolic.
+/// provably disjoint or when either guard is symbolic (unprovable).
 std::optional<std::pair<int, int>> first_overlap(const AnalysisContext& ctx,
-                                                 const Guard& a,
-                                                 const Guard& b) {
+                                                 const ClauseExpr& a,
+                                                 const ClauseExpr& b) {
   if (a.symbolic || b.symbolic) return std::nullopt;
   for (int nprocs = ctx.options.nprocs_min; nprocs <= ctx.options.nprocs_max;
        ++nprocs) {
     for (int rank = 0; rank < nprocs; ++rank) {
-      if (a.true_on(rank, nprocs) && b.true_on(rank, nprocs)) {
+      if (true_on(a, rank, nprocs) && true_on(b, rank, nprocs)) {
         return std::make_pair(nprocs, rank);
       }
     }
   }
   return std::nullopt;
-}
-
-std::string guard_text(const core::ParsedDirective& merged, const char* name) {
-  const RawClause* clause = merged.find(name);
-  return clause == nullptr ? std::string() : clause->args[0];
 }
 
 }  // namespace
@@ -110,8 +77,7 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
   const RawClause* rbuf = merged.find("rbuf");
   if (rbuf == nullptr) return;
 
-  const std::string receivewhen = guard_text(merged, "receivewhen");
-  const Guard recv_guard = Guard::from_text(receivewhen);
+  const ClauseExpr recv_guard = translate::clause_expr(merged, "receivewhen");
 
   // CID-B020: a receive into a buffer an earlier directive is still
   // receiving into (its synchronization has not landed yet).
@@ -121,7 +87,8 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
       const std::string text = normalized(argument);
       for (const InFlight& earlier : batch) {
         if (earlier.text != text || reported_b020) continue;
-        const Guard earlier_guard = Guard::from_text(earlier.receivewhen);
+        const ClauseExpr earlier_guard =
+            translate::clause_expr(earlier.receivewhen);
         const auto overlap = first_overlap(ctx, recv_guard, earlier_guard);
         if (!overlap.has_value()) continue;
         reported_b020 = true;
@@ -144,8 +111,7 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
   // CID-B021: send and receive staged through the same memory on a rank
   // that does both.
   if (sbuf != nullptr) {
-    const Guard send_guard =
-        Guard::from_text(guard_text(merged, "sendwhen"));
+    const ClauseExpr send_guard = translate::clause_expr(merged, "sendwhen");
     const std::size_t pairs = std::min(sbuf->args.size(), rbuf->args.size());
     for (std::size_t i = 0; i < pairs; ++i) {
       if (normalized(sbuf->args[i]) != normalized(rbuf->args[i])) continue;
@@ -194,7 +160,7 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
     InFlight entry;
     entry.text = normalized(argument);
     entry.base = buffer_base_identifier(argument);
-    entry.receivewhen = receivewhen;
+    entry.receivewhen = recv_guard.text;
     entry.line = node.line;
     plan.open().push_back(std::move(entry));
   }

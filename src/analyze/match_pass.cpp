@@ -11,10 +11,10 @@
 // pair is reported per diagnostic.
 //
 // Expressions referencing variables other than rank/nprocs (loop counters,
-// problem sizes) are symbolic — the pass skips them rather than guess.
+// problem sizes) are symbolic (translate::clause_expr, the rule the explorer
+// also reads them by) — the pass skips them rather than guess.
 #include <algorithm>
 #include <optional>
-#include <set>
 
 #include "analyze/passes.hpp"
 #include "core/expr.hpp"
@@ -26,37 +26,20 @@ namespace {
 using core::Env;
 using core::Expr;
 using core::ExprValue;
-using core::RawClause;
 using translate::DirectiveNode;
 
-/// A clause expression prepared for the sweep. `present` false when the
-/// clause is absent (guards default to true); `symbolic` true when it
-/// references variables the analyzer cannot bind.
-struct SweptExpr {
-  const RawClause* clause = nullptr;
-  Expr expr;
-  bool present = false;
-  bool symbolic = false;
-};
+using translate::ClauseExpr;
 
-SweptExpr prepare(AnalysisContext& ctx, const DirectiveNode& node,
-                  const core::ParsedDirective& merged, const char* name) {
-  SweptExpr out;
-  out.clause = merged.find(name);
-  if (out.clause == nullptr) return out;
-  out.present = true;
-  auto parsed = Expr::parse(out.clause->args[0]);
-  if (!parsed.is_ok()) {
+/// A clause expression prepared for the sweep (absent guards default to
+/// true). An unparsable one is reported here as CID-P003.
+ClauseExpr prepare(AnalysisContext& ctx, const DirectiveNode& node,
+                   const core::ParsedDirective& merged, const char* name) {
+  ClauseExpr out = translate::clause_expr(merged, name);
+  if (out.unparsable()) {
     ctx.report.add("CID-P003", Severity::Error, node.line,
-                   clause_column(node, *out.clause),
-                   "clause " + std::string(name) + "(" + out.clause->args[0] +
-                       ") does not parse: " + parsed.status().message());
-    out.symbolic = true;  // unusable; skip the sweep
-    return out;
-  }
-  out.expr = std::move(parsed).take();
-  for (const std::string& variable : out.expr.free_variables()) {
-    if (variable != "rank" && variable != "nprocs") out.symbolic = true;
+                   clause_column(node, *merged.find(name)),
+                   "clause " + std::string(name) + "(" + out.text +
+                       ") does not parse: " + out.error);
   }
   return out;
 }
@@ -65,59 +48,20 @@ SweptExpr prepare(AnalysisContext& ctx, const DirectiveNode& node,
 
 bool check_required_clauses(AnalysisContext& ctx, const DirectiveNode& node,
                             const core::ParsedDirective& merged) {
-  const auto* sbuf = merged.find("sbuf");
-  const auto* rbuf = merged.find("rbuf");
-  bool usable = true;
-  if (merged.kind == core::DirectiveKind::CommP2P) {
-    std::string missing;
-    for (const char* name : {"sbuf", "rbuf", "sender", "receiver"}) {
-      if (merged.find(name) == nullptr) {
-        if (!missing.empty()) missing += ", ";
-        missing += name;
-      }
+  const auto problems = translate::required_clause_problems(merged);
+  for (const translate::ClauseProblem& problem : problems) {
+    std::string hint;
+    if (problem.missing) {
+      hint = merged.kind == core::DirectiveKind::CommP2P
+                 ? "add the clause(s) on the directive or on the enclosing "
+                   "comm_parameters region"
+                 : "the translated collective needs explicit sbuf, rbuf "
+                   "and count";
     }
-    if (!missing.empty()) {
-      ctx.report.add("CID-P005", Severity::Error, node.line, node.column,
-                     "comm_p2p is missing required clause(s) after "
-                     "inheritance: " + missing,
-                     "add the clause(s) on the directive or on the enclosing "
-                     "comm_parameters region");
-      usable = false;
-    }
-    if (sbuf != nullptr && rbuf != nullptr &&
-        sbuf->args.size() != rbuf->args.size()) {
-      ctx.report.add(
-          "CID-P006", Severity::Error, node.line, node.column,
-          "sbuf lists " + std::to_string(sbuf->args.size()) +
-              " buffer(s) but rbuf lists " +
-              std::to_string(rbuf->args.size()) +
-              "; paired send/receive buffers must agree in number");
-      usable = false;
-    }
-  } else if (merged.kind == core::DirectiveKind::CommCollective) {
-    std::string missing;
-    for (const char* name : {"sbuf", "rbuf", "count"}) {
-      if (merged.find(name) == nullptr) {
-        if (!missing.empty()) missing += ", ";
-        missing += name;
-      }
-    }
-    if (!missing.empty()) {
-      ctx.report.add("CID-P005", Severity::Error, node.line, node.column,
-                     "comm_collective is missing required clause(s): " +
-                         missing,
-                     "the translated collective needs explicit sbuf, rbuf "
-                     "and count");
-      usable = false;
-    }
-    if (sbuf != nullptr && rbuf != nullptr &&
-        (sbuf->args.size() != 1 || rbuf->args.size() != 1)) {
-      ctx.report.add("CID-P006", Severity::Error, node.line, node.column,
-                     "comm_collective takes exactly one sbuf and one rbuf");
-      usable = false;
-    }
+    ctx.report.add(problem.missing ? "CID-P005" : "CID-P006", Severity::Error,
+                   node.line, node.column, problem.message, std::move(hint));
   }
-  return usable;
+  return problems.empty();
 }
 
 void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
@@ -180,7 +124,7 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
     // For collectives only the root must name a member rank.
     const auto* root = merged.find("root");
     if (root == nullptr) return;
-    SweptExpr root_expr = prepare(ctx, node, merged, "root");
+    ClauseExpr root_expr = prepare(ctx, node, merged, "root");
     if (root_expr.symbolic) {
       // Parse failures already reported CID-P003; a genuinely symbolic root
       // is a silent skip the user must hear about (see Report::symbolic_skips
@@ -209,22 +153,20 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
   }
   if (merged.kind != core::DirectiveKind::CommP2P) return;
 
-  SweptExpr sender = prepare(ctx, node, merged, "sender");
-  SweptExpr receiver = prepare(ctx, node, merged, "receiver");
-  SweptExpr sendwhen = prepare(ctx, node, merged, "sendwhen");
-  SweptExpr receivewhen = prepare(ctx, node, merged, "receivewhen");
+  ClauseExpr sender = prepare(ctx, node, merged, "sender");
+  ClauseExpr receiver = prepare(ctx, node, merged, "receiver");
+  ClauseExpr sendwhen = prepare(ctx, node, merged, "sendwhen");
+  ClauseExpr receivewhen = prepare(ctx, node, merged, "receivewhen");
   if (!sender.present || !receiver.present) return;  // CID-P005 already fired
   if (sender.symbolic || receiver.symbolic || sendwhen.symbolic ||
       receivewhen.symbolic) {
     // Nothing provable statically. Count the skip (unless a CID-P003 parse
     // error already fired for the clause) so the renderers can tell the user
     // this directive needs `cidt explore` instead of passing silently.
-    const bool unparsable =
-        (sender.present && !sender.expr.valid()) ||
-        (receiver.present && !receiver.expr.valid()) ||
-        (sendwhen.present && !sendwhen.expr.valid()) ||
-        (receivewhen.present && !receivewhen.expr.valid());
-    if (!unparsable) ++ctx.report.symbolic_skips;
+    if (!sender.unparsable() && !receiver.unparsable() &&
+        !sendwhen.unparsable() && !receivewhen.unparsable()) {
+      ++ctx.report.symbolic_skips;
+    }
     return;
   }
 
@@ -245,7 +187,7 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
     std::vector<std::pair<int, ExprValue>> recvs;
     bool eval_failed = false;
 
-    auto eval_on = [&](const SweptExpr& swept, int rank,
+    auto eval_on = [&](const char* name, const ClauseExpr& swept, int rank,
                        ExprValue fallback) -> std::optional<ExprValue> {
       if (!swept.present) return fallback;
       Env env;
@@ -256,9 +198,8 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
         if (!reported_eval) {
           reported_eval = true;
           ctx.report.add("CID-M015", Severity::Warning, node.line,
-                         clause_column(node, *swept.clause),
-                         "clause " + swept.clause->name + "(" +
-                             swept.clause->args[0] +
+                         clause_column(node, *merged.find(name)),
+                         "clause " + std::string(name) + "(" + swept.text +
                              ") fails to evaluate on rank " +
                              std::to_string(rank) + " at nprocs=" +
                              std::to_string(nprocs) + ": " +
@@ -271,16 +212,16 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
     };
 
     for (int rank = 0; rank < nprocs && !eval_failed; ++rank) {
-      const auto sends_here = eval_on(sendwhen, rank, 1);
-      const auto recvs_here = eval_on(receivewhen, rank, 1);
+      const auto sends_here = eval_on("sendwhen", sendwhen, rank, 1);
+      const auto recvs_here = eval_on("receivewhen", receivewhen, rank, 1);
       if (!sends_here || !recvs_here) break;
       if (*sends_here != 0) {
-        if (const auto peer = eval_on(receiver, rank, 0)) {
+        if (const auto peer = eval_on("receiver", receiver, rank, 0)) {
           sends.emplace_back(rank, *peer);
         }
       }
       if (*recvs_here != 0) {
-        if (const auto peer = eval_on(sender, rank, 0)) {
+        if (const auto peer = eval_on("sender", sender, rank, 0)) {
           recvs.emplace_back(rank, *peer);
         }
       }
@@ -294,8 +235,8 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
           reported_range = true;
           ctx.report.add(
               "CID-M010", Severity::Error, node.line,
-              clause_column(node, *receiver.clause),
-              "receiver(" + receiver.clause->args[0] + ") evaluates to " +
+              clause_column(node, *merged.find("receiver")),
+              "receiver(" + receiver.text + ") evaluates to " +
                   std::to_string(dest) + " on sending rank " +
                   std::to_string(rank) + " at nprocs=" +
                   std::to_string(nprocs) + ", outside 0.." +
@@ -318,8 +259,8 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
                 " has no matching receive: rank " + std::to_string(dest) +
                 (receivewhen.present
                      ? " does not satisfy receivewhen(" +
-                           receivewhen.clause->args[0] + ")"
-                     : " expects sender(" + sender.clause->args[0] +
+                           receivewhen.text + ")"
+                     : " expects sender(" + sender.text +
                            ") which does not name rank " +
                            std::to_string(rank)) +
                 sweep_note,
@@ -334,8 +275,8 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
           reported_range = true;
           ctx.report.add(
               "CID-M010", Severity::Error, node.line,
-              clause_column(node, *sender.clause),
-              "sender(" + sender.clause->args[0] + ") evaluates to " +
+              clause_column(node, *merged.find("sender")),
+              "sender(" + sender.text + ") evaluates to " +
                   std::to_string(src) + " on receiving rank " +
                   std::to_string(rank) + " at nprocs=" +
                   std::to_string(nprocs) + ", outside 0.." +
@@ -359,8 +300,8 @@ void check_match_and_counts(AnalysisContext& ctx, const DirectiveNode& node,
                 " never completes: rank " + std::to_string(src) +
                 (sendwhen.present
                      ? " does not satisfy sendwhen(" +
-                           sendwhen.clause->args[0] + ")"
-                     : " sends to receiver(" + receiver.clause->args[0] +
+                           sendwhen.text + ")"
+                     : " sends to receiver(" + receiver.text +
                            ") which does not name rank " +
                            std::to_string(rank)) +
                 sweep_note,

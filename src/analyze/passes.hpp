@@ -53,9 +53,10 @@ void check_match_and_counts(AnalysisContext& ctx,
                             const translate::DirectiveNode& node,
                             const core::ParsedDirective& merged);
 
-/// Required clauses after inheritance (CID-P005) and sbuf/rbuf list-length
-/// agreement (CID-P006). Returns false when the directive is too malformed
-/// for the other passes.
+/// translate::required_clause_problems reported as diagnostics: required
+/// clauses after inheritance (CID-P005) and sbuf/rbuf list-length agreement
+/// (CID-P006). Returns false when the directive is too malformed for the
+/// other passes.
 bool check_required_clauses(AnalysisContext& ctx,
                             const translate::DirectiveNode& node,
                             const core::ParsedDirective& merged);

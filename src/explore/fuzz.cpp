@@ -89,6 +89,9 @@ std::string generate_program(std::uint64_t seed) {
       "// cidt fuzz seed " + std::to_string(seed) + "\n"
       "int a[8]; int b[8]; int c[8]; int d[8];\n"
       "int k;\n"
+      "/* pragma text in a comment is not a directive:\n"
+      "#pragma comm_p2p sbuf(a) rbuf(b) sender(0) receiver(1)\n"
+      "*/\n"
       "void work0(); void work1(); void work2(); void work3();\n"
       "void work4(); void work5();\n"
       "void step() {\n";
@@ -176,6 +179,18 @@ FuzzOutcome fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
                  translated.status().message() +
                  ") but analyze reported no errors";
     return out;
+  }
+  // rule D — the front ends disagree on which directives the file holds.
+  if (translated.is_ok() && out.analyze_errors == 0) {
+    const translate::Summary& summary = translated.value().summary;
+    const int lowered = summary.p2p_directives + summary.parameter_regions;
+    if (lowered != report.directives_checked) {
+      out.divergence = true;
+      out.detail = "rule D: translate lowered " + std::to_string(lowered) +
+                   " directive(s) but analyze checked " +
+                   std::to_string(report.directives_checked);
+      return out;
+    }
   }
   // rule A — static sweep fully clean, exploration finds a hard defect.
   if (report.clean() && report.symbolic_skips == 0 &&

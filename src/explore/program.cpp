@@ -12,25 +12,6 @@ using core::DirectiveKind;
 using core::ParsedDirective;
 using translate::DirectiveNode;
 
-ClauseExpr prepare_clause(const ParsedDirective& merged, const char* name,
-                          bool* unparsable) {
-  ClauseExpr out;
-  const core::RawClause* clause = merged.find(name);
-  if (clause == nullptr) return out;
-  out.present = true;
-  out.text = clause->args[0];
-  auto parsed = core::Expr::parse(out.text);
-  if (!parsed.is_ok()) {
-    *unparsable = true;
-    return out;
-  }
-  out.expr = std::move(parsed).take();
-  for (const std::string& variable : out.expr.free_variables()) {
-    if (variable != "rank" && variable != "nprocs") out.symbolic = true;
-  }
-  return out;
-}
-
 struct Builder {
   Program program;
   SyncScope open;
@@ -45,6 +26,25 @@ struct Builder {
     program.notes.push_back("line " + std::to_string(node.line) + ": " + text);
   }
 
+  /// A transfer the translator rejects and the analyzer reports as
+  /// CID-P005/P006 is not modeled.
+  bool incomplete(const DirectiveNode& node, const ParsedDirective& merged) {
+    const auto problems = translate::required_clause_problems(merged);
+    if (problems.empty()) return false;
+    note(node, problems.front().message + "; skipped (" +
+                   (problems.front().missing ? "CID-P005" : "CID-P006") +
+                   " territory)");
+    return true;
+  }
+
+  /// Directives nested in a transfer's body are not modeled.
+  void note_nested(const std::vector<DirectiveNode>& nodes) {
+    for (const DirectiveNode& node : nodes) {
+      note(node, "directive nested in a transfer's body not modeled");
+      note_nested(node.children);
+    }
+  }
+
   int new_site(int line) {
     program.site_lines.push_back(line);
     return static_cast<int>(program.site_lines.size()) - 1;
@@ -54,31 +54,22 @@ struct Builder {
     Op op;
     op.site = new_site(node.line);
     op.line = node.line;
-    bool unparsable = false;
-    op.sender = prepare_clause(merged, "sender", &unparsable);
-    op.receiver = prepare_clause(merged, "receiver", &unparsable);
-    op.sendwhen = prepare_clause(merged, "sendwhen", &unparsable);
-    op.receivewhen = prepare_clause(merged, "receivewhen", &unparsable);
-    if (unparsable) {
+    if (incomplete(node, merged)) return;
+    op.sender = translate::clause_expr(merged, "sender");
+    op.receiver = translate::clause_expr(merged, "receiver");
+    op.sendwhen = translate::clause_expr(merged, "sendwhen");
+    op.receivewhen = translate::clause_expr(merged, "receivewhen");
+    if (op.sender.unparsable() || op.receiver.unparsable() ||
+        op.sendwhen.unparsable() || op.receivewhen.unparsable()) {
       note(node, "comm_p2p skipped: clause expression does not parse "
                  "(CID-P003 territory)");
       return;
     }
-    if (!op.sender.present || !op.receiver.present) {
-      note(node, "comm_p2p skipped: missing sender/receiver after "
-                 "inheritance (CID-P005 territory)");
-      return;
-    }
-    if (const auto* sbuf = merged.find("sbuf");
-        sbuf != nullptr && !sbuf->args.empty()) {
-      op.sbuf = sbuf->args[0];
-      if (sbuf->args.size() > 1) {
-        note(node, "only the first sbuf/rbuf pair is modeled");
-      }
-    }
-    if (const auto* rbuf = merged.find("rbuf");
-        rbuf != nullptr && !rbuf->args.empty()) {
-      op.rbuf = rbuf->args[0];
+    const core::RawClause* sbuf = merged.find("sbuf");
+    op.sbuf = sbuf->args[0];
+    op.rbuf = merged.find("rbuf")->args[0];
+    if (sbuf->args.size() > 1) {
+      note(node, "only the first sbuf/rbuf pair is modeled");
     }
     if (op.sender.symbolic || op.receiver.symbolic || op.sendwhen.symbolic ||
         op.receivewhen.symbolic) {
@@ -93,6 +84,7 @@ struct Builder {
     op.collective = true;
     op.site = new_site(node.line);
     op.line = node.line;
+    if (incomplete(node, merged)) return;
     const core::RawClause* pattern = merged.find("pattern");
     if (pattern == nullptr || pattern->args.empty()) {
       note(node, "comm_collective skipped: missing pattern clause");
@@ -115,9 +107,8 @@ struct Builder {
         op.kind = CollectiveKind::AllToAll;
         break;
     }
-    bool unparsable = false;
-    op.root = prepare_clause(merged, "root", &unparsable);
-    if (unparsable) {
+    op.root = translate::clause_expr(merged, "root");
+    if (op.root.unparsable()) {
       note(node, "comm_collective skipped: root expression does not parse");
       return;
     }
@@ -162,11 +153,13 @@ struct Builder {
         }
         case DirectiveKind::CommP2P:
           add_p2p(node, merged);
+          note_nested(node.children);
           if (open.line == 0) open.line = node.line;
           if (inherited == nullptr) flush();  // standalone: own sync scope
           break;
         case DirectiveKind::CommCollective:
           add_collective(node, merged);
+          note_nested(node.children);
           if (open.line == 0) open.line = node.line;
           if (inherited == nullptr) flush();
           break;
@@ -178,13 +171,8 @@ struct Builder {
 }  // namespace
 
 Result<Program> build_program(std::string_view source) {
-  translate::DirectiveTree tree = translate::scan_directives(source);
-  if (!tree.issues.empty()) {
-    const translate::ScanIssue& first = tree.issues.front();
-    return Status(ErrorCode::ParseError,
-                  "line " + std::to_string(first.line) + ": " +
-                      first.status.message());
-  }
+  const translate::DirectiveTree tree = translate::scan_directives(source);
+  if (Status status = tree.first_issue(); !status.is_ok()) return status;
   Builder builder;
   builder.walk(tree.roots, nullptr);
   builder.flush();

@@ -15,19 +15,14 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "core/expr.hpp"
+#include "translate/scan.hpp"
 
 namespace cid::explore {
 
-/// One clause expression as the interpreter sees it. `symbolic` marks
-/// expressions with free variables beyond rank/nprocs: the explorer branches
-/// over their outcomes instead of evaluating them.
-struct ClauseExpr {
-  bool present = false;
-  bool symbolic = false;
-  core::Expr expr;   ///< valid iff present and the text parsed
-  std::string text;  ///< verbatim clause argument (for reports)
-};
+/// One clause expression, read as the analyzer reads it
+/// (translate::clause_expr). The explorer branches over the outcomes of
+/// `symbolic` expressions instead of evaluating them.
+using translate::ClauseExpr;
 
 enum class CollectiveKind { Bcast, Gather, AllToAll };
 

@@ -50,25 +50,8 @@ std::size_t step(std::string_view text, std::size_t i, LexState& state) {
   return 0;
 }
 
-}  // namespace
-
-std::size_t find_block_end(std::string_view text, std::size_t open) {
-  int depth = 0;
-  LexState state = LexState::Code;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (state == LexState::Code) {
-      const char c = text[i];
-      if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) return i;
-      }
-    }
-    i += step(text, i, state);
-  }
-  return std::string_view::npos;
-}
-
+/// Position just past the ';' terminating the statement starting at `start`
+/// (same literal/comment skipping as find_block_end). npos when not found.
 std::size_t find_statement_end(std::string_view text, std::size_t start) {
   LexState state = LexState::Code;
   int parens = 0;
@@ -88,22 +71,16 @@ std::size_t find_statement_end(std::string_view text, std::size_t start) {
   return std::string_view::npos;
 }
 
-int line_of(std::string_view text, std::size_t pos) {
-  int line = 1;
-  for (std::size_t i = 0; i < pos && i < text.size(); ++i) {
-    if (text[i] == '\n') ++line;
-  }
-  return line;
-}
-
+/// 1-based column number of `pos`.
 int column_of(std::string_view text, std::size_t pos) {
   int column = 1;
   for (std::size_t i = pos; i > 0 && text[i - 1] != '\n'; --i) ++column;
   return column;
 }
 
+/// Is there a comm directive pragma starting at the beginning of the line
+/// containing position `i`? (`i` must point at the '#'.)
 bool is_pragma_start(std::string_view text, std::size_t i) {
-  // i must point at '#' that begins (after whitespace) a line.
   std::size_t j = i;
   while (j > 0 && (text[j - 1] == ' ' || text[j - 1] == '\t')) --j;
   if (j != 0 && text[j - 1] != '\n') return false;
@@ -113,6 +90,33 @@ bool is_pragma_start(std::string_view text, std::size_t i) {
   return cid::starts_with(rest, "pragma comm_parameters") ||
          cid::starts_with(rest, "pragma comm_p2p") ||
          cid::starts_with(rest, "pragma comm_collective");
+}
+
+}  // namespace
+
+std::size_t find_block_end(std::string_view text, std::size_t open) {
+  int depth = 0;
+  LexState state = LexState::Code;
+  for (std::size_t i = open; i < text.size(); ++i) {
+    if (state == LexState::Code) {
+      const char c = text[i];
+      if (c == '{') {
+        ++depth;
+      } else if (c == '}') {
+        if (--depth == 0) return i;
+      }
+    }
+    i += step(text, i, state);
+  }
+  return std::string_view::npos;
+}
+
+int line_of(std::string_view text, std::size_t pos) {
+  int line = 1;
+  for (std::size_t i = 0; i < pos && i < text.size(); ++i) {
+    if (text[i] == '\n') ++line;
+  }
+  return line;
 }
 
 std::vector<unsigned char> code_mask(std::string_view text) {
@@ -160,6 +164,78 @@ core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
   }
   for (const auto& clause : inner.clauses) merged.clauses.push_back(clause);
   return merged;
+}
+
+std::vector<ClauseProblem> required_clause_problems(
+    const core::ParsedDirective& merged) {
+  const bool p2p = merged.kind == core::DirectiveKind::CommP2P;
+  if (!p2p && merged.kind != core::DirectiveKind::CommCollective) return {};
+  std::vector<const char*> required = {"sbuf", "rbuf"};
+  if (p2p) {
+    required.insert(required.end(), {"sender", "receiver"});
+  } else {
+    required.push_back("count");
+  }
+  std::vector<ClauseProblem> problems;
+  std::string missing;
+  for (const char* name : required) {
+    if (merged.find(name) == nullptr) {
+      if (!missing.empty()) missing += ", ";
+      missing += name;
+    }
+  }
+  if (!missing.empty()) {
+    problems.push_back(
+        {true, p2p ? "comm_p2p is missing required clause(s) after "
+                     "inheritance: " + missing
+                   : "comm_collective is missing required clause(s): " +
+                         missing});
+  }
+  const core::RawClause* sbuf = merged.find("sbuf");
+  const core::RawClause* rbuf = merged.find("rbuf");
+  if (sbuf == nullptr || rbuf == nullptr) return problems;
+  if (p2p && sbuf->args.size() != rbuf->args.size()) {
+    problems.push_back(
+        {false, "sbuf lists " + std::to_string(sbuf->args.size()) +
+                    " buffer(s) but rbuf lists " +
+                    std::to_string(rbuf->args.size()) +
+                    "; paired send/receive buffers must agree in number"});
+  } else if (!p2p && (sbuf->args.size() != 1 || rbuf->args.size() != 1)) {
+    problems.push_back(
+        {false, "comm_collective takes exactly one sbuf and one rbuf"});
+  }
+  return problems;
+}
+
+ClauseExpr clause_expr(std::string text) {
+  ClauseExpr out;
+  if (text.empty()) return out;
+  out.present = true;
+  auto parsed = core::Expr::parse(text);
+  out.text = std::move(text);
+  if (!parsed.is_ok()) {
+    out.symbolic = true;
+    out.error = parsed.status().message();
+    return out;
+  }
+  out.expr = std::move(parsed).take();
+  for (const std::string& variable : out.expr.free_variables()) {
+    if (variable != "rank" && variable != "nprocs") out.symbolic = true;
+  }
+  return out;
+}
+
+ClauseExpr clause_expr(const core::ParsedDirective& merged,
+                       std::string_view name) {
+  const core::RawClause* clause = merged.find(name);
+  return clause_expr(clause == nullptr ? std::string() : clause->args[0]);
+}
+
+Status DirectiveTree::first_issue() const {
+  if (issues.empty()) return Status::ok();
+  const ScanIssue& first = issues.front();
+  return Status(first.status.code(), "line " + std::to_string(first.line) +
+                                         ": " + first.status.message());
 }
 
 namespace {
@@ -254,7 +330,7 @@ class Scanner {
     node.column = column_of(source_, i);
     node.pragma_begin = i;
 
-    // Locate the attached statement or block (same rules as the translator).
+    // Locate the attached statement or block.
     std::size_t body_begin = cursor;
     while (body_begin < end &&
            std::isspace(static_cast<unsigned char>(source_[body_begin]))) {

@@ -1,16 +1,20 @@
-// Lexical analysis of directive-annotated source, shared by the
-// source-to-source translator and the static analyzer (cid::analyze).
+// The directive front end: the one module that decides what a directive is
+// and where its body ends. The translator, the static analyzer
+// (cid::analyze) and the explorer (cid::explore) all read its answer.
 //
-// Two layers:
-//  - character-level helpers (block/statement extents, pragma detection,
-//    line/column mapping, a code mask that blanks comments and string
-//    literals) used by the translator's rewriting loop;
-//  - scan_directives(), which builds the lexical region tree the analyzer
-//    consumes: every #pragma comm_* in the source, parsed, with source
-//    locations, attached-body extents and nesting. Malformed pragmas and
-//    structural problems (missing body, unbalanced braces, unterminated
-//    continuations) are reported as ScanIssues instead of aborting the scan,
-//    so one bad directive does not hide the rest of the file.
+//  - scan_directives() builds the lexical directive tree: every
+//    #pragma comm_* in live code (not in comments or string literals),
+//    parsed, with source locations, attached-body extents and nesting.
+//    Malformed pragmas and structural problems (missing body, unbalanced
+//    braces, unterminated continuations) are reported as ScanIssues instead
+//    of aborting the scan, so one bad directive does not hide the rest of
+//    the file.
+//  - the clause rules the static layers share: textual inheritance
+//    (merge_directives), the clauses a merged transfer must carry
+//    (required_clause_problems) and rank-symbolic clause expressions
+//    (clause_expr);
+//  - character-level helpers the analyzer's declaration scan also uses
+//    (block extents, line numbers, the code mask).
 #pragma once
 
 #include <cstddef>
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/expr.hpp"
 #include "core/pragma.hpp"
 
 namespace cid::translate {
@@ -29,24 +34,15 @@ namespace cid::translate {
 /// character literals and // and /* */ comments. npos when unbalanced.
 std::size_t find_block_end(std::string_view text, std::size_t open);
 
-/// Position just past the ';' terminating the statement starting at `start`
-/// (same literal/comment skipping). npos when not found.
-std::size_t find_statement_end(std::string_view text, std::size_t start);
-
 /// 1-based line number of `pos`.
 int line_of(std::string_view text, std::size_t pos);
-
-/// 1-based column number of `pos`.
-int column_of(std::string_view text, std::size_t pos);
-
-/// Is there a comm directive pragma starting at the beginning of the line
-/// containing position `i`? (`i` must point at the '#'.)
-bool is_pragma_start(std::string_view text, std::size_t i);
 
 /// Byte mask over `text`: 1 where the byte is live code, 0 inside comments,
 /// string literals (including raw strings) and character literals. Used to
 /// ignore pragma text quoted in strings and to scan identifier references.
 std::vector<unsigned char> code_mask(std::string_view text);
+
+// --- clause rules shared by the translator, analyzer and explorer ----------
 
 /// Textual clause inheritance: `inner`'s clauses layered over `outer`'s
 /// (clauses present on `inner` win, absent ones inherit) — the static
@@ -54,10 +50,50 @@ std::vector<unsigned char> code_mask(std::string_view text);
 core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
                                        const core::ParsedDirective& inner);
 
+/// One reason a comm_p2p / comm_collective cannot be lowered.
+struct ClauseProblem {
+  bool missing = false;  ///< a required clause is absent (else the sbuf/rbuf
+                         ///< lists disagree)
+  std::string message;
+};
+
+/// What a merged comm_p2p must carry (sbuf, rbuf, sender, receiver; sbuf and
+/// rbuf listing the same number of buffers) and what a merged
+/// comm_collective must carry (sbuf, rbuf, count; exactly one buffer each).
+/// `merged` has its inherited clauses resolved (merge_directives). Returns
+/// the missing-clause problem first, then the buffer-list one; empty when
+/// the directive is complete (always for comm_parameters). The translator
+/// rejects on the first problem, the analyzer reports them (CID-P005/P006),
+/// the explorer skips the directive.
+std::vector<ClauseProblem> required_clause_problems(
+    const core::ParsedDirective& merged);
+
+/// A clause expression as the static layers read it. `symbolic` when its
+/// value cannot be swept over rank/nprocs: it names any other variable, or
+/// it does not parse (then `expr` is invalid and `error` holds the parser's
+/// message).
+struct ClauseExpr {
+  bool present = false;
+  bool symbolic = false;
+  core::Expr expr;    ///< valid iff present and the text parsed
+  std::string text;   ///< verbatim clause argument
+  std::string error;  ///< parser message when the text does not parse
+
+  bool unparsable() const { return present && !expr.valid(); }
+};
+
+/// Parse a clause argument; empty `text` is an absent clause.
+ClauseExpr clause_expr(std::string text);
+
+/// The first argument of clause `name` on `merged` (absent when missing).
+ClauseExpr clause_expr(const core::ParsedDirective& merged,
+                       std::string_view name);
+
 // --- the directive tree -----------------------------------------------------
 
-/// One directive with its attached body, nested inside the tree of
-/// comm_parameters regions exactly as the translator sees it.
+/// One directive with its attached body. `children` are the directives in
+/// that body: a region's clause scope, or a comm_p2p/comm_collective's
+/// overlap body (whose directives belong to the same enclosing region).
 struct DirectiveNode {
   core::ParsedDirective directive;
   int line = 0;    ///< 1-based line of the pragma's '#'
@@ -83,6 +119,9 @@ struct ScanIssue {
 struct DirectiveTree {
   std::vector<DirectiveNode> roots;
   std::vector<ScanIssue> issues;
+
+  /// The first issue as a "line N: <message>" error; Ok when none.
+  Status first_issue() const;
 };
 
 /// Scan a whole source buffer into its directive tree. Pragma text inside

@@ -1,8 +1,6 @@
 #include "translate/translator.hpp"
 
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -21,8 +19,9 @@ using core::SyncPlacement;
 using core::Target;
 
 // ---------------------------------------------------------------------------
-// Clause utilities (lexical helpers and the textual clause merge live in
-// translate/scan.cpp, shared with the static analyzer)
+// Clause utilities (the directive tree, the textual clause merge and the
+// required-clause rule live in translate/scan.cpp, shared with the static
+// analyzer and the explorer)
 // ---------------------------------------------------------------------------
 
 std::string clause_arg(const ParsedDirective& directive,
@@ -47,7 +46,9 @@ class Translator {
       : source_(source), options_(options) {}
 
   Result<Translation> run() {
-    auto body = translate_range(0, source_.size(), nullptr);
+    const DirectiveTree tree = scan_directives(source_);
+    if (Status status = tree.first_issue(); !status.is_ok()) return status;
+    auto body = translate_range(0, source_.size(), tree.roots, nullptr);
     if (!body.is_ok()) return body.status();
     Translation out;
     out.source = std::move(body).take();
@@ -93,156 +94,32 @@ class Translator {
     }
   }
 
-  /// Translate source_[begin, end); `region` is the innermost enclosing
+  /// The error `status` of directive `node`, with the node's line.
+  static Status at(const DirectiveNode& node, const Status& status) {
+    return Status(status.code(), "line " + std::to_string(node.line) + ": " +
+                                     status.message());
+  }
+
+  /// Translate source_[begin, end), whose directives are `nodes`: the text
+  /// between them is copied verbatim. `region` is the innermost enclosing
   /// comm_parameters context (nullptr at top level).
   Result<std::string> translate_range(std::size_t begin, std::size_t end,
+                                      const std::vector<DirectiveNode>& nodes,
                                       RegionContext* region) {
     std::string out;
-    std::size_t i = begin;
-    while (i < end) {
-      if (source_[i] == '#' && is_pragma_start(source_, i)) {
-        auto handled = handle_directive(i, end, region, out);
-        if (!handled.is_ok()) return handled.status();
-        i = handled.value();
-        continue;
-      }
-      out += source_[i];
-      ++i;
+    for (const DirectiveNode& node : nodes) {
+      out += source_.substr(begin, node.pragma_begin - begin);
+      auto code = node.directive.kind == DirectiveKind::CommParameters
+                      ? emit_region(node, region)
+                  : node.directive.kind == DirectiveKind::CommCollective
+                      ? emit_collective(node, region)
+                      : emit_p2p(node, region);
+      if (!code.is_ok()) return code.status();
+      out += std::move(code).take();
+      begin = node.node_end;
     }
+    out += source_.substr(begin, end - begin);
     return out;
-  }
-
-  /// Parse and translate the directive whose '#' is at `i`; append generated
-  /// code to `out` and return the index just past the directive's block.
-  Result<std::size_t> handle_directive(std::size_t i, std::size_t end,
-                                       RegionContext* region,
-                                       std::string& out) {
-    // Collect the pragma line (with backslash continuations).
-    std::size_t cursor = i;
-    std::string pragma_text;
-    for (;;) {
-      std::size_t eol = source_.find('\n', cursor);
-      if (eol == std::string_view::npos || eol > end) eol = end;
-      std::string_view line = source_.substr(cursor, eol - cursor);
-      cursor = eol < end ? eol + 1 : end;
-      std::string_view trimmed = cid::trim(line);
-      if (!trimmed.empty() && trimmed.back() == '\\') {
-        pragma_text += trimmed.substr(0, trimmed.size() - 1);
-        pragma_text += ' ';
-      } else {
-        pragma_text += trimmed;
-        break;
-      }
-    }
-
-    auto parsed = core::parse_pragma(pragma_text);
-    if (!parsed.is_ok()) {
-      return Status(parsed.status().code(),
-                    "line " + std::to_string(line_of(source_, i)) + ": " +
-                        parsed.status().message());
-    }
-
-    // Locate the attached statement or block.
-    std::size_t body_begin = cursor;
-    while (body_begin < end &&
-           (source_[body_begin] == ' ' || source_[body_begin] == '\t' ||
-            source_[body_begin] == '\n' || source_[body_begin] == '\r')) {
-      ++body_begin;
-    }
-    if (body_begin >= end) {
-      return Status(ErrorCode::ParseError,
-                    "line " + std::to_string(line_of(source_, i)) +
-                        ": directive has no attached statement or block");
-    }
-
-    std::size_t body_content_begin;
-    std::size_t body_content_end;
-    std::size_t after_body;
-    if (source_[body_begin] == '{') {
-      const std::size_t close = find_block_end(source_, body_begin);
-      if (close == std::string_view::npos || close > end) {
-        return Status(ErrorCode::ParseError,
-                      "line " + std::to_string(line_of(source_, body_begin)) +
-                          ": unbalanced braces after directive");
-      }
-      body_content_begin = body_begin + 1;
-      body_content_end = close;
-      after_body = close + 1;
-    } else if (source_[body_begin] == '#' &&
-               is_pragma_start(source_, body_begin) &&
-               parsed.value().kind == DirectiveKind::CommParameters) {
-      // A comm_parameters followed directly by another directive: treat the
-      // inner directive (with its block) as the region body.
-      auto inner_end = directive_extent(body_begin, end);
-      if (!inner_end.is_ok()) return inner_end.status();
-      body_content_begin = body_begin;
-      body_content_end = inner_end.value();
-      after_body = inner_end.value();
-    } else {
-      const std::size_t semi = find_statement_end(source_, body_begin);
-      if (semi == std::string_view::npos || semi > end) {
-        return Status(ErrorCode::ParseError,
-                      "line " + std::to_string(line_of(source_, body_begin)) +
-                          ": directive statement is not terminated");
-      }
-      body_content_begin = body_begin;
-      body_content_end = semi;
-      after_body = semi;
-    }
-
-    if (parsed.value().kind == DirectiveKind::CommParameters) {
-      auto code = emit_region(parsed.value(), body_content_begin,
-                              body_content_end, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
-    } else if (parsed.value().kind == DirectiveKind::CommCollective) {
-      auto code = emit_collective(parsed.value(), body_content_begin,
-                                  body_content_end, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
-    } else {
-      auto code = emit_p2p(parsed.value(), body_content_begin,
-                           body_content_end, region);
-      if (!code.is_ok()) return code.status();
-      out += std::move(code).take();
-    }
-    return after_body;
-  }
-
-  /// End index (exclusive) of the directive starting at `i` including its
-  /// attached block — used when a region's body is a bare nested directive.
-  Result<std::size_t> directive_extent(std::size_t i, std::size_t end) {
-    std::size_t eol = i;
-    for (;;) {
-      eol = source_.find('\n', eol);
-      if (eol == std::string_view::npos || eol >= end) {
-        return Status(ErrorCode::ParseError,
-                      "directive at end of file without a block");
-      }
-      std::string_view line_start = source_.substr(i, eol - i);
-      if (!line_start.empty() && cid::trim(line_start).back() == '\\') {
-        ++eol;
-        continue;
-      }
-      break;
-    }
-    std::size_t body = eol + 1;
-    while (body < end && std::isspace(static_cast<unsigned char>(
-                             source_[body]))) {
-      ++body;
-    }
-    if (body < end && source_[body] == '{') {
-      const std::size_t close = find_block_end(source_, body);
-      if (close == std::string_view::npos) {
-        return Status(ErrorCode::ParseError, "unbalanced nested block");
-      }
-      return close + 1;
-    }
-    const std::size_t semi = find_statement_end(source_, body);
-    if (semi == std::string_view::npos) {
-      return Status(ErrorCode::ParseError, "unterminated nested statement");
-    }
-    return semi;
   }
 
   // --- code generation ----------------------------------------------------
@@ -322,10 +199,9 @@ class Translator {
     return out;
   }
 
-  Result<std::string> emit_region(const ParsedDirective& directive,
-                                  std::size_t body_begin,
-                                  std::size_t body_end,
+  Result<std::string> emit_region(const DirectiveNode& node,
                                   RegionContext* parent) {
+    const ParsedDirective& directive = node.directive;
     ++summary_.parameter_regions;
     const int id = next_id_++;
 
@@ -341,10 +217,11 @@ class Translator {
     region.region_var = "cid_region_" + std::to_string(id);
 
     auto placement = core::place_sync_of(directive);
-    if (!placement.is_ok()) return placement.status();
+    if (!placement.is_ok()) return at(node, placement.status());
     std::string landed_at_begin;
     sync_plan_.begin_region(EmitInto{landed_at_begin});
-    auto body = translate_range(body_begin, body_end, &region);
+    auto body = translate_range(node.body_begin, node.body_end,
+                                node.children, &region);
     if (!body.is_ok()) return body.status();
     std::string landed_at_end;
     sync_plan_.end_region(placement.value(), EmitInto{landed_at_end});
@@ -356,7 +233,7 @@ class Translator {
       // API instead of open-coded message passing; nested comm_p2p
       // directives become Region::p2p calls on the lambda's Region.
       auto builder = clauses_builder(region.clauses);
-      if (!builder.is_ok()) return builder.status();
+      if (!builder.is_ok()) return at(node, builder.status());
       std::string out;
       out += "{ " + annotate("comm_parameters region " + std::to_string(id) +
                              " (reliable: runtime-lowered)") + "\n";
@@ -414,47 +291,40 @@ class Translator {
   /// cid::mpi collectives on a group communicator. Only the (default) MPI
   /// two-sided target is supported by generated code; retarget via the
   /// embedded API for SHMEM collectives.
-  Result<std::string> emit_collective(const ParsedDirective& directive,
-                                      std::size_t body_begin,
-                                      std::size_t body_end,
+  Result<std::string> emit_collective(const DirectiveNode& node,
                                       RegionContext* region) {
     ++summary_.p2p_directives;  // counted with the point-to-point directives
     const int id = next_id_++;
 
     if (region != nullptr && region->reliable) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_collective inside a reliability region is not "
-                    "supported (reliability covers point-to-point transfers)");
+      return at(node,
+                Status(ErrorCode::InvalidClause,
+                       "comm_collective inside a reliability region is not "
+                       "supported (reliability covers point-to-point "
+                       "transfers)"));
     }
 
     const ParsedDirective merged =
-        region != nullptr ? merge_directives(region->clauses, directive)
-                          : directive;
+        region != nullptr ? merge_directives(region->clauses, node.directive)
+                          : node.directive;
 
     const Target target = directive_target(merged);
     if (target != Target::Mpi2Side) {
-      return Status(ErrorCode::UnsupportedTarget,
-                    "translated comm_collective supports only "
-                    "TARGET_COMM_MPI_2SIDE; use the embedded API for other "
-                    "targets");
+      return at(node, Status(ErrorCode::UnsupportedTarget,
+                             "translated comm_collective supports only "
+                             "TARGET_COMM_MPI_2SIDE; use the embedded API for "
+                             "other targets"));
+    }
+    if (auto problems = required_clause_problems(merged); !problems.empty()) {
+      return at(node,
+                Status(ErrorCode::InvalidClause, problems.front().message));
     }
     const std::string pattern = clause_arg(merged, "pattern");
-    const auto sbufs = clause_args(merged, "sbuf");
-    const auto rbufs = clause_args(merged, "rbuf");
-    if (sbufs.size() != 1 || rbufs.size() != 1) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_collective takes exactly one sbuf and one rbuf");
-    }
+    const std::string sb = clause_arg(merged, "sbuf");
+    const std::string rb = clause_arg(merged, "rbuf");
     const std::string count = clause_arg(merged, "count");
-    if (count.empty()) {
-      return Status(ErrorCode::InvalidClause,
-                    "translated comm_collective requires an explicit count "
-                    "clause");
-    }
     const std::string root = clause_arg(merged, "root", "0");
     const std::string group = clause_arg(merged, "group");
-    const std::string& sb = sbufs[0];
-    const std::string& rb = rbufs[0];
 
     const std::string comm_var = "cid_gcomm_" + std::to_string(id);
     std::string out;
@@ -490,47 +360,38 @@ class Translator {
              "), ::cid::trt::datatype_of_expr(" + sb +
              "), ::cid::trt::data_ptr(" + rb + "));\n";
     } else {
-      return Status(ErrorCode::InvalidClause,
-                    "unknown pattern keyword '" + pattern + "'");
+      return at(node, Status(ErrorCode::InvalidClause,
+                             "unknown pattern keyword '" + pattern + "'"));
     }
     out += "}\n";
 
-    const std::string body(source_.substr(body_begin, body_end - body_begin));
-    if (!cid::trim(body).empty()) {
-      out += "{ " + annotate("post-collective statement") + "\n" + body +
-             "\n}\n";
+    // Directives in the body belong to the same enclosing region.
+    auto body = translate_range(node.body_begin, node.body_end,
+                                node.children, region);
+    if (!body.is_ok()) return body.status();
+    if (!cid::trim(body.value()).empty()) {
+      out += "{ " + annotate("post-collective statement") + "\n" +
+             body.value() + "\n}\n";
     }
     out += "}\n";
     return out;
   }
 
-  Result<std::string> emit_p2p(const ParsedDirective& directive,
-                               std::size_t body_begin, std::size_t body_end,
+  Result<std::string> emit_p2p(const DirectiveNode& node,
                                RegionContext* region) {
     ++summary_.p2p_directives;
     const int id = next_id_++;
 
     const ParsedDirective merged =
-        region != nullptr ? merge_directives(region->clauses, directive)
-                          : directive;
+        region != nullptr ? merge_directives(region->clauses, node.directive)
+                          : node.directive;
+    if (auto problems = required_clause_problems(merged); !problems.empty()) {
+      return at(node,
+                Status(ErrorCode::InvalidClause, problems.front().message));
+    }
 
-    // Static validation mirroring Clauses::validate_for_p2p.
     const auto sbufs = clause_args(merged, "sbuf");
     const auto rbufs = clause_args(merged, "rbuf");
-    if (sbufs.empty() || rbufs.empty()) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_p2p requires sbuf and rbuf clauses");
-    }
-    if (sbufs.size() != rbufs.size()) {
-      return Status(ErrorCode::InvalidClause,
-                    "sbuf and rbuf must list the same number of buffers");
-    }
-    if (merged.find("sender") == nullptr ||
-        merged.find("receiver") == nullptr) {
-      return Status(ErrorCode::InvalidClause,
-                    "comm_p2p requires sender and receiver clauses");
-    }
-
     const std::string sender = clause_arg(merged, "sender");
     const std::string receiver = clause_arg(merged, "receiver");
     const std::string sendwhen = clause_arg(merged, "sendwhen");
@@ -553,8 +414,13 @@ class Translator {
                               ? region->target
                               : directive_target(merged);
 
-    const std::string overlap(
-        source_.substr(body_begin, body_end - body_begin));
+    // Directives in the overlap body belong to the same enclosing region.
+    // They are translated before this directive's own code, so a nested
+    // one-sided directive fences its windows before this one opens any.
+    auto body = translate_range(node.body_begin, node.body_end,
+                                node.children, region);
+    if (!body.is_ok()) return body.status();
+    const std::string overlap = std::move(body).take();
     const bool has_overlap = !cid::trim(overlap).empty();
     const std::string tag = std::to_string(options_.tag);
 
@@ -563,8 +429,8 @@ class Translator {
       // retransmission protocol); emit a Region::p2p call with the site's
       // own clauses — inheritance happens in the runtime, like the paper's
       // region-scoped assertions.
-      auto builder = clauses_builder(directive);
-      if (!builder.is_ok()) return builder.status();
+      auto builder = clauses_builder(node.directive);
+      if (!builder.is_ok()) return at(node, builder.status());
       std::string out = annotate("comm_p2p " + std::to_string(id) +
                                  " (reliable region)") + "\n";
       out += region->region_var + ".p2p(" + std::move(builder).take();

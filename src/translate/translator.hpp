@@ -7,6 +7,13 @@
 // array-extent expressions, automatic datatype handling, and consolidated
 // synchronization per place_sync.
 //
+// The translator finds no directives of its own: it walks the tree that
+// scan_directives() (translate/scan.hpp) builds, the same tree the analyzer
+// and the explorer read, copying the text between directives verbatim.
+// Pragma text in comments or string literals is therefore not a directive,
+// and directives nested in an overlap body are translated with the
+// enclosing region.
+//
 // Scope, matching the paper's structured-region design: a directive must be
 // followed by a statement or a brace-delimited block (the overlap region for
 // comm_p2p, the clause scope for comm_parameters). Pragma lines may be
@@ -48,8 +55,9 @@ struct Translation {
   Summary summary;
 };
 
-/// Translate a whole source buffer. Fails (with a line-annotated message) on
-/// malformed pragmas or directives without an attached statement/block.
+/// Translate a whole source buffer. Fails with a "line N: " message on the
+/// first scan issue (malformed pragma, missing body, unbalanced braces,
+/// unterminated continuation) or on a directive that cannot be lowered.
 Result<Translation> translate_source(std::string_view source,
                                      const Options& options = {});
 

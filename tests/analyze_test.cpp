@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 #include "analyze/source_model.hpp"
 #include "obs/trace_read.hpp"
 #include "translate/scan.hpp"
+#include "translate/translator.hpp"
 
 namespace {
 
@@ -859,6 +861,34 @@ TEST(AnalyzeShipped, ExamplesAndWllsmsAreDiagnosticFree) {
     EXPECT_TRUE(report.clean())
         << relative << " has diagnostics:\n"
         << render(report);
+  }
+}
+
+TEST(AnalyzeShipped, TranslatorLowersEveryDirectiveTheAnalyzerChecks) {
+  // One front end: the translator and the analyzer read the same directive
+  // tree, so they agree on how many directives each shipped source holds.
+  const std::filesystem::path root(CID_SOURCE_DIR);
+  std::vector<std::filesystem::path> paths = {
+      root / "src/wllsms/comm_directive.cpp"};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root / "examples")) {
+    if (entry.path().extension() == ".cpp") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GT(paths.size(), 10u);
+  for (const std::filesystem::path& path : paths) {
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "cannot read " << path;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string source = buffer.str();
+    auto translated = cid::translate::translate_source(source);
+    ASSERT_TRUE(translated.is_ok())
+        << path << ": " << translated.status().to_string();
+    const auto& summary = translated.value().summary;
+    EXPECT_EQ(summary.p2p_directives + summary.parameter_regions,
+              analyze(source).directives_checked)
+        << path;
   }
 }
 

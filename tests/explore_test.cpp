@@ -17,6 +17,7 @@
 #include "analyze/analyze.hpp"
 #include "explore/explore.hpp"
 #include "explore/fuzz.hpp"
+#include "explore/program.hpp"
 
 namespace {
 
@@ -249,6 +250,45 @@ TEST(Explore, ScheduleFormatsAndParsesRoundTrip) {
   EXPECT_TRUE(empty.value().empty());
 
   EXPECT_FALSE(cid::explore::parse_schedule("1,x,2").is_ok());
+}
+
+// --- the directive program model -------------------------------------------
+
+TEST(ExploreProgram, NestedTransferDirectivesAreNoted) {
+  auto program = cid::explore::build_program(R"(
+int a[8]; int b[8]; int c[8]; int d[8];
+void step() {
+#pragma comm_p2p sbuf(a) rbuf(b) count(4) receiver(0) sender(0)
+  {
+#pragma comm_p2p sbuf(c) rbuf(d) count(4) receiver(0) sender(0)
+    { }
+  }
+}
+)");
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+  const auto& notes = program.value().notes;
+  EXPECT_NE(std::find(notes.begin(), notes.end(),
+                      "line 6: directive nested in a transfer's body not "
+                      "modeled"),
+            notes.end());
+  ASSERT_EQ(program.value().scopes.size(), 1u);
+  EXPECT_EQ(program.value().scopes[0].ops.size(), 1u);
+}
+
+TEST(ExploreProgram, IncompleteTransferIsSkippedByTheSharedClauseRule) {
+  auto program = cid::explore::build_program(R"(
+int a[8]; int b[8];
+void step() {
+#pragma comm_p2p sbuf(a) count(4) receiver(0) sender(0)
+  { }
+}
+)");
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+  ASSERT_EQ(program.value().notes.size(), 1u);
+  EXPECT_EQ(program.value().notes[0],
+            "line 4: comm_p2p is missing required clause(s) after "
+            "inheritance: rbuf; skipped (CID-P005 territory)");
+  EXPECT_TRUE(program.value().scopes.empty());
 }
 
 // --- the cross-layer fuzzer -------------------------------------------------

@@ -319,6 +319,57 @@ TEST(TranslatorPipeline, NestedDeferralCompilesRuns) {
   EXPECT_NE(output.find("NESTED-OK"), std::string::npos) << output;
 }
 
+/// A comm_p2p nested in another's overlap body is a transfer of the
+/// enclosing region: it must be lowered, not left as a pragma the host
+/// compiler ignores.
+constexpr const char* kNestedOverlapProgram = R"prog(
+#include <cstdio>
+#include <cstdlib>
+#include <vector>
+#include "mpi/mpi.hpp"
+#include "rt/runtime.hpp"
+#include "shmem/shmem.hpp"
+#include "translate/runtime.hpp"
+
+int main() {
+  cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    double a[2] = {1.0, 2.0}, b[2] = {0.0, 0.0};
+    double c[2] = {3.0, 4.0}, d[2] = {0.0, 0.0};
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1)
+    {
+#pragma comm_p2p sbuf(a) rbuf(b)
+      {
+#pragma comm_p2p sbuf(c) rbuf(d)
+        { }
+      }
+    }
+    if (rank == 1 && (b[1] != 2.0 || d[1] != 4.0)) std::exit(1);
+  });
+  std::printf("OVERLAP-OK\n");
+  return 0;
+}
+)prog";
+
+TEST(TranslatorPipeline, NestedOverlapTransferCompilesRuns) {
+  const std::string dir = temp_dir();
+  auto translated = cid::translate::translate_source(kNestedOverlapProgram);
+  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
+
+  const std::string source_path = dir + "/overlap_translated.cpp";
+  write_file(source_path, translated.value().source);
+
+  std::string log;
+  ASSERT_EQ(compile(source_path, dir + "/overlap_translated", &log), 0)
+      << "compiler output:\n"
+      << log;
+
+  int status = 0;
+  const std::string output = run_capture(dir + "/overlap_translated", &status);
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find("OVERLAP-OK"), std::string::npos) << output;
+}
+
 TEST(TranslatorPipeline, CidtCliRoundTrip) {
   const std::string dir = temp_dir();
   write_file(dir + "/cli_input.cpp", kRingProgram);

@@ -336,6 +336,73 @@ int x;
   EXPECT_FALSE(unbalanced.is_ok());
 }
 
+TEST(Translate, PragmaInBlockCommentIsCopiedVerbatim) {
+  // No statement follows the commented-out pragma: a translator that took
+  // it for a directive would reject the file.
+  const std::string source =
+      "/* disabled:\n"
+      "#pragma comm_p2p sender(0) receiver(1) sbuf(a) rbuf(b)\n"
+      "*/\n";
+  auto result = translate_source(source);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().source, source);
+  EXPECT_EQ(result.value().summary.p2p_directives, 0);
+}
+
+TEST(Translate, PragmaInRawStringIsCopiedVerbatim) {
+  const std::string source =
+      "const char* listing = R\"(\n"
+      "#pragma comm_p2p sender(0) receiver(1) sbuf(a) rbuf(b)\n"
+      "{ }\n"
+      ")\";\n";
+  auto result = translate_source(source);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().source, source);
+  EXPECT_EQ(result.value().summary.p2p_directives, 0);
+}
+
+TEST(Translate, P2PNestedInOverlapBodyIsTranslated) {
+  auto result = translate_source(R"(
+#pragma comm_parameters sender(0) receiver(1) count(1)
+{
+#pragma comm_p2p sbuf(a) rbuf(b)
+{
+#pragma comm_p2p sbuf(c) rbuf(d)
+{ }
+}
+}
+)");
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const std::string& out = result.value().source;
+  EXPECT_EQ(result.value().summary.p2p_directives, 2);
+  EXPECT_FALSE(contains(out, "#pragma"));
+  EXPECT_TRUE(contains(out, "::cid::trt::data_ptr(d)"));
+  // The nested transfer joins the enclosing region's consolidated sync.
+  EXPECT_EQ(out.find("waitall"), out.rfind("waitall"));
+}
+
+TEST(Translate, UnterminatedContinuationRejectedWithScannerMessage) {
+  auto result = translate_source(
+      "#pragma comm_p2p sender(0) receiver(1) sbuf(a) rbuf(b) \\");
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().message(),
+            "line 1: unterminated '\\' continuation in pragma");
+}
+
+TEST(Translate, ClauseErrorsCarryTheDirectiveLine) {
+  auto result = translate_source(R"(
+#pragma comm_parameters count(1)
+{
+#pragma comm_p2p sbuf(a) rbuf(b)
+{ }
+}
+)");
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().message(),
+            "line 4: comm_p2p is missing required clause(s) after "
+            "inheritance: sender, receiver");
+}
+
 TEST(Translate, MissingRequiredClausesRejected) {
   auto result = translate_source(R"(
 #pragma comm_p2p sbuf(a) rbuf(b)

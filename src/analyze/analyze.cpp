@@ -285,15 +285,14 @@ void add_scan_issue(Report& report, const translate::ScanIssue& issue) {
 
 Report analyze_source(std::string_view source, const Options& options) {
   Report report;
-  const std::vector<unsigned char> mask = translate::code_mask(source);
-  const SourceModel model = SourceModel::scan(source);
   const DirectiveTree tree = translate::scan_directives(source);
+  const SourceModel model = SourceModel::scan(source, tree);
 
   for (const translate::ScanIssue& issue : tree.issues) {
     add_scan_issue(report, issue);
   }
 
-  AnalysisContext ctx{source, mask, model, options, report};
+  AnalysisContext ctx{source, tree.mask, tree.lines, model, options, report};
   Walker(ctx).run(tree.roots);
   report.sort();
   return report;

@@ -173,8 +173,7 @@ void check_gap_references(AnalysisContext& ctx, std::size_t begin,
     if (entry.base.empty()) continue;
     if (!references_identifier(ctx, begin, end, entry.base, {})) continue;
     ctx.report.add(
-        "CID-B023", Severity::Warning, translate::line_of(ctx.source, begin),
-        0,
+        "CID-B023", Severity::Warning, ctx.lines.line_of(begin), 0,
         "code between parameter regions touches '" + entry.base +
             "' while the receive posted at line " +
             std::to_string(entry.line) +

@@ -16,6 +16,7 @@ namespace cid::analyze::detail {
 struct AnalysisContext {
   std::string_view source;
   const std::vector<unsigned char>& mask;  ///< translate::code_mask(source)
+  const translate::LineIndex& lines;       ///< line starts of source
   const SourceModel& model;
   const Options& options;
   Report& report;

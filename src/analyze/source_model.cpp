@@ -20,8 +20,8 @@ bool ident_char(char c) {
 
 /// Source with comments and string/char literals blanked to spaces
 /// (newlines preserved so offsets and line numbers survive).
-std::string blank_non_code(std::string_view source) {
-  const std::vector<unsigned char> mask = translate::code_mask(source);
+std::string blank_non_code(std::string_view source,
+                           const std::vector<unsigned char>& mask) {
   std::string clean(source);
   for (std::size_t i = 0; i < clean.size(); ++i) {
     if (mask[i] == 0 && clean[i] != '\n') clean[i] = ' ';
@@ -163,9 +163,10 @@ std::optional<long long> SourceModel::extent_of(
   return it->second;
 }
 
-SourceModel SourceModel::scan(std::string_view source) {
+SourceModel SourceModel::scan(std::string_view source,
+                              const translate::DirectiveTree& tree) {
   SourceModel model;
-  const std::string clean = blank_non_code(source);
+  const std::string clean = blank_non_code(source, tree.mask);
   const std::string_view text = clean;
 
   // --- struct definitions --------------------------------------------------
@@ -196,7 +197,7 @@ SourceModel SourceModel::scan(std::string_view source) {
     if (close == std::string_view::npos) continue;
     StructDecl decl;
     decl.name = name;
-    decl.line = translate::line_of(text, keyword);
+    decl.line = tree.lines.line_of(keyword);
     parse_struct_fields(text.substr(brace + 1, close - brace - 1), decl);
     model.structs.emplace(std::move(name), std::move(decl));
     search = close;
@@ -224,7 +225,7 @@ SourceModel SourceModel::scan(std::string_view source) {
       StructDecl decl;
       decl.name = name;
       decl.reflected = true;
-      decl.line = translate::line_of(text, i);
+      decl.line = tree.lines.line_of(i);
       model.structs.emplace(name, std::move(decl));
     }
   }

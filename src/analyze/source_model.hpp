@@ -22,6 +22,10 @@
 #include <string_view>
 #include <vector>
 
+namespace cid::translate {
+struct DirectiveTree;
+}  // namespace cid::translate
+
 namespace cid::analyze {
 
 struct StructFieldDecl {
@@ -52,8 +56,10 @@ struct SourceModel {
   /// (bare identifier only; indexed or address-of expressions are unknown).
   std::optional<long long> extent_of(const std::string& buffer_text) const;
 
-  /// Scan a source buffer (comments and strings are ignored).
-  static SourceModel scan(std::string_view source);
+  /// Scan a source buffer (comments and strings are ignored), reading the
+  /// code mask and line starts of its directive tree.
+  static SourceModel scan(std::string_view source,
+                          const translate::DirectiveTree& tree);
 };
 
 /// Base identifier of a buffer clause argument: `&ev[3*p]` -> "ev",

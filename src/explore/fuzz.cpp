@@ -183,7 +183,9 @@ FuzzOutcome fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
   // rule D — the front ends disagree on which directives the file holds.
   if (translated.is_ok() && out.analyze_errors == 0) {
     const translate::Summary& summary = translated.value().summary;
-    const int lowered = summary.p2p_directives + summary.parameter_regions;
+    const int lowered = summary.p2p_directives +
+                        summary.collective_directives +
+                        summary.parameter_regions;
     if (lowered != report.directives_checked) {
       out.divergence = true;
       out.detail = "rule D: translate lowered " + std::to_string(lowered) +

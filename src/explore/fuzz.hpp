@@ -16,10 +16,11 @@
 //           the front ends disagree on the language.
 //   rule D  translate and analyze both accept the program, but the
 //           translator lowered a different number of directives
-//           (p2p_directives + parameter_regions) than the analyzer checked
-//           (directives_checked): the front ends disagree on which
-//           directives the file holds. Every generated program carries a
-//           pragma inside a block comment, which is not a directive.
+//           (p2p_directives + collective_directives + parameter_regions)
+//           than the analyzer checked (directives_checked): the front
+//           ends disagree on which directives the file holds. Every
+//           generated program carries a pragma inside a block comment,
+//           which is not a directive.
 //
 // Symbolic programs (analyze skips, explore branches) are exercised but
 // exempt from rule A — that division of labor is the design, not a bug.

@@ -1,13 +1,18 @@
 // Per-rank mailbox: a mutex+condvar guarded arrival store with structured,
 // indexed matching.
 //
-// Envelopes live in per-(channel, context) buckets, ordered by a global
-// arrival sequence number (`seq`), with a per-(src, tag) FIFO sub-index
-// inside each bucket. Matching is expressed as a MatchKey — exact values or
-// wildcards for src/tag plus a fault-tombstone filter — so:
+// Envelopes live in one slab of slots per mailbox, recycled through a free
+// list. Each slot is linked into two intrusive doubly linked lists: the
+// arrival-order list of its (channel, context) bucket and the FIFO
+// sub-queue of its (src, tag) inside that bucket. Both lists are ordered by
+// a global arrival sequence number (`seq`). Matching is expressed as a
+// MatchKey — exact values or wildcards for src/tag plus a fault-tombstone
+// filter — so:
 //
 //  - the common exact-match extract is a hash lookup + front-of-queue pop
 //    instead of a linear std::function scan of the whole queue;
+//  - extraction through any key unlinks the slot from both of its lists in
+//    O(1), so no index ever holds a stale entry;
 //  - wildcard matches scan one bucket in arrival order, never unrelated
 //    channels/contexts, and one pass over a bucket serves every non-exact
 //    key on it;
@@ -18,19 +23,20 @@
 //    newly arrived envelopes are examined — a rejected envelope is never
 //    rescanned within one wait, since keys are fixed for the call);
 //  - push() wakes a waiter only when the new envelope can match one of its
-//    registered keys; a push nobody could want costs no syscall.
+//    registered keys; a push nobody could want costs no syscall;
+//  - once the slab and the two open-addressed list indexes have grown to the
+//    mailbox's peak occupancy, push and extract allocate nothing: a list
+//    index entry is erased when its list empties, so keys that never recur
+//    (the reliability protocol's per-transfer tags) do not accumulate.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <list>
-#include <map>
-#include <memory_resource>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rt/envelope.hpp"
@@ -179,23 +185,61 @@ class Mailbox {
   }
 
  private:
-  /// Envelope nodes in arrival order (seq is globally monotonic). pmr: map
-  /// nodes are the per-message allocation hot spot at scale, so they come
-  /// from the mailbox's pool resource and recycle within it.
-  using SeqMap = std::pmr::map<std::uint64_t, Envelope>;
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
 
-  /// Arrival store of one (channel, context).
-  struct Bucket {
-    explicit Bucket(std::pmr::memory_resource* memory)
-        : by_seq(memory), exact(memory) {}
-    /// Envelopes in arrival order.
-    SeqMap by_seq;
-    /// (src, tag) -> seqs in arrival order. Entries whose envelope was
-    /// extracted through another key are stale and skipped lazily. A list,
-    /// not a deque: most sub-queues hold a single seq, and a deque allocates
-    /// a whole block for its first element.
-    std::pmr::unordered_map<std::uint64_t, std::pmr::list<std::uint64_t>>
-        exact;
+  /// Neighbours of a slot in one intrusive list (slot indices, kNil at the
+  /// ends).
+  struct Link {
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+  };
+  /// One queued envelope and its links. A free slot keeps a moved-from
+  /// envelope and threads the free list through `arrival.next`.
+  struct Slot {
+    Envelope envelope;
+    Link arrival;  ///< its bucket's arrival order
+    Link sub;      ///< its bucket's (src, tag) sub-queue
+  };
+  /// Ends of one intrusive list; head == kNil means empty.
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  /// Names one list: a bucket's arrival list ({bucket_id, 0}) or a (src, tag)
+  /// sub-queue ({bucket_id, exact_id}).
+  struct ListKey {
+    std::uint64_t bucket = 0;
+    std::uint64_t sub = 0;
+    bool operator==(const ListKey&) const = default;
+  };
+
+  /// ListKey -> List, open-addressed with linear probing and backward-shift
+  /// erase (no tombstones). An entry is vacant iff its list is empty, and
+  /// the owner erases an entry as soon as its list empties, so the table
+  /// holds only live keys and, once grown, never allocates.
+  class ListIndex {
+   public:
+    struct Entry {
+      ListKey key;
+      List list;
+    };
+    const Entry* find(const ListKey& key) const;
+    Entry* find(const ListKey& key) {
+      return const_cast<Entry*>(std::as_const(*this).find(key));
+    }
+    /// The list for `key`, inserted empty if absent. The caller links a
+    /// slot into it before the next insert.
+    List& insert(const ListKey& key);
+    void erase(Entry* entry);
+
+   private:
+    std::size_t home(const ListKey& key) const noexcept;
+    void grow();
+
+    std::vector<Entry> entries_;  // size is zero or a power of two
+    std::size_t used_ = 0;
   };
 
   /// A registered blocking waiter, used by push() for targeted wakeups.
@@ -213,28 +257,39 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
-  /// A queued envelope located by a search.
-  struct Found {
-    Bucket* bucket = nullptr;
-    SeqMap::iterator it;
-  };
-  /// First (lowest-seq) envelope with seq >= floor that the exact `key`
-  /// admits and the residual accepts, via the (src, tag) sub-index.
-  std::optional<Found> find_exact(Bucket& bucket, const MatchKey& key,
-                                  const Residual* residual,
-                                  std::uint64_t floor);
-  /// First (lowest-seq) envelope with seq >= floor admitted by any key and
-  /// accepted by the residual, or nullopt.
-  std::optional<Found> find_any(std::span<const MatchKey> keys,
-                                const Residual* residual,
-                                std::uint64_t floor);
+  static ListKey arrival_key(const Envelope& e) noexcept {
+    return {bucket_id(e.channel, e.context), 0};
+  }
+  static ListKey sub_key(const Envelope& e) noexcept {
+    return {bucket_id(e.channel, e.context), exact_id(e.src, e.tag)};
+  }
+
+  /// Slot of the first (lowest-seq) envelope with seq >= floor that the
+  /// exact `key` admits and the residual accepts, via the key's (src, tag)
+  /// sub-queue; kNil when there is none.
+  std::uint32_t find_exact(const MatchKey& key, const Residual* residual,
+                           std::uint64_t floor);
+  /// Slot of the first (lowest-seq) envelope with seq >= floor admitted by
+  /// any key and accepted by the residual; kNil when there is none.
+  std::uint32_t find_any(std::span<const MatchKey> keys,
+                         const Residual* residual, std::uint64_t floor);
 
   /// True when some registered waiter's keys admit `envelope`.
   bool wanted(const Envelope& envelope) const;
 
-  /// Remove the found envelope from its bucket (and sub-index front) and
-  /// return it.
-  Envelope extract(Found found);
+  /// Queue an envelope (seq already set) at the back of its two lists.
+  void enqueue(Envelope envelope);
+  /// Unlink the slot from both of its lists, free it and return its
+  /// envelope.
+  Envelope extract(std::uint32_t slot);
+
+  /// Append `slot` to `list`, or remove it, through the slot's `link`.
+  void link_back(List& list, std::uint32_t slot, Link Slot::*link) noexcept;
+  void unlink(List& list, std::uint32_t slot, Link Slot::*link) noexcept;
+
+  std::uint64_t seq_of(std::uint32_t slot) const noexcept {
+    return slots_[slot].envelope.seq;
+  }
 
   /// Split an aggregate envelope into per-message sub-envelopes (one lock
   /// acquisition, one wakeup). Faulted aggregates fan out into faulted,
@@ -247,19 +302,22 @@ class Mailbox {
   /// run `search(floor)`, advancing the floor watermark past everything
   /// already examined, and sleep between attempts. Returns the match.
   template <typename Search>
-  Found wait_match(std::unique_lock<std::mutex>& lock,
-                   std::span<const MatchKey> waiter_keys,
-                   const Search& search);
+  std::uint32_t wait_match(std::unique_lock<std::mutex>& lock,
+                           std::span<const MatchKey> waiter_keys,
+                           const Search& search);
 
   mutable std::mutex mutex_;
   /// Scheduler-aware: a fiber waiting here parks instead of blocking its
   /// worker thread (see rt/sched.hpp).
   sched::WaitCv arrived_;
-  /// Backing pool for bucket node storage. Unsynchronized is safe: every
-  /// container mutation happens under mutex_. Declared before buckets_ so
-  /// the containers are destroyed while the pool is still alive.
-  std::pmr::unsynchronized_pool_resource pool_;
-  std::unordered_map<std::uint64_t, Bucket> buckets_;
+  /// The arrival store: every queued envelope's slot, and the head of the
+  /// free-slot list. All of it is guarded by mutex_.
+  std::vector<Slot> slots_;
+  std::uint32_t free_ = kNil;
+  /// Arrival list of each non-empty (channel, context) bucket.
+  ListIndex buckets_;
+  /// Sub-queue of each non-empty (channel, context, src, tag).
+  ListIndex subqueues_;
   std::vector<const Waiter*> waiters_;
   /// find_any's list of buckets holding non-exact keys; a member so the
   /// per-extraction search does not allocate. Guarded by mutex_.

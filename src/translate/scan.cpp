@@ -1,6 +1,8 @@
 #include "translate/scan.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <utility>
 
 #include "common/strings.hpp"
 
@@ -111,12 +113,15 @@ std::size_t find_block_end(std::string_view text, std::size_t open) {
   return std::string_view::npos;
 }
 
-int line_of(std::string_view text, std::size_t pos) {
-  int line = 1;
-  for (std::size_t i = 0; i < pos && i < text.size(); ++i) {
-    if (text[i] == '\n') ++line;
+LineIndex::LineIndex(std::string_view text) : starts_{0} {
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\n') starts_.push_back(i + 1);
   }
-  return line;
+}
+
+int LineIndex::line_of(std::size_t pos) const {
+  return static_cast<int>(
+      std::upper_bound(starts_.begin(), starts_.end(), pos) - starts_.begin());
 }
 
 std::vector<unsigned char> code_mask(std::string_view text) {
@@ -242,19 +247,20 @@ namespace {
 
 class Scanner {
  public:
-  explicit Scanner(std::string_view source)
-      : source_(source), mask_(code_mask(source)) {}
+  explicit Scanner(std::string_view source) : source_(source) {
+    tree_.mask = code_mask(source);
+    tree_.lines = LineIndex(source);
+  }
 
-  DirectiveTree run() {
-    DirectiveTree tree;
-    scan_range(0, source_.size(), tree.roots, tree.issues);
-    return tree;
+  DirectiveTree run() && {
+    scan_range(0, source_.size(), tree_.roots, tree_.issues);
+    return std::move(tree_);
   }
 
  private:
   void add_issue(std::vector<ScanIssue>& issues, std::size_t pos,
                  Status status) {
-    issues.push_back({line_of(source_, pos), column_of(source_, pos),
+    issues.push_back({tree_.lines.line_of(pos), column_of(source_, pos),
                       std::move(status)});
   }
 
@@ -296,7 +302,7 @@ class Scanner {
                   std::vector<ScanIssue>& issues) {
     std::size_t i = begin;
     while (i < end) {
-      if (source_[i] == '#' && mask_[i] != 0 &&
+      if (source_[i] == '#' && tree_.mask[i] != 0 &&
           is_pragma_start(source_, i)) {
         i = scan_directive(i, end, nodes, issues);
         continue;
@@ -326,7 +332,7 @@ class Scanner {
     DirectiveNode node;
     node.directive = std::move(parsed).take();
     node.pragma_continued = continued;
-    node.line = line_of(source_, i);
+    node.line = tree_.lines.line_of(i);
     node.column = column_of(source_, i);
     node.pragma_begin = i;
 
@@ -356,7 +362,7 @@ class Scanner {
       node.body_begin = body_begin + 1;
       node.body_end = close;
       node.node_end = close + 1;
-    } else if (source_[body_begin] == '#' && mask_[body_begin] != 0 &&
+    } else if (source_[body_begin] == '#' && tree_.mask[body_begin] != 0 &&
                is_pragma_start(source_, body_begin) &&
                node.directive.kind == core::DirectiveKind::CommParameters) {
       // A comm_parameters followed directly by another directive: the inner
@@ -401,7 +407,7 @@ class Scanner {
   }
 
   std::string_view source_;
-  std::vector<unsigned char> mask_;
+  DirectiveTree tree_;  // mask and lines filled in first, read by the scan
 };
 
 }  // namespace

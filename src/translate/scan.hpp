@@ -34,8 +34,17 @@ namespace cid::translate {
 /// character literals and // and /* */ comments. npos when unbalanced.
 std::size_t find_block_end(std::string_view text, std::size_t open);
 
-/// 1-based line number of `pos`.
-int line_of(std::string_view text, std::size_t pos);
+/// Offsets at which the lines of a text start, so a line number is a binary
+/// search instead of a rescan from the start of the text.
+class LineIndex {
+ public:
+  explicit LineIndex(std::string_view text = {});
+  /// 1-based line number of `pos`.
+  int line_of(std::size_t pos) const;
+
+ private:
+  std::vector<std::size_t> starts_;
+};
 
 /// Byte mask over `text`: 1 where the byte is live code, 0 inside comments,
 /// string literals (including raw strings) and character literals. Used to
@@ -119,6 +128,10 @@ struct ScanIssue {
 struct DirectiveTree {
   std::vector<DirectiveNode> roots;
   std::vector<ScanIssue> issues;
+  /// code_mask(source) and the source's line starts, built once by the scan
+  /// for every later pass over the same source.
+  std::vector<unsigned char> mask;
+  LineIndex lines;
 
   /// The first issue as a "line N: <message>" error; Ok when none.
   Status first_issue() const;

@@ -293,7 +293,7 @@ class Translator {
   /// embedded API for SHMEM collectives.
   Result<std::string> emit_collective(const DirectiveNode& node,
                                       RegionContext* region) {
-    ++summary_.p2p_directives;  // counted with the point-to-point directives
+    ++summary_.collective_directives;
     const int id = next_id_++;
 
     if (region != nullptr && region->reliable) {

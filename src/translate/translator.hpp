@@ -43,6 +43,7 @@ struct Options {
 /// Statistics of one translation.
 struct Summary {
   int p2p_directives = 0;
+  int collective_directives = 0;
   int parameter_regions = 0;
   int consolidated_syncs = 0;
   /// Regions carrying a reliability clause, lowered through the embedded

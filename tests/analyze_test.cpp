@@ -745,8 +745,13 @@ TEST(AnalyzeJson, EscapesSpecialCharacters) {
 
 // --- the declaration model --------------------------------------------------
 
+cid::analyze::SourceModel model_of(std::string_view source) {
+  return cid::analyze::SourceModel::scan(
+      source, cid::translate::scan_directives(source));
+}
+
 TEST(SourceModel, RecoversConstantExtents) {
-  const auto model = cid::analyze::SourceModel::scan(
+  const auto model = model_of(
       "double buf[4];\nint other[16];\nchar* p;\ndouble dyn[n];\n");
   ASSERT_EQ(model.array_extents.count("buf"), 1u);
   EXPECT_EQ(model.array_extents.at("buf"), 4);
@@ -757,13 +762,13 @@ TEST(SourceModel, RecoversConstantExtents) {
 }
 
 TEST(SourceModel, ConflictingExtentsBecomeUnknown) {
-  const auto model = cid::analyze::SourceModel::scan(
+  const auto model = model_of(
       "void f() { double buf[4]; }\nvoid g() { double buf[8]; }\n");
   EXPECT_EQ(model.array_extents.count("buf"), 0u);
 }
 
 TEST(SourceModel, ParsesStructFields) {
-  const auto model = cid::analyze::SourceModel::scan(R"(
+  const auto model = model_of(R"(
 struct Particle {
   double x, y;
   double* history;
@@ -784,7 +789,7 @@ struct Particle {
 }
 
 TEST(SourceModel, ReflectRegistrationMarksStruct) {
-  const auto model = cid::analyze::SourceModel::scan(
+  const auto model = model_of(
       "struct S { int a; };\nCID_REFLECT_STRUCT(S, a);\n");
   EXPECT_TRUE(model.structs.at("S").reflected);
 }
@@ -798,6 +803,25 @@ TEST(SourceModel, BufferBaseIdentifier) {
 }
 
 // --- the directive scanner --------------------------------------------------
+
+TEST(ScanDirectives, LineIndexCountsNewlinesBeforeThePosition) {
+  const cid::translate::LineIndex lines("a\nbc\n\nd");
+  EXPECT_EQ(lines.line_of(0), 1);
+  EXPECT_EQ(lines.line_of(1), 1);  // the '\n' itself ends line 1
+  EXPECT_EQ(lines.line_of(2), 2);
+  EXPECT_EQ(lines.line_of(4), 2);
+  EXPECT_EQ(lines.line_of(5), 3);
+  EXPECT_EQ(lines.line_of(6), 4);
+  EXPECT_EQ(lines.line_of(100), 4);  // past the end: the last line
+}
+
+TEST(ScanDirectives, TreeCarriesMaskAndLines) {
+  const std::string source = "// #pragma comm_p2p\nint x; /* y */\n";
+  const auto tree = cid::translate::scan_directives(source);
+  EXPECT_EQ(tree.mask, cid::translate::code_mask(source));
+  EXPECT_EQ(tree.lines.line_of(source.find("int")), 2);
+  EXPECT_TRUE(tree.roots.empty());
+}
 
 TEST(ScanDirectives, BuildsNestedTree) {
   const auto tree = cid::translate::scan_directives(R"(
@@ -886,7 +910,8 @@ TEST(AnalyzeShipped, TranslatorLowersEveryDirectiveTheAnalyzerChecks) {
     ASSERT_TRUE(translated.is_ok())
         << path << ": " << translated.status().to_string();
     const auto& summary = translated.value().summary;
-    EXPECT_EQ(summary.p2p_directives + summary.parameter_regions,
+    EXPECT_EQ(summary.p2p_directives + summary.collective_directives +
+                  summary.parameter_regions,
               analyze(source).directives_checked)
         << path;
   }

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <map>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -16,6 +19,24 @@
 #include "rt/mailbox.hpp"
 #include "rt/payload.hpp"
 #include "rt/runtime.hpp"
+
+namespace {
+/// Global operator new calls in this process, so a test can check that a
+/// code path allocates nothing.
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// noinline: inlined into a caller, the free() below would look mismatched
+// with that caller's new-expression to GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -570,6 +591,151 @@ TEST(MatchKey, RandomQueuesExtractThePerKeyMinimumSeq) {
         if (rng.next_below(3) == 0) push_random();
       }
       EXPECT_EQ(mailbox.size(), queued.size());
+    }
+  }
+}
+
+TEST(Mailbox, SteadyStatePushAndExtractAllocateNothing) {
+  // Every envelope carries a tag never seen before, like the reliability
+  // protocol's per-transfer ids: once the store has grown to its peak
+  // occupancy, push and extract must reuse slots and index entries rather
+  // than allocate, so an emptied (src, tag) entry has to be reclaimed.
+  cid::rt::Mailbox mailbox;
+  const auto cycle = [&mailbox](int first_tag) {
+    for (int i = 0; i < 8; ++i) {
+      cid::rt::Envelope envelope;
+      envelope.src = i % 3;
+      envelope.tag = first_tag + i;
+      envelope.context = i % 2;
+      mailbox.push(std::move(envelope));
+    }
+    for (int i = 0; i < 8; i += 2) {
+      cid::rt::MatchKey exact;
+      exact.src = i % 3;
+      exact.tag = first_tag + i;
+      exact.context = i % 2;
+      auto got = mailbox.try_extract(exact);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->tag, first_tag + i);
+    }
+    // The odd-numbered envelopes are left, all in context 1.
+    cid::rt::MatchKey any;
+    any.context = 1;
+    for (int i = 1; i < 8; i += 2) {
+      auto got = mailbox.try_extract(any);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->tag, first_tag + i);
+    }
+  };
+  cycle(0);
+  const long before = g_allocations.load();
+  for (int round = 1; round <= 1000; ++round) cycle(8 * round);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(mailbox.size(), 0u);
+}
+
+cid::rt::RunOptions one_worker() {
+  cid::rt::RunOptions options;
+  options.scheduler = cid::rt::sched::Mode::kPool;
+  options.sim_workers = 1;
+  return options;
+}
+
+// Rank 0 queues a tag-1 envelope, meets rank 1 at a barrier, then pushes
+// `batches` of tags, yielding before each batch. Rank 1 blocks in
+// wait_extract on `key` (with `residual`) right after the barrier, so its
+// first search already moves the floor watermark past seq 0. It must get
+// the first tag-7 envelope, and everything else must stay queued in arrival
+// order. With `gated`, rank 1's mailbox has an explore gate that admits
+// everything, which keeps the floor at 0.
+void wait_for_tag7(const cid::rt::MatchKey& key,
+                   const cid::rt::Mailbox::Residual* residual, bool gated,
+                   const std::vector<std::vector<int>>& batches) {
+  std::vector<int> arrivals = {1};  // tags in seq order
+  for (const std::vector<int>& batch : batches) {
+    arrivals.insert(arrivals.end(), batch.begin(), batch.end());
+  }
+  const auto first7 = static_cast<std::size_t>(
+      std::find(arrivals.begin(), arrivals.end(), 7) - arrivals.begin());
+  ASSERT_LT(first7, arrivals.size());
+  cid::rt::run(
+      2, MachineModel::zero(),
+      [&](RankCtx& ctx) {
+        if (ctx.rank() == 0) {
+          const auto push = [&ctx](int tag) {
+            cid::rt::Envelope envelope;
+            envelope.src = 0;
+            envelope.tag = tag;
+            ctx.world().mailbox(1).push(std::move(envelope));
+          };
+          push(1);
+          ctx.barrier();
+          for (const std::vector<int>& batch : batches) {
+            cid::rt::sched::yield();
+            for (const int tag : batch) push(tag);
+          }
+          return;
+        }
+        if (gated) {
+          ctx.mailbox().set_explore_hooks(
+              [](const cid::rt::Envelope&) { return true; }, nullptr);
+        }
+        ctx.barrier();
+        const auto got = ctx.mailbox().wait_extract(key, residual);
+        EXPECT_EQ(got.tag, 7);
+        EXPECT_EQ(got.seq, first7);
+        // Everything else is still queued, in arrival order. Rank 0 may
+        // not have pushed its last batches yet.
+        for (std::size_t seq = 0; seq < arrivals.size(); ++seq) {
+          if (seq == first7) continue;
+          const auto rest =
+              ctx.mailbox().wait_extract(cid::rt::MatchKey{});
+          EXPECT_EQ(rest.seq, seq);
+          EXPECT_EQ(rest.tag, arrivals[seq]);
+        }
+        EXPECT_EQ(ctx.mailbox().size(), 0u);
+      },
+      one_worker());
+}
+
+TEST(Mailbox, BlockedWildcardWaitFindsTagAfterUnwantedArrivals) {
+  // The resumed search starts at the floor watermark, found by walking back
+  // from the bucket's tail over what arrived since.
+  cid::rt::MatchKey tag7;
+  tag7.tag = 7;
+  for (const bool gated : {false, true}) {
+    SCOPED_TRACE(gated ? "gated" : "ungated");
+    // One envelope per wakeup-free push, the wanted one last.
+    wait_for_tag7(tag7, nullptr, gated, {{2}, {3}, {4}, {5}, {7}});
+    // The wanted envelope is the first of a batch, so the walk back must
+    // stop exactly at the watermark, not one past it. The trailing tag 7
+    // keeps a search that missed the first one from waiting forever.
+    wait_for_tag7(tag7, nullptr, gated, {{7, 2, 3}, {7}});
+  }
+}
+
+TEST(Mailbox, WatermarkChecksEachCandidateOnceUnlessGated) {
+  // An (any, any) key is woken by every push; the residual picks tag 7.
+  // Without a gate each wakeup scans only the new arrivals, so the residual
+  // sees every candidate exactly once. A gate resets the floor to 0, so the
+  // first envelope is checked again on each wakeup.
+  for (const bool gated : {false, true}) {
+    SCOPED_TRACE(gated ? "gated" : "ungated");
+    std::map<int, int> checks;  // tag -> residual calls
+    const cid::rt::Mailbox::Residual tag7_only =
+        [&checks](const cid::rt::Envelope& e) {
+          ++checks[e.tag];
+          return e.tag == 7;
+        };
+    wait_for_tag7(cid::rt::MatchKey{}, &tag7_only, gated,
+                  {{2}, {3}, {4}, {5}, {7}});
+    ASSERT_EQ(checks.size(), 6u);
+    if (gated) {
+      EXPECT_GT(checks[1], 1);
+    } else {
+      for (const auto& [tag, calls] : checks) {
+        EXPECT_EQ(calls, 1) << "tag " << tag;
+      }
     }
   }
 }

@@ -295,6 +295,17 @@ TEST(Translate, SourceWithoutDirectivesIsUnchanged) {
   EXPECT_EQ(result.value().summary.p2p_directives, 0);
 }
 
+TEST(Translate, CollectiveIsCountedApartFromPointToPoint) {
+  auto result = translate_source(R"(
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) sbuf(a) rbuf(b) count(4)
+{ }
+)");
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result.value().summary.p2p_directives, 0);
+  EXPECT_EQ(result.value().summary.collective_directives, 1);
+  EXPECT_EQ(result.value().summary.parameter_regions, 0);
+}
+
 TEST(Translate, OtherPragmasLeftAlone) {
   const std::string source = "#pragma omp parallel for\nfor(;;) {}\n";
   auto result = translate_source(source);

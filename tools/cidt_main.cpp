@@ -798,9 +798,10 @@ int translate_main(int argc, char** argv) {
   if (check_only) {
     const auto& summary = result.value().summary;
     std::fprintf(stderr,
-                 "cidt: OK — %d comm_p2p directive(s), %d comm_parameters "
-                 "region(s), %d reliable\n",
-                 summary.p2p_directives, summary.parameter_regions,
+                 "cidt: OK — %d comm_p2p directive(s), %d comm_collective "
+                 "directive(s), %d comm_parameters region(s), %d reliable\n",
+                 summary.p2p_directives, summary.collective_directives,
+                 summary.parameter_regions,
                  summary.reliable_regions);
     return kExitClean;
   }
@@ -819,10 +820,11 @@ int translate_main(int argc, char** argv) {
   if (print_summary) {
     const auto& summary = result.value().summary;
     std::fprintf(stderr,
-                 "cidt: %d comm_p2p directive(s), %d comm_parameters "
-                 "region(s) (%d reliable), %d consolidated "
-                 "synchronization(s)\n",
-                 summary.p2p_directives, summary.parameter_regions,
+                 "cidt: %d comm_p2p directive(s), %d comm_collective "
+                 "directive(s), %d comm_parameters region(s) (%d reliable), "
+                 "%d consolidated synchronization(s)\n",
+                 summary.p2p_directives, summary.collective_directives,
+                 summary.parameter_regions,
                  summary.reliable_regions, summary.consolidated_syncs);
   }
   return kExitClean;

@@ -36,9 +36,84 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "cid::rt::sched switches fibers with an x86-64 register swap"
+#endif
+
 namespace cid::rt::sched {
 
+/// A fiber stack: one mapping, a PROT_NONE guard page below the usable
+/// stack, kept for the mapping's life. `sp` is where the next switch onto
+/// the stack resumes: the entry frame of a fresh stack, a parked fiber's
+/// switch-out, or stack_main's idle point once a fiber has finished.
+struct FiberStack {
+  std::byte* map_base = nullptr;
+  std::size_t map_bytes = 0;
+  std::byte* lo = nullptr;  ///< usable stack bottom (above the guard)
+  std::size_t bytes = 0;
+  void* sp = nullptr;
+  Fiber* fiber = nullptr;  ///< the fiber borrowing the stack
+
+  // ASan bookkeeping lives here, not on the Fiber: stack_main's frames
+  // outlive every fiber that runs on them.
+  void* asan_fake_stack = nullptr;  ///< saved while switched out
+  const void* caller_bottom = nullptr;  ///< hosting worker's stack
+  std::size_t caller_size = 0;
+};
+
 namespace {
+
+// Fiber switch. cid_sched_swap(save_sp, load_sp) pushes the callee-saved
+// registers and the SSE/x87 control words, stores the stack pointer to
+// *save_sp, loads load_sp and pops the same layout from there: a plain call
+// that returns when something switches back. cid_sched_start is the
+// return address of a fresh stack's entry frame (see map_stack); it calls
+// r12(rbx), i.e. Fiber::stack_main(stack), which never returns. Both are
+// local symbols, and neither touches the signal mask.
+asm(R"(
+  .text
+  .p2align 4
+  .type cid_sched_swap, @function
+cid_sched_swap:
+  .cfi_startproc
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .cfi_endproc
+  .size cid_sched_swap, .-cid_sched_swap
+
+  .p2align 4
+  .type cid_sched_start, @function
+cid_sched_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %rbx, %rdi
+  callq *%r12
+  ud2
+  .cfi_endproc
+  .size cid_sched_start, .-cid_sched_start
+)");
+
+extern "C" void cid_sched_swap(void** save_sp, void* load_sp);
+extern "C" void cid_sched_start();
 
 thread_local Fiber* t_current_fiber = nullptr;
 #if defined(CID_SCHED_TSAN)
@@ -56,42 +131,93 @@ std::size_t round_up_pages(std::size_t bytes) {
   return (bytes + page - 1) / page * page;
 }
 
+/// Map a stack with its guard page and lay out the entry frame that
+/// cid_sched_swap pops on the first switch onto it: it starts
+/// `main(stack)`.
+FiberStack* map_stack(std::size_t stack_bytes, void (*main)(FiberStack*)) {
+  const std::size_t page = page_size();
+  const std::size_t map_bytes = stack_bytes + page;
+  void* base = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) {
+    throw std::runtime_error("cid::rt::sched: fiber stack mmap failed");
+  }
+  if (::mprotect(base, page, PROT_NONE) != 0) {
+    ::munmap(base, map_bytes);
+    throw std::runtime_error("cid::rt::sched: fiber guard mprotect failed");
+  }
+  auto* stack = new FiberStack;
+  stack->map_base = static_cast<std::byte*>(base);
+  stack->map_bytes = map_bytes;
+  stack->lo = stack->map_base + page;
+  stack->bytes = stack_bytes;
+
+  // Entry frame, lowest slot first: control words (MXCSR and x87 at their
+  // power-on defaults), r15, r14, r13, r12 = main, rbx = stack, rbp = 0
+  // (ends frame-pointer walks), return address = cid_sched_start. Two spare
+  // slots above it leave the stack 16-byte aligned when cid_sched_start
+  // calls main, as the ABI requires. The mapping is zero-filled, so only
+  // the non-zero slots are written.
+  auto* frame = reinterpret_cast<std::uint64_t*>(stack->lo + stack_bytes) - 10;
+  frame[0] = 0x1F80u | (std::uint64_t{0x037F} << 32);
+  frame[4] = reinterpret_cast<std::uint64_t>(main);
+  frame[5] = reinterpret_cast<std::uint64_t>(stack);
+  frame[7] = reinterpret_cast<std::uint64_t>(&cid_sched_start);
+  stack->sp = frame;
+  return stack;
+}
+
 }  // namespace
+
+StackCache& StackCache::global() {
+  static StackCache* cache = new StackCache();
+  return *cache;
+}
+
+FiberStack* StackCache::acquire(std::size_t stack_bytes) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto bin = bins_.find(stack_bytes);
+    if (bin != bins_.end() && !bin->second.empty()) {
+      FiberStack* stack = bin->second.back();
+      bin->second.pop_back();
+      --cached_;
+      ++stats_.reused;
+      stats_.retained_bytes -= stack->map_bytes;
+      return stack;
+    }
+    ++stats_.mapped;
+  }
+  return map_stack(stack_bytes, &Fiber::stack_main);
+}
+
+void StackCache::release(FiberStack* stack) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (cached_ < kMaxCachedStacks) {
+      bins_[stack->bytes].push_back(stack);
+      ++cached_;
+      stats_.retained_bytes += stack->map_bytes;
+      return;
+    }
+  }
+  ::munmap(stack->map_base, stack->map_bytes);
+  delete stack;
+}
+
+StackCacheStats StackCache::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return stats_;
+}
 
 Fiber* Fiber::current() noexcept { return t_current_fiber; }
 
 Fiber::Fiber(Scheduler& scheduler, std::function<void()> entry,
              std::size_t stack_bytes)
-    : scheduler_(scheduler), entry_(std::move(entry)) {
-  const std::size_t page = page_size();
-  stack_bytes_ = round_up_pages(stack_bytes);
-  map_bytes_ = stack_bytes_ + page;  // one guard page below the stack
-  void* base = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (base == MAP_FAILED) {
-    throw std::runtime_error("cid::rt::sched: fiber stack mmap failed");
-  }
-  map_base_ = static_cast<std::byte*>(base);
-  if (::mprotect(map_base_, page, PROT_NONE) != 0) {
-    ::munmap(map_base_, map_bytes_);
-    throw std::runtime_error("cid::rt::sched: fiber guard mprotect failed");
-  }
-  stack_lo_ = map_base_ + page;
-
-  if (::getcontext(&context_) != 0) {
-    ::munmap(map_base_, map_bytes_);
-    throw std::runtime_error("cid::rt::sched: getcontext failed");
-  }
-  context_.uc_stack.ss_sp = stack_lo_;
-  context_.uc_stack.ss_size = stack_bytes_;
-  context_.uc_link = nullptr;  // final return goes through suspend()
-
-  // makecontext only passes ints; smuggle `this` through two halves.
-  const auto self = reinterpret_cast<std::uintptr_t>(this);
-  ::makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
-                2, static_cast<unsigned>(self >> 32),
-                static_cast<unsigned>(self & 0xffffffffu));
-
+    : scheduler_(scheduler),
+      entry_(std::move(entry)),
+      stack_(StackCache::global().acquire(round_up_pages(stack_bytes))) {
+  stack_->fiber = this;
 #if defined(CID_SCHED_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -101,53 +227,54 @@ Fiber::~Fiber() {
 #if defined(CID_SCHED_TSAN)
   if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
 #endif
-  if (map_base_ != nullptr) ::munmap(map_base_, map_bytes_);
+  // A fiber is destroyed before its first dispatch or after it finished;
+  // either way nothing of it is left on the stack.
+  assert(state_.load() == kRunnable || state_.load() == kDone);
+  StackCache::global().release(stack_);
 }
 
-void Fiber::trampoline(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) |
-      static_cast<std::uintptr_t>(lo));
-  self->entry_point();
-}
-
-void Fiber::entry_point() {
+void Fiber::stack_main(FiberStack* stack) noexcept {
+  // Each pass runs one fiber. The switch out at the end of a pass calls
+  // cid_sched_swap from this frame directly, so the next pass resumes
+  // here with no frame of the finished fiber between (TSan keeps a shadow
+  // call stack per fiber, and the next pass runs under another fiber).
+  for (;;) {
 #if defined(CID_SCHED_ASAN)
-  // Complete the switch the dispatching worker started, remembering the
-  // worker stack we must return to.
-  __sanitizer_finish_switch_fiber(nullptr, &caller_stack_bottom_,
-                                  &caller_stack_size_);
+    // Complete the switch the dispatching worker started, remembering the
+    // worker stack we must return to.
+    __sanitizer_finish_switch_fiber(stack->asan_fake_stack,
+                                    &stack->caller_bottom,
+                                    &stack->caller_size);
 #endif
-  entry_();
-  state_.store(kDone, std::memory_order_release);
-  // Final switch back to the hosting worker. ASan gets a null fake-stack
-  // slot: this fiber's stack is dead and must not be revived.
+    Fiber* fiber = stack->fiber;
+    fiber->entry_();
+    fiber->state_.store(kDone, std::memory_order_release);
 #if defined(CID_SCHED_ASAN)
-  __sanitizer_start_switch_fiber(nullptr, caller_stack_bottom_,
-                                 caller_stack_size_);
+    __sanitizer_start_switch_fiber(&stack->asan_fake_stack,
+                                   stack->caller_bottom, stack->caller_size);
 #endif
 #if defined(CID_SCHED_TSAN)
-  __tsan_switch_to_fiber(tsan_return_, 0);
+    __tsan_switch_to_fiber(fiber->tsan_return_, 0);
 #endif
-  ::swapcontext(&context_, return_link_);
-  // Unreachable: a kDone fiber is never resumed.
-  std::abort();
+    cid_sched_swap(&stack->sp, *fiber->return_sp_);
+  }
 }
 
 void Fiber::suspend() {
+  FiberStack* stack = stack_;
 #if defined(CID_SCHED_ASAN)
-  __sanitizer_start_switch_fiber(&asan_fake_stack_, caller_stack_bottom_,
-                                 caller_stack_size_);
+  __sanitizer_start_switch_fiber(&stack->asan_fake_stack,
+                                 stack->caller_bottom, stack->caller_size);
 #endif
 #if defined(CID_SCHED_TSAN)
   __tsan_switch_to_fiber(tsan_return_, 0);
 #endif
-  ::swapcontext(&context_, return_link_);
+  cid_sched_swap(&stack->sp, *return_sp_);
   // Resumed, possibly on a different worker thread; dispatch() has already
-  // refreshed return_link_/tsan_return_ for the new host.
+  // refreshed return_sp_/tsan_return_ for the new host.
 #if defined(CID_SCHED_ASAN)
-  __sanitizer_finish_switch_fiber(asan_fake_stack_, &caller_stack_bottom_,
-                                  &caller_stack_size_);
+  __sanitizer_finish_switch_fiber(stack->asan_fake_stack,
+                                  &stack->caller_bottom, &stack->caller_size);
 #endif
 }
 
@@ -197,8 +324,8 @@ void Scheduler::unpark(Fiber* fiber) {
   }
 }
 
-void Scheduler::dispatch(Fiber* fiber, ucontext_t* worker_context) {
-  fiber->return_link_ = worker_context;
+void Scheduler::dispatch(Fiber* fiber, void** worker_sp) {
+  fiber->return_sp_ = worker_sp;
 #if defined(CID_SCHED_TSAN)
   fiber->tsan_return_ = t_worker_tsan_fiber;
 #endif
@@ -209,13 +336,13 @@ void Scheduler::dispatch(Fiber* fiber, ucontext_t* worker_context) {
 
 #if defined(CID_SCHED_ASAN)
   void* worker_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&worker_fake_stack, fiber->stack_lo_,
-                                 fiber->stack_bytes_);
+  __sanitizer_start_switch_fiber(&worker_fake_stack, fiber->stack_->lo,
+                                 fiber->stack_->bytes);
 #endif
 #if defined(CID_SCHED_TSAN)
   __tsan_switch_to_fiber(fiber->tsan_fiber_, 0);
 #endif
-  ::swapcontext(worker_context, &fiber->context_);
+  cid_sched_swap(worker_sp, fiber->stack_->sp);
 #if defined(CID_SCHED_ASAN)
   __sanitizer_finish_switch_fiber(worker_fake_stack, nullptr, nullptr);
 #endif
@@ -251,7 +378,7 @@ void Scheduler::worker_loop() {
 #if defined(CID_SCHED_TSAN)
   t_worker_tsan_fiber = __tsan_get_current_fiber();
 #endif
-  ucontext_t worker_context;
+  void* worker_sp = nullptr;
   for (;;) {
     Fiber* fiber = nullptr;
     {
@@ -282,7 +409,7 @@ void Scheduler::worker_loop() {
       run_queue_.pop_front();
       ++dispatching_;
     }
-    dispatch(fiber, &worker_context);
+    dispatch(fiber, &worker_sp);
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
       --dispatching_;

@@ -6,10 +6,18 @@
 // match wait, a barrier, or a collective protocol. With one OS thread per
 // rank every block/wake is a kernel round trip and every rank costs a full
 // pthread stack; at O(10k) ranks thread creation alone dominates the run.
-// Here each rank runs on a Fiber (a ucontext with its own lazily-mapped
-// stack) and a blocked rank *parks*: it hands its worker thread back to the
-// scheduler with a user-space context switch, and a later notify re-enqueues
-// it. Workers only touch the kernel when the run queue is empty.
+// Here each rank runs on a Fiber and a blocked rank *parks*: it hands its
+// worker thread back to the scheduler with a user-space context switch, and
+// a later notify re-enqueues it. Workers only touch the kernel when the run
+// queue is empty.
+//
+// Stacks and switches: a fiber runs on a guard-paged, lazily mapped stack
+// borrowed from the process-wide StackCache and returned to it when the
+// fiber is destroyed, so back-to-back rt::run calls map no new stacks. A
+// switch is a callee-saved register swap (x86-64), with no system call: the
+// signal mask is never saved or restored. A stack's entry trampoline loops —
+// when a rank body returns it parks at an idle point, and the next fiber to
+// borrow the stack resumes it there.
 //
 // The scheduler is intent-blind and deterministic-neutral: virtual time is
 // advanced by rank code exactly as under thread-per-rank, so traces, stats
@@ -35,9 +43,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
-#include <ucontext.h>
 #include <vector>
 
 namespace cid::rt::sched {
@@ -52,9 +60,57 @@ struct SchedStats {
 };
 
 class Scheduler;
+struct FiberStack;  // a guard-paged stack mapping; defined in sched.cpp
 
-/// One rank's execution context: a ucontext with a guard-paged, lazily
-/// mapped stack. Created and owned by the Scheduler; user code only ever
+/// Counters of the process-wide fiber stack cache. Reuse depends on how
+/// runs follow one another — informational, never part of deterministic
+/// output.
+struct StackCacheStats {
+  std::uint64_t mapped = 0;          ///< stacks mmap-ed (cache misses)
+  std::uint64_t reused = 0;          ///< stacks handed out from the cache
+  std::uint64_t retained_bytes = 0;  ///< mapping bytes parked in the cache
+};
+
+/// Fiber stacks outlive their fibers: a destroyed fiber's stack is parked
+/// here, and the next fiber asking for the same size takes it back without
+/// an mmap, a guard mprotect or a fresh entry frame.
+class StackCache {
+ public:
+  /// The process-wide cache. Leaked on purpose (like the payload arena) so
+  /// fibers destroyed during static teardown stay safe.
+  static StackCache& global();
+
+  StackCacheStats stats() const;
+
+ private:
+  friend class Fiber;
+
+  StackCache() = default;
+
+  /// A stack of exactly `stack_bytes` (a whole number of pages): a cached
+  /// one when available, else a new mapping with a guard page below it.
+  FiberStack* acquire(std::size_t stack_bytes);
+
+  /// Park `stack` for reuse, or unmap it when the cache is full.
+  void release(FiberStack* stack);
+
+  /// Each cached stack holds two mappings (guard and stack) of the
+  /// process's vm.max_map_count (65530 by default) and whatever pages its
+  /// last fiber touched. 4096 covers the 1024-rank perfbench workloads and
+  /// the 1000-rank `bench_scale --quick` rows several times over, while
+  /// the cache's mappings stay at an eighth of the default limit; stacks
+  /// beyond it (the 10k-rank sweeps) are unmapped as they are released.
+  static constexpr std::size_t kMaxCachedStacks = 4096;
+
+  mutable std::mutex mutex_;
+  /// Cached stacks by size; a run only ever gets a stack of its own size.
+  std::map<std::size_t, std::vector<FiberStack*>> bins_;
+  std::size_t cached_ = 0;
+  StackCacheStats stats_;
+};
+
+/// One rank's execution context, running on a stack borrowed from the
+/// StackCache. Created and owned by the Scheduler; user code only ever
 /// sees it through Fiber::current() and WaitCv.
 class Fiber {
  public:
@@ -77,6 +133,7 @@ class Fiber {
 
  private:
   friend class Scheduler;
+  friend class StackCache;
   friend class WaitCv;
   friend void yield();
 
@@ -92,11 +149,13 @@ class Fiber {
   Fiber(Scheduler& scheduler, std::function<void()> entry,
         std::size_t stack_bytes);
 
-  static void trampoline(unsigned hi, unsigned lo);
-  void entry_point();
+  /// The loop every stack runs: take the stack's current fiber, run its
+  /// entry, mark it done, park at the idle point until the next fiber
+  /// borrows the stack.
+  [[noreturn]] static void stack_main(FiberStack* stack) noexcept;
 
   /// Yield the worker back to the scheduler. Called with state already
-  /// kParking (or kDone) and no rt mutexes held.
+  /// kParking (or kNotified, from yield()) and no rt mutexes held.
   void suspend();
 
   Scheduler& scheduler_;
@@ -104,22 +163,15 @@ class Fiber {
   std::function<void()> on_switch_in_;
   std::function<void()> on_switch_out_;
 
-  std::byte* map_base_ = nullptr;  ///< mmap base (guard page + stack)
-  std::size_t map_bytes_ = 0;
-  std::byte* stack_lo_ = nullptr;  ///< usable stack bottom (above the guard)
-  std::size_t stack_bytes_ = 0;
-
-  ucontext_t context_{};
-  ucontext_t* return_link_ = nullptr;  ///< hosting worker's context
+  FiberStack* stack_;
+  void** return_sp_ = nullptr;  ///< hosting worker's saved stack pointer
 
   std::atomic<int> state_{kRunnable};
 
   // Sanitizer bookkeeping (unused members cost nothing when disabled).
-  void* tsan_fiber_ = nullptr;       ///< __tsan_create_fiber handle
-  void* tsan_return_ = nullptr;      ///< hosting worker's tsan context
-  void* asan_fake_stack_ = nullptr;  ///< this fiber's saved fake stack
-  const void* caller_stack_bottom_ = nullptr;
-  std::size_t caller_stack_size_ = 0;
+  // ASan's is on the FiberStack, which outlives the fiber.
+  void* tsan_fiber_ = nullptr;   ///< __tsan_create_fiber handle
+  void* tsan_return_ = nullptr;  ///< hosting worker's tsan context
 };
 
 /// Bounded worker pool driving a fixed set of fibers to completion.
@@ -168,7 +220,7 @@ class Scheduler {
   void worker_loop();
   void enqueue(Fiber* fiber);
   /// Run `fiber` on the calling worker until it parks or finishes.
-  void dispatch(Fiber* fiber, ucontext_t* worker_context);
+  void dispatch(Fiber* fiber, void** worker_sp);
 
   std::size_t stack_bytes_;
   int worker_count_;
@@ -244,7 +296,8 @@ Mode resolve_mode(Mode requested);
 int resolve_workers(int requested, int nranks);
 
 /// Fiber stack size: `requested` when > 0, else CID_SIM_STACK_KB * 1024,
-/// else 1 MiB. Clamped to at least 64 KiB.
+/// else 1 MiB. Clamped to at least 64 KiB. The StackCache keys stacks on
+/// this size (rounded up to whole pages).
 std::size_t resolve_stack_bytes(std::size_t requested);
 
 }  // namespace cid::rt::sched

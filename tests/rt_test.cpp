@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -12,13 +13,17 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "common/rng.hpp"
 #include "rt/arena.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/payload.hpp"
 #include "rt/runtime.hpp"
+#include "rt/sched.hpp"
 
 namespace {
 /// Global operator new calls in this process, so a test can check that a
@@ -929,6 +934,129 @@ TEST(Sched, PoisonWakesMailboxAndBarrierWaitersTogether) {
           },
           options),
       std::runtime_error);
+}
+
+// ---- Fiber stack cache ------------------------------------------------------
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CID_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CID_TEST_ASAN 1
+#endif
+#endif
+
+/// Recurse about `bytes` deep on the calling stack, writing every frame.
+[[gnu::noinline]] int recurse_through(std::size_t bytes) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(bytes);
+  frame[sizeof frame - 1] = frame[0];
+  if (bytes <= sizeof frame) return frame[0];
+  return recurse_through(bytes - sizeof frame) + frame[sizeof frame - 1];
+}
+
+cid::rt::RunOptions pooled_with_stack(std::size_t stack_bytes, int workers) {
+  cid::rt::RunOptions options;
+  options.scheduler = sched::Mode::kPool;
+  options.sim_workers = workers;
+  options.sim_stack_bytes = stack_bytes;
+  return options;
+}
+
+TEST(Sched, BackToBackRunsReuseCachedStacks) {
+  // 192 KiB is a size no other test asks for, so the second run can only
+  // be served by the first run's stacks.
+  const std::size_t stack_bytes = 192 * 1024;
+  const auto options = pooled_with_stack(stack_bytes, 2);
+  auto& cache = sched::StackCache::global();
+  cid::rt::run(48, MachineModel::zero(), ring_program, options);
+  const auto before = cache.stats();
+  // Every stack parks in the cache with its guard page.
+  EXPECT_GE(before.retained_bytes, 48 * (stack_bytes + 4096));
+  auto result = cid::rt::run(48, MachineModel::zero(), ring_program, options);
+  const auto after = cache.stats();
+  EXPECT_EQ(result.final_clocks.size(), 48u);
+  EXPECT_EQ(after.mapped, before.mapped);
+  EXPECT_EQ(after.reused, before.reused + 48);
+  EXPECT_EQ(after.retained_bytes, before.retained_bytes);
+}
+
+TEST(Sched, LargerStackIsNeverServedASmallerCachedOne) {
+  // The small run leaves 64 KiB stacks in the cache; a body recursing
+  // 768 KiB deep would hit the guard page of any of them.
+  cid::rt::run(8, MachineModel::zero(), ring_program,
+               pooled_with_stack(64 * 1024, 1));
+  std::atomic<int> finished{0};
+  cid::rt::run(
+      8, MachineModel::zero(),
+      [&finished](RankCtx& ctx) {
+        if (recurse_through(768 * 1024) == ctx.rank() - 1000) return;
+        finished.fetch_add(1);
+      },
+      pooled_with_stack(1024 * 1024, 1));
+  EXPECT_EQ(finished.load(), 8);
+}
+
+TEST(SchedDeathTest, OverflowOnReusedStackHitsTheGuardPage) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto overflow_reused_stack = [] {
+    const auto options = pooled_with_stack(64 * 1024, 1);
+    cid::rt::run(1, MachineModel::zero(), [](RankCtx&) {}, options);
+    const auto before = sched::StackCache::global().stats();
+    cid::rt::run(
+        1, MachineModel::zero(),
+        [before](RankCtx&) {
+          // Exit 3, not a crash, if this run did not get the cached stack.
+          if (sched::StackCache::global().stats().reused == before.reused) {
+            std::_Exit(3);
+          }
+          recurse_through(std::size_t{1} << 20);
+        },
+        options);
+  };
+#if defined(CID_TEST_ASAN)
+  // ASan's SIGSEGV handler reports the fault and exits non-zero.
+  EXPECT_EXIT(overflow_reused_stack(),
+              [](int status) {
+                return WIFEXITED(status) && WEXITSTATUS(status) != 0 &&
+                       WEXITSTATUS(status) != 3;
+              },
+              "SEGV|stack-overflow");
+#else
+  EXPECT_EXIT(overflow_reused_stack(), testing::KilledBySignal(SIGSEGV), "");
+#endif
+}
+
+TEST(Sched, ConcurrentSchedulersShareTheStackCache) {
+  // Two host threads run pooled schedulers at once; the stack cache is the
+  // state they share (the TSan CI job runs this test). The schedulers are
+  // driven directly: rt::run itself is not safe to call concurrently (the
+  // tuner's per-run prepare() writes process-wide state).
+  auto& cache = sched::StackCache::global();
+  const auto before = cache.stats();
+  std::atomic<int> finished{0};
+  std::vector<std::thread> hosts;
+  for (int h = 0; h < 2; ++h) {
+    hosts.emplace_back([&finished] {
+      for (int i = 0; i < 20; ++i) {
+        sched::Scheduler scheduler(2, 128 * 1024);
+        for (int f = 0; f < 32; ++f) {
+          scheduler.add([&finished] {
+            sched::yield();  // switch out and back in mid-body
+            finished.fetch_add(1);
+          });
+        }
+        scheduler.run();
+      }
+    });
+  }
+  for (auto& host : hosts) host.join();
+  const auto after = cache.stats();
+  EXPECT_EQ(finished.load(), 2 * 20 * 32);
+  // At most two runs hold stacks at once, so at most 64 are ever mapped.
+  EXPECT_LE(after.mapped - before.mapped, 64u);
+  EXPECT_EQ((after.mapped - before.mapped) + (after.reused - before.reused),
+            2u * 20u * 32u);
 }
 
 // ---- Envelope arena --------------------------------------------------------

@@ -69,7 +69,9 @@ namespace {
 // that returns when something switches back. cid_sched_start is the
 // return address of a fresh stack's entry frame (see map_stack); it calls
 // r12(rbx), i.e. Fiber::stack_main(stack), which never returns. Both are
-// local symbols, and neither touches the signal mask.
+// local symbols, and neither touches the signal mask. Neither switches a
+// CET shadow stack either, so a process that opts into user shadow stacks
+// (glibc.cpu.x86_shstk=on) cannot run pooled ranks.
 asm(R"(
   .text
   .p2align 4

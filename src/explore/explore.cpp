@@ -208,7 +208,6 @@ ExecutionOutcome run_one(const Program& program, const Options& options,
   // CID_BACKEND) and a single pooled worker make every execution a pure
   // function of (program, schedule).
   run_options.transport = net::make_transport(net::Backend::Sim);
-  run_options.scheduler = rt::sched::Mode::kPool;
   run_options.sim_workers = 1;
   run_options.world_setup = [&](rt::World& world) { session.install(world); };
   run_options.idle_hook = [&] { return session.on_idle(); };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <mutex>
 
 #include "rt/arena.hpp"
 
@@ -181,23 +180,24 @@ void scatter_runs(std::byte* element, const std::byte* wire, std::size_t runs,
 }  // namespace
 
 Datatype Datatype::basic(BasicType type) {
-  // One shared immutable Impl per basic type.
-  static std::mutex mutex;
-  static std::array<std::shared_ptr<Impl>, 14> cache;
-  const auto index = static_cast<std::size_t>(type);
-  std::lock_guard<std::mutex> lock(mutex);
-  if (!cache[index]) {
-    auto impl = std::make_shared<Impl>();
-    impl->is_basic = true;
-    impl->basic = type;
-    impl->extent = basic_type_size(type);
-    impl->payload = impl->extent;
-    impl->contiguous = true;
-    impl->committed = true;
-    impl->plan = {{0, impl->payload}};
-    cache[index] = std::move(impl);
-  }
-  return Datatype(cache[index]);
+  // One shared immutable Impl per basic type, built on first use; readers
+  // take no lock after that.
+  static const auto impls = [] {
+    std::array<std::shared_ptr<Impl>, 14> all;
+    for (std::size_t index = 0; index < all.size(); ++index) {
+      auto impl = std::make_shared<Impl>();
+      impl->is_basic = true;
+      impl->basic = static_cast<BasicType>(index);
+      impl->extent = basic_type_size(impl->basic);
+      impl->payload = impl->extent;
+      impl->contiguous = true;
+      impl->committed = true;
+      impl->plan = {{0, impl->payload}};
+      all[index] = std::move(impl);
+    }
+    return all;
+  }();
+  return Datatype(impls[static_cast<std::size_t>(type)]);
 }
 
 Result<Datatype> Datatype::create_struct(std::vector<TypeField> fields,

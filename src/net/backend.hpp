@@ -1,8 +1,8 @@
 // Transport backend selection: which machinery carries envelopes between
 // ranks and what "time" means while it does.
 //
-//   sim     one-thread-per-rank virtual-time simulator (the default);
-//           deterministic, golden-fingerprint pinned
+//   sim     virtual-time simulator, ranks as fibers on the pooled
+//           scheduler (the default); deterministic, golden-fingerprint pinned
 //   thread  ranks on real cores, wall-clock timing, in-process inboxes
 //   tcp     ranks sharded over OS processes, framed messages over sockets
 //

@@ -4,8 +4,9 @@
 // world barrier through the installed Transport instead of assuming the
 // virtual-time simulator, so the same directive program can run on:
 //
-//   SimTransport     the one-thread-per-rank virtual-time simulator
-//                    (deterministic; byte-identical to the pre-seam runtime)
+//   SimTransport     the virtual-time simulator, ranks as fibers on the
+//                    pooled scheduler (deterministic; byte-identical to the
+//                    pre-seam runtime)
 //   ThreadTransport  ranks on real cores with per-rank inboxes drained by a
 //                    messenger thread; wall-clock timing flows into cid::obs
 //   TcpTransport     ranks sharded over OS processes, framed messages over

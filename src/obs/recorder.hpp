@@ -3,12 +3,12 @@
 // Every rank records into its own Recorder: a span vector and flat
 // counter/histogram tables keyed by (metric, site, rank). A probe finds its
 // recorder through the calling thread's current rank (log::thread_rank(),
-// which the pooled scheduler's switch hooks and the thread-per-rank
-// CtxScope install), and only that rank's fiber runs on it at any moment,
-// so the probe path takes no lock. It allocates only to grow a recorder's
-// buffers, which keep their capacity across clear(). Threads with no rank
-// (transport messengers, the main thread before and after a run) share one
-// recorder behind a mutex.
+// which the pooled scheduler's switch hooks and, on the wall-clock
+// transports, each rank thread's CtxScope install), and only that rank's
+// fiber or thread runs on it at any moment, so the probe path takes no lock.
+// It allocates only to grow a recorder's buffers, which keep their capacity
+// across clear(). Threads with no rank (transport messengers, the main
+// thread before and after a run) share one recorder behind a mutex.
 //
 // Readers (spans(), the registry snapshots, the exporter) merge the
 // recorders in rank order, then the shared one. They run between

@@ -100,16 +100,13 @@ RunResult run(int nranks, const simnet::MachineModel& model, const RankFn& fn,
   const int local_count = transport->local_rank_count(nranks);
 
   RunResult result;
-  // The pooled fiber scheduler only applies to the in-process virtual-time
-  // backend. Wall-clock transports (thread, tcp) measure real elapsed time
-  // per rank, so a rank must own its OS thread for the duration.
-  const bool pooled = !wall_time && !transport->cross_process() &&
-                      sched::resolve_mode(options.scheduler) ==
-                          sched::Mode::kPool;
-  if (pooled) {
+  // The in-process virtual-time backend always runs its ranks on the pooled
+  // fiber scheduler. Wall-clock transports (thread, tcp) measure real
+  // elapsed time per rank, so a rank must own its OS thread for the
+  // duration.
+  if (!wall_time && !transport->cross_process()) {
     sched::Scheduler scheduler(
-        sched::resolve_workers(options.sim_workers, local_count),
-        sched::resolve_stack_bytes(options.sim_stack_bytes));
+        sched::resolve_workers(options.sim_workers, local_count));
     if (options.idle_hook) scheduler.set_idle_hook(options.idle_hook);
     // RankCtx objects live out here (not on fiber stacks): the switch hooks
     // reference them from worker threads between switches.

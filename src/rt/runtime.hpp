@@ -1,9 +1,9 @@
-// SPMD launcher. On the virtual-time (sim) backend ranks run as fibers
-// multiplexed over a bounded worker pool (rt/sched.hpp), so O(10k)-rank
-// simulations cost CID_SIM_WORKERS OS threads; wall-clock and cross-process
-// transports keep one OS thread per rank. Ranks wait via scheduler-aware
-// condition variables, never spin, so heavily oversubscribed runs are fine
-// in either mode.
+// SPMD launcher. On the virtual-time (sim) backend ranks always run as
+// fibers multiplexed over a bounded worker pool (rt/sched.hpp), so
+// O(10k)-rank simulations cost CID_SIM_WORKERS OS threads; wall-clock and
+// cross-process transports keep one OS thread per rank. Ranks wait via
+// scheduler-aware condition variables, never spin, so heavily
+// oversubscribed runs are fine on either.
 #pragma once
 
 #include <functional>
@@ -60,7 +60,8 @@ struct RunResult {
   /// Final virtual clock of each rank when its function returned.
   std::vector<simnet::SimTime> final_clocks;
 
-  /// True when the pooled fiber scheduler ran the ranks (sim backend).
+  /// True when the pooled fiber scheduler ran the ranks (the in-process
+  /// virtual-time backend).
   bool pooled = false;
 
   /// Scheduler counters for the run (all zero when pooled is false). The
@@ -82,29 +83,30 @@ struct RunOptions {
   /// docs/TRANSPORTS.md. On cross-process transports run() spawns only the
   /// ranks this process hosts.
   std::shared_ptr<net::Transport> transport;
-  /// Rank scheduling on the virtual-time backend: kAuto resolves
-  /// CID_SIM_SCHED ("pool" | "threads"), defaulting to the pooled fiber
-  /// scheduler. Wall-clock / cross-process transports always run
-  /// thread-per-rank regardless of this setting.
-  sched::Mode scheduler = sched::Mode::kAuto;
-  /// Worker threads for the pooled scheduler; 0 resolves CID_SIM_WORKERS,
-  /// then hardware concurrency.
+  /// Worker threads for the pooled scheduler that runs the ranks of the
+  /// in-process virtual-time backend; 0 resolves CID_SIM_WORKERS, then
+  /// hardware concurrency. Wall-clock and cross-process transports run one
+  /// OS thread per rank and ignore it.
   int sim_workers = 0;
-  /// Per-fiber stack bytes; 0 resolves CID_SIM_STACK_KB, then 1 MiB. The
-  /// pages map lazily, so the cost of a large default is virtual.
-  std::size_t sim_stack_bytes = 0;
   /// Called with the freshly constructed World after the transport and
   /// interceptor are installed and before any rank starts. cid::explore
   /// installs its mailbox gates and delivery tap here; anything that must
   /// see the World before the SPMD program does can use it.
   std::function<void(World&)> world_setup;
   /// Pooled-scheduler quiescence hook (see sched::Scheduler::set_idle_hook).
-  /// Requires the pooled scheduler; ignored under thread-per-rank.
+  /// Ignored by the wall-clock and cross-process transports, which run a
+  /// thread per rank.
   std::function<bool()> idle_hook;
 };
 
 /// Execute `fn` on `nranks` ranks over a fresh World. Rethrows the first
 /// rank failure (after poisoning the world so the other ranks unwind).
+///
+/// Must not be called from two host threads at once: every run shares
+/// process-wide state with no lock around it. tune::Tuner::prepare()
+/// rewrites the tuning mode and CID_COLL overrides at the start of each run,
+/// and obs keeps one recorder per rank number, which the same rank of two
+/// concurrent runs would both write.
 RunResult run(int nranks, const simnet::MachineModel& model,
               const RankFn& fn);
 

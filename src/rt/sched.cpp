@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -50,7 +49,6 @@ struct FiberStack {
   std::byte* map_base = nullptr;
   std::size_t map_bytes = 0;
   std::byte* lo = nullptr;  ///< usable stack bottom (above the guard)
-  std::size_t bytes = 0;
   void* sp = nullptr;
   Fiber* fiber = nullptr;  ///< the fiber borrowing the stack
 
@@ -62,6 +60,10 @@ struct FiberStack {
 };
 
 namespace {
+
+/// Usable bytes of every fiber stack, a whole number of pages. The pages
+/// map lazily, so the cost of the size is virtual.
+constexpr std::size_t kStackBytes = std::size_t{1} << 20;
 
 // Fiber switch. cid_sched_swap(save_sp, load_sp) pushes the callee-saved
 // registers and the SSE/x87 control words, stores the stack pointer to
@@ -128,17 +130,12 @@ std::size_t page_size() {
   return page;
 }
 
-std::size_t round_up_pages(std::size_t bytes) {
-  const std::size_t page = page_size();
-  return (bytes + page - 1) / page * page;
-}
-
 /// Map a stack with its guard page and lay out the entry frame that
 /// cid_sched_swap pops on the first switch onto it: it starts
 /// `main(stack)`.
-FiberStack* map_stack(std::size_t stack_bytes, void (*main)(FiberStack*)) {
+FiberStack* map_stack(void (*main)(FiberStack*)) {
   const std::size_t page = page_size();
-  const std::size_t map_bytes = stack_bytes + page;
+  const std::size_t map_bytes = kStackBytes + page;
   void* base = ::mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (base == MAP_FAILED) {
@@ -152,7 +149,6 @@ FiberStack* map_stack(std::size_t stack_bytes, void (*main)(FiberStack*)) {
   stack->map_base = static_cast<std::byte*>(base);
   stack->map_bytes = map_bytes;
   stack->lo = stack->map_base + page;
-  stack->bytes = stack_bytes;
 
   // Entry frame, lowest slot first: control words (MXCSR and x87 at their
   // power-on defaults), r15, r14, r13, r12 = main, rbx = stack, rbp = 0
@@ -160,7 +156,7 @@ FiberStack* map_stack(std::size_t stack_bytes, void (*main)(FiberStack*)) {
   // slots above it leave the stack 16-byte aligned when cid_sched_start
   // calls main, as the ABI requires. The mapping is zero-filled, so only
   // the non-zero slots are written.
-  auto* frame = reinterpret_cast<std::uint64_t*>(stack->lo + stack_bytes) - 10;
+  auto* frame = reinterpret_cast<std::uint64_t*>(stack->lo + kStackBytes) - 10;
   frame[0] = 0x1F80u | (std::uint64_t{0x037F} << 32);
   frame[4] = reinterpret_cast<std::uint64_t>(main);
   frame[5] = reinterpret_cast<std::uint64_t>(stack);
@@ -176,29 +172,26 @@ StackCache& StackCache::global() {
   return *cache;
 }
 
-FiberStack* StackCache::acquire(std::size_t stack_bytes) {
+FiberStack* StackCache::acquire() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto bin = bins_.find(stack_bytes);
-    if (bin != bins_.end() && !bin->second.empty()) {
-      FiberStack* stack = bin->second.back();
-      bin->second.pop_back();
-      --cached_;
+    if (!cached_.empty()) {
+      FiberStack* stack = cached_.back();
+      cached_.pop_back();
       ++stats_.reused;
       stats_.retained_bytes -= stack->map_bytes;
       return stack;
     }
     ++stats_.mapped;
   }
-  return map_stack(stack_bytes, &Fiber::stack_main);
+  return map_stack(&Fiber::stack_main);
 }
 
 void StackCache::release(FiberStack* stack) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (cached_ < kMaxCachedStacks) {
-      bins_[stack->bytes].push_back(stack);
-      ++cached_;
+    if (cached_.size() < kMaxCachedStacks) {
+      cached_.push_back(stack);
       stats_.retained_bytes += stack->map_bytes;
       return;
     }
@@ -214,11 +207,10 @@ StackCacheStats StackCache::stats() const {
 
 Fiber* Fiber::current() noexcept { return t_current_fiber; }
 
-Fiber::Fiber(Scheduler& scheduler, std::function<void()> entry,
-             std::size_t stack_bytes)
+Fiber::Fiber(Scheduler& scheduler, std::function<void()> entry)
     : scheduler_(scheduler),
       entry_(std::move(entry)),
-      stack_(StackCache::global().acquire(round_up_pages(stack_bytes))) {
+      stack_(StackCache::global().acquire()) {
   stack_->fiber = this;
 #if defined(CID_SCHED_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);
@@ -280,14 +272,12 @@ void Fiber::suspend() {
 #endif
 }
 
-Scheduler::Scheduler(int workers, std::size_t stack_bytes)
-    : stack_bytes_(stack_bytes), worker_count_(workers < 1 ? 1 : workers) {}
+Scheduler::Scheduler(int workers) : worker_count_(workers < 1 ? 1 : workers) {}
 
 Scheduler::~Scheduler() = default;
 
 Fiber& Scheduler::add(std::function<void()> entry) {
-  fibers_.push_back(std::unique_ptr<Fiber>(
-      new Fiber(*this, std::move(entry), stack_bytes_)));
+  fibers_.push_back(std::unique_ptr<Fiber>(new Fiber(*this, std::move(entry))));
   return *fibers_.back();
 }
 
@@ -339,7 +329,7 @@ void Scheduler::dispatch(Fiber* fiber, void** worker_sp) {
 #if defined(CID_SCHED_ASAN)
   void* worker_fake_stack = nullptr;
   __sanitizer_start_switch_fiber(&worker_fake_stack, fiber->stack_->lo,
-                                 fiber->stack_->bytes);
+                                 kStackBytes);
 #endif
 #if defined(CID_SCHED_TSAN)
   __tsan_switch_to_fiber(fiber->tsan_fiber_, 0);
@@ -385,11 +375,7 @@ void Scheduler::worker_loop() {
     Fiber* fiber = nullptr;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      for (;;) {
-        if (!run_queue_.empty() || stopping_ ||
-            finished_ == fibers_.size()) {
-          break;
-        }
+      while (run_queue_.empty() && finished_ < fibers_.size()) {
         if (idle_hook_ && dispatching_ == 0) {
           // Quiescence: every unfinished fiber is parked. Let the schedule
           // oracle resolve a held decision (which re-enqueues a fiber) or
@@ -403,10 +389,7 @@ void Scheduler::worker_loop() {
         }
         queue_cv_.wait(lock);
       }
-      if (run_queue_.empty()) {
-        if (stopping_ || finished_ == fibers_.size()) return;
-        continue;
-      }
+      if (run_queue_.empty()) return;  // every fiber finished
       fiber = run_queue_.front();
       run_queue_.pop_front();
       ++dispatching_;
@@ -439,10 +422,6 @@ void Scheduler::run() {
     pool.emplace_back([this] { worker_loop(); });
   }
   for (auto& thread : pool) thread.join();
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    stopping_ = true;
-  }
 }
 
 SchedStats Scheduler::stats() const noexcept {
@@ -502,15 +481,6 @@ void WaitCv::notify_all() {
   cv_.notify_all();
 }
 
-Mode resolve_mode(Mode requested) {
-  if (requested != Mode::kAuto) return requested;
-  if (const char* env = std::getenv("CID_SIM_SCHED")) {
-    if (std::strcmp(env, "threads") == 0) return Mode::kThreads;
-    if (std::strcmp(env, "pool") == 0) return Mode::kPool;
-  }
-  return Mode::kPool;
-}
-
 int resolve_workers(int requested, int nranks) {
   int workers = requested;
   if (workers <= 0) {
@@ -524,19 +494,6 @@ int resolve_workers(int requested, int nranks) {
   }
   if (nranks > 0 && workers > nranks) workers = nranks;
   return workers < 1 ? 1 : workers;
-}
-
-std::size_t resolve_stack_bytes(std::size_t requested) {
-  std::size_t bytes = requested;
-  if (bytes == 0) {
-    if (const char* env = std::getenv("CID_SIM_STACK_KB")) {
-      const long kb = std::atol(env);
-      if (kb > 0) bytes = static_cast<std::size_t>(kb) * 1024;
-    }
-  }
-  if (bytes == 0) bytes = 1024 * 1024;  // 1 MiB virtual; pages map lazily
-  if (bytes < 64 * 1024) bytes = 64 * 1024;
-  return bytes;
 }
 
 }  // namespace cid::rt::sched

@@ -11,8 +11,8 @@
 // a later notify re-enqueues it. Workers only touch the kernel when the run
 // queue is empty.
 //
-// Stacks and switches: a fiber runs on a guard-paged, lazily mapped stack
-// borrowed from the process-wide StackCache and returned to it when the
+// Stacks and switches: a fiber runs on a 1 MiB guard-paged, lazily mapped
+// stack borrowed from the process-wide StackCache and returned to it when the
 // fiber is destroyed, so back-to-back rt::run calls map no new stacks. A
 // switch is a callee-saved register swap (x86-64), with no system call: the
 // signal mask is never saved or restored. A stack's entry trampoline loops —
@@ -20,17 +20,17 @@
 // borrow the stack resumes it there.
 //
 // The scheduler is intent-blind and deterministic-neutral: virtual time is
-// advanced by rank code exactly as under thread-per-rank, so traces, stats
-// and clocks are byte-identical (pinned by the golden fingerprints in
+// advanced by rank code alone, so traces, stats and clocks are byte-identical
+// whatever the worker count (pinned by the golden fingerprints in
 // tests/property_test.cpp).
 //
 // Blocking integration: rt code never waits on a raw condition_variable.
 // It waits on a WaitCv, which parks the calling fiber when there is one and
-// falls back to a real condition_variable_any for plain threads (the
-// thread/tcp transports, and CID_SIM_SCHED=threads). The park/notify
-// handshake follows the classic protocol: the waiter publishes
-// state=Parking and registers itself *before* releasing the caller's mutex,
-// so a notify can never slip between the predicate check and the park.
+// falls back to a real condition_variable_any for plain threads (the rank
+// threads of the thread/tcp transports). The park/notify handshake follows
+// the classic protocol: the waiter publishes state=Parking and registers
+// itself *before* releasing the caller's mutex, so a notify can never slip
+// between the predicate check and the park.
 //
 // Sanitizers: fiber switches are annotated for ASan (fake-stack handoff)
 // and TSan (__tsan fiber API), so the existing ASan/UBSan and TSan CI jobs
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -72,8 +71,8 @@ struct StackCacheStats {
 };
 
 /// Fiber stacks outlive their fibers: a destroyed fiber's stack is parked
-/// here, and the next fiber asking for the same size takes it back without
-/// an mmap, a guard mprotect or a fresh entry frame.
+/// here, and the next fiber takes it back without an mmap, a guard mprotect
+/// or a fresh entry frame. Every fiber stack has the same size.
 class StackCache {
  public:
   /// The process-wide cache. Leaked on purpose (like the payload arena) so
@@ -87,9 +86,9 @@ class StackCache {
 
   StackCache() = default;
 
-  /// A stack of exactly `stack_bytes` (a whole number of pages): a cached
-  /// one when available, else a new mapping with a guard page below it.
-  FiberStack* acquire(std::size_t stack_bytes);
+  /// A cached stack when available, else a new mapping with a guard page
+  /// below it.
+  FiberStack* acquire();
 
   /// Park `stack` for reuse, or unmap it when the cache is full.
   void release(FiberStack* stack);
@@ -103,9 +102,7 @@ class StackCache {
   static constexpr std::size_t kMaxCachedStacks = 4096;
 
   mutable std::mutex mutex_;
-  /// Cached stacks by size; a run only ever gets a stack of its own size.
-  std::map<std::size_t, std::vector<FiberStack*>> bins_;
-  std::size_t cached_ = 0;
+  std::vector<FiberStack*> cached_;
   StackCacheStats stats_;
 };
 
@@ -115,7 +112,8 @@ class StackCache {
 class Fiber {
  public:
   /// The fiber running on the calling thread, or nullptr when the caller is
-  /// a plain OS thread (thread-per-rank mode, transport threads, tests).
+  /// a plain OS thread (wall-clock transport ranks, transport threads,
+  /// tests).
   static Fiber* current() noexcept;
 
   /// Install the hooks the scheduler runs around every switch on the worker
@@ -146,8 +144,7 @@ class Fiber {
     kDone,      ///< entry function returned
   };
 
-  Fiber(Scheduler& scheduler, std::function<void()> entry,
-        std::size_t stack_bytes);
+  Fiber(Scheduler& scheduler, std::function<void()> entry);
 
   /// The loop every stack runs: take the stack's current fiber, run its
   /// entry, mark it done, park at the idle point until the next fiber
@@ -177,9 +174,8 @@ class Fiber {
 /// Bounded worker pool driving a fixed set of fibers to completion.
 class Scheduler {
  public:
-  /// `workers` threads multiplex the fibers; `stack_bytes` per fiber stack
-  /// (rounded up to whole pages, one extra guard page below).
-  Scheduler(int workers, std::size_t stack_bytes);
+  /// `workers` threads multiplex the fibers.
+  explicit Scheduler(int workers);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -191,7 +187,7 @@ class Scheduler {
 
   /// Start the workers, drive every fiber to completion, join the workers.
   /// Exceptions must not escape fiber entries (rt::run's rank wrapper
-  /// catches and poisons, exactly as in thread-per-rank mode).
+  /// catches them and poisons the world).
   void run();
 
   /// Make `fiber` runnable again after a park. Safe from any thread,
@@ -222,7 +218,6 @@ class Scheduler {
   /// Run `fiber` on the calling worker until it parks or finishes.
   void dispatch(Fiber* fiber, void** worker_sp);
 
-  std::size_t stack_bytes_;
   int worker_count_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
 
@@ -230,7 +225,6 @@ class Scheduler {
   std::condition_variable queue_cv_;
   std::deque<Fiber*> run_queue_;
   std::size_t finished_ = 0;
-  bool stopping_ = false;
   int dispatching_ = 0;  ///< workers currently hosting a fiber
   std::function<bool()> idle_hook_;
 
@@ -259,7 +253,7 @@ class WaitCv {
 
   /// Timed wait (wall clock). On a fiber this intentionally blocks the
   /// hosting worker thread: timed waits exist for the wall-clock transports
-  /// (reliability deadlines on real loss), which run thread-per-rank; the
+  /// (reliability deadlines on real loss), which run a thread per rank; the
   /// virtual-time pool never issues them on a hot path.
   /// Returns false on timeout.
   bool wait_until(std::unique_lock<std::mutex>& lock,
@@ -280,24 +274,8 @@ class WaitCv {
 /// very peers they are polling for. On a plain thread: this_thread::yield().
 void yield();
 
-/// Scheduling choice for the virtual-time (sim) backend.
-enum class Mode {
-  kAuto,     ///< CID_SIM_SCHED env: pool unless "threads"
-  kPool,     ///< fibers over the bounded worker pool
-  kThreads,  ///< legacy one OS thread per rank
-};
-
-/// Resolve the effective mode: `requested` unless kAuto, then CID_SIM_SCHED
-/// ("pool" | "threads"), defaulting to the pool.
-Mode resolve_mode(Mode requested);
-
 /// Worker count: `requested` when > 0, else CID_SIM_WORKERS, else
 /// min(hardware_concurrency, nranks), at least 1.
 int resolve_workers(int requested, int nranks);
-
-/// Fiber stack size: `requested` when > 0, else CID_SIM_STACK_KB * 1024,
-/// else 1 MiB. Clamped to at least 64 KiB. The StackCache keys stacks on
-/// this size (rounded up to whole pages).
-std::size_t resolve_stack_bytes(std::size_t requested);
 
 }  // namespace cid::rt::sched

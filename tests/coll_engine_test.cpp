@@ -394,9 +394,9 @@ TEST(CollEngine, InvalidCidCollRejectedAtStartup) {
 }
 
 TEST(CollEngine, ClocksIdenticalUnderBothSchedulers) {
-  // Every algorithm must produce byte-identical virtual clocks under the
-  // pooled-fiber and thread-per-rank schedulers. Force each algorithm set
-  // via CID_COLL and compare exact makespans.
+  // Every algorithm must produce byte-identical virtual clocks on one pooled
+  // worker and on four, where ranks run concurrently. Force each algorithm
+  // set via CID_COLL and compare exact makespans.
   const auto model = MachineModel::cray_xk7_gemini();
   const char* forced_sets[] = {
       nullptr,  // cost-model defaults
@@ -424,18 +424,14 @@ TEST(CollEngine, ClocksIdenticalUnderBothSchedulers) {
   };
   for (const char* forced : forced_sets) {
     EnvGuard coll_env("CID_COLL", forced);
-    double pool_t = 0.0;
-    double threads_t = 0.0;
-    {
-      EnvGuard sched("CID_SIM_SCHED", "pool");
-      pool_t = cid::rt::run(16, model, workload).makespan();
-    }
-    {
-      EnvGuard sched("CID_SIM_SCHED", "threads");
-      threads_t = cid::rt::run(16, model, workload).makespan();
-    }
-    EXPECT_GT(pool_t, 0.0);
-    EXPECT_EQ(pool_t, threads_t)
+    cid::rt::RunOptions one;
+    one.sim_workers = 1;
+    cid::rt::RunOptions four;
+    four.sim_workers = 4;
+    const double one_t = cid::rt::run(16, model, workload, one).makespan();
+    const double four_t = cid::rt::run(16, model, workload, four).makespan();
+    EXPECT_GT(one_t, 0.0);
+    EXPECT_EQ(one_t, four_t)
         << "CID_COLL=" << (forced == nullptr ? "(default)" : forced);
   }
 }

@@ -641,7 +641,6 @@ TEST(Mailbox, SteadyStatePushAndExtractAllocateNothing) {
 
 cid::rt::RunOptions one_worker() {
   cid::rt::RunOptions options;
-  options.scheduler = cid::rt::sched::Mode::kPool;
   options.sim_workers = 1;
   return options;
 }
@@ -829,21 +828,24 @@ void ring_program(RankCtx& ctx) {
   ctx.barrier();
 }
 
-TEST(Sched, PoolAndThreadsProduceIdenticalClocks) {
-  // Virtual time must not depend on the scheduler: same program, same model,
-  // bit-identical final clocks under the fiber pool and thread-per-rank.
-  cid::rt::RunOptions pool;
-  pool.scheduler = sched::Mode::kPool;
-  cid::rt::RunOptions threads;
-  threads.scheduler = sched::Mode::kThreads;
+TEST(Sched, OneAndFourWorkersProduceIdenticalClocks) {
+  // Virtual time must not depend on how the ranks are hosted: same program,
+  // same model, bit-identical final clocks on one worker (every rank
+  // interleaved on one thread) and on four (ranks running concurrently).
+  cid::rt::RunOptions one;
+  one.sim_workers = 1;
+  cid::rt::RunOptions four;
+  four.sim_workers = 4;
   const auto model = MachineModel::cray_xk7_gemini();
-  auto pooled = cid::rt::run(33, model, ring_program, pool);
-  auto threaded = cid::rt::run(33, model, ring_program, threads);
-  EXPECT_TRUE(pooled.pooled);
-  EXPECT_FALSE(threaded.pooled);
-  ASSERT_EQ(pooled.final_clocks.size(), threaded.final_clocks.size());
-  for (std::size_t r = 0; r < pooled.final_clocks.size(); ++r) {
-    EXPECT_EQ(pooled.final_clocks[r], threaded.final_clocks[r]) << "rank " << r;
+  auto serial = cid::rt::run(33, model, ring_program, one);
+  auto parallel = cid::rt::run(33, model, ring_program, four);
+  EXPECT_TRUE(serial.pooled);
+  EXPECT_TRUE(parallel.pooled);
+  EXPECT_EQ(serial.sched_stats.workers, 1u);
+  EXPECT_EQ(parallel.sched_stats.workers, 4u);
+  ASSERT_EQ(serial.final_clocks.size(), parallel.final_clocks.size());
+  for (std::size_t r = 0; r < serial.final_clocks.size(); ++r) {
+    EXPECT_EQ(serial.final_clocks[r], parallel.final_clocks[r]) << "rank " << r;
   }
 }
 
@@ -851,7 +853,6 @@ TEST(Sched, ThousandsOfRanksOnTwoWorkers) {
   // O(nranks) fibers over a tiny fixed pool: barriers (sharded), ring
   // traffic, and compute all terminate, with exactly the requested workers.
   cid::rt::RunOptions options;
-  options.scheduler = sched::Mode::kPool;
   options.sim_workers = 2;
   auto result =
       cid::rt::run(2048, MachineModel::zero(), ring_program, options);
@@ -866,7 +867,6 @@ TEST(Sched, YieldLetsBusyPollersMakeProgress) {
   // never runs on a bounded pool. sched::yield() is that escape hatch (the
   // mpi::test / iprobe miss paths call it).
   cid::rt::RunOptions options;
-  options.scheduler = sched::Mode::kPool;
   options.sim_workers = 1;
   auto result = cid::rt::run(
       4, MachineModel::zero(),
@@ -889,20 +889,10 @@ TEST(Sched, YieldLetsBusyPollersMakeProgress) {
   EXPECT_TRUE(result.pooled);
 }
 
-TEST(Sched, SmallExplicitStacksWork) {
-  cid::rt::RunOptions options;
-  options.scheduler = sched::Mode::kPool;
-  options.sim_stack_bytes = 64 * 1024;  // the enforced minimum
-  auto result = cid::rt::run(64, MachineModel::zero(), ring_program, options);
-  EXPECT_EQ(result.final_clocks.size(), 64u);
-}
-
 TEST(Sched, PoisonDuringThousandRankBarrier) {
   // One rank of a 1000-rank world dies while every other rank is inside the
   // sharded barrier; the poison must wake all shards and the run must
   // rethrow after a clean teardown. (The TSan CI shard runs this test.)
-  cid::rt::RunOptions options;
-  options.scheduler = sched::Mode::kPool;
   EXPECT_THROW(
       cid::rt::run(
           1000, MachineModel::zero(),
@@ -911,16 +901,13 @@ TEST(Sched, PoisonDuringThousandRankBarrier) {
               throw std::runtime_error("mid-barrier failure");
             }
             ctx.barrier();
-          },
-          options),
+          }),
       std::runtime_error);
 }
 
 TEST(Sched, PoisonWakesMailboxAndBarrierWaitersTogether) {
   // Mixed blocking: half the ranks in the barrier, half in mailbox waits,
   // and the failing rank poisons both kinds at once.
-  cid::rt::RunOptions options;
-  options.scheduler = sched::Mode::kPool;
   EXPECT_THROW(
       cid::rt::run(
           256, MachineModel::zero(),
@@ -931,8 +918,7 @@ TEST(Sched, PoisonWakesMailboxAndBarrierWaitersTogether) {
             } else {
               ctx.mailbox().wait_extract(cid::rt::MatchKey{});
             }
-          },
-          options),
+          }),
       std::runtime_error);
 }
 
@@ -955,24 +941,16 @@ TEST(Sched, PoisonWakesMailboxAndBarrierWaitersTogether) {
   return recurse_through(bytes - sizeof frame) + frame[sizeof frame - 1];
 }
 
-cid::rt::RunOptions pooled_with_stack(std::size_t stack_bytes, int workers) {
-  cid::rt::RunOptions options;
-  options.scheduler = sched::Mode::kPool;
-  options.sim_workers = workers;
-  options.sim_stack_bytes = stack_bytes;
-  return options;
-}
-
 TEST(Sched, BackToBackRunsReuseCachedStacks) {
-  // 192 KiB is a size no other test asks for, so the second run can only
-  // be served by the first run's stacks.
-  const std::size_t stack_bytes = 192 * 1024;
-  const auto options = pooled_with_stack(stack_bytes, 2);
+  // Earlier tests in the same process may have left stacks in the cache, so
+  // the checks are on deltas: once the first run has released its 48 stacks,
+  // the second run takes all of its stacks from the cache.
   auto& cache = sched::StackCache::global();
+  const auto options = one_worker();
   cid::rt::run(48, MachineModel::zero(), ring_program, options);
   const auto before = cache.stats();
-  // Every stack parks in the cache with its guard page.
-  EXPECT_GE(before.retained_bytes, 48 * (stack_bytes + 4096));
+  // Every stack parks in the cache with its 1 MiB mapping.
+  EXPECT_GE(before.retained_bytes, 48u << 20);
   auto result = cid::rt::run(48, MachineModel::zero(), ring_program, options);
   const auto after = cache.stats();
   EXPECT_EQ(result.final_clocks.size(), 48u);
@@ -981,26 +959,10 @@ TEST(Sched, BackToBackRunsReuseCachedStacks) {
   EXPECT_EQ(after.retained_bytes, before.retained_bytes);
 }
 
-TEST(Sched, LargerStackIsNeverServedASmallerCachedOne) {
-  // The small run leaves 64 KiB stacks in the cache; a body recursing
-  // 768 KiB deep would hit the guard page of any of them.
-  cid::rt::run(8, MachineModel::zero(), ring_program,
-               pooled_with_stack(64 * 1024, 1));
-  std::atomic<int> finished{0};
-  cid::rt::run(
-      8, MachineModel::zero(),
-      [&finished](RankCtx& ctx) {
-        if (recurse_through(768 * 1024) == ctx.rank() - 1000) return;
-        finished.fetch_add(1);
-      },
-      pooled_with_stack(1024 * 1024, 1));
-  EXPECT_EQ(finished.load(), 8);
-}
-
 TEST(SchedDeathTest, OverflowOnReusedStackHitsTheGuardPage) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto overflow_reused_stack = [] {
-    const auto options = pooled_with_stack(64 * 1024, 1);
+    const auto options = one_worker();
     cid::rt::run(1, MachineModel::zero(), [](RankCtx&) {}, options);
     const auto before = sched::StackCache::global().stats();
     cid::rt::run(
@@ -1010,7 +972,8 @@ TEST(SchedDeathTest, OverflowOnReusedStackHitsTheGuardPage) {
           if (sched::StackCache::global().stats().reused == before.reused) {
             std::_Exit(3);
           }
-          recurse_through(std::size_t{1} << 20);
+          // Twice the 1 MiB stack: the recursion must run into the guard.
+          recurse_through(std::size_t{2} << 20);
         },
         options);
   };
@@ -1039,7 +1002,7 @@ TEST(Sched, ConcurrentSchedulersShareTheStackCache) {
   for (int h = 0; h < 2; ++h) {
     hosts.emplace_back([&finished] {
       for (int i = 0; i < 20; ++i) {
-        sched::Scheduler scheduler(2, 128 * 1024);
+        sched::Scheduler scheduler(2);
         for (int f = 0; f < 32; ++f) {
           scheduler.add([&finished] {
             sched::yield();  // switch out and back in mid-body

@@ -1,6 +1,6 @@
 // Source-to-source translation demo: feeds the paper's Listing 3 (and a
 // SHMEM-targeted variant) through the translator and prints the generated
-// message passing code — what the `cidt` CLI does for whole files.
+// directive executor calls — what the `cidt` CLI does for whole files.
 //
 // Build & run:  ./translate_demo
 #include <cstdio>
@@ -35,11 +35,9 @@ void show(const char* title, const char* source) {
     return;
   }
   std::printf("output:\n%s\n", result.value().source.c_str());
-  std::printf("(%d p2p directive(s), %d region(s), %d consolidated "
-              "sync(s))\n\n",
+  std::printf("(%d p2p directive(s), %d region(s))\n\n",
               result.value().summary.p2p_directives,
-              result.value().summary.parameter_regions,
-              result.value().summary.consolidated_syncs);
+              result.value().summary.parameter_regions);
 }
 
 }  // namespace

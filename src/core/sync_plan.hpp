@@ -1,7 +1,7 @@
 // The one synchronization-placement model (paper Section III-A, place_sync).
-// The directive executor (Batch = PendingOps), the translator (the sync
-// statements to emit) and the analyzer (the receives in flight) each drive a
-// SyncPlan, so they agree on where every transfer's sync lands. Batches:
+// The directive executor (Batch = PendingOps) and the analyzer (the
+// receives in flight) each drive a SyncPlan, so they agree on where every
+// transfer's sync lands; translated code runs the executor. Batches:
 //   open           posted since the last landing, at any nesting depth;
 //   at_next_begin  deferred by BEGIN_NEXT_PARAM_REGION;
 //   at_series_end  deferred by END_ADJ_PARAM_REGIONS.
@@ -46,7 +46,7 @@ class SyncPlan {
     }
   }
 
-  /// comm_flush, or the end of a translation unit: land everything.
+  /// comm_flush: land everything.
   template <typename Land>
   void flush_all(Land&& land) {
     land_if_any(at_next_begin_, land);

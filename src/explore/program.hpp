@@ -3,7 +3,7 @@
 // cid::explore does not interpret arbitrary C++ — it interprets the
 // *communication intent*: the tree of #pragma comm_* directives, with clause
 // inheritance resolved, flattened into the sequence of synchronization
-// scopes the translator would generate (post every transfer of the scope,
+// scopes the directive executor runs (post every transfer of the scope,
 // one consolidated completion at its end). Everything the static analyzer
 // must skip as symbolic — guards, peers and roots referencing variables
 // other than rank/nprocs — becomes an explicit nondeterministic decision

@@ -40,10 +40,10 @@
 
 namespace cid::explore::detail {
 
-/// The pooled point-to-point tag, matching the translator's default
-/// (translate::Options::tag): every directive's messages share it, so a
-/// wildcard receive competes across directives exactly as translated code
-/// would.
+/// The pooled point-to-point tag, matching the directive executor's one
+/// tag for every comm_p2p (kDirectiveTag in core/region.cpp): every
+/// directive's messages share it, so a wildcard receive competes across
+/// directives exactly as executed directives would.
 inline constexpr int kP2PTag = 2000;
 
 enum class DecisionKind { Guard, Value, Wild };

@@ -196,6 +196,15 @@ std::vector<ClauseProblem> required_clause_problems(
                    : "comm_collective is missing required clause(s): " +
                          missing});
   }
+  // The executor's rule (Clauses::validate_for_collective), in its words.
+  if (const core::RawClause* pattern = merged.find("pattern");
+      !p2p && pattern != nullptr && merged.find("root") == nullptr) {
+    auto parsed = core::parse_pattern_keyword(pattern->args[0]);
+    if (parsed.is_ok() && parsed.value() != core::Pattern::AllToAll) {
+      problems.push_back(
+          {true, "pattern " + pattern->args[0] + " requires the root clause"});
+    }
+  }
   const core::RawClause* sbuf = merged.find("sbuf");
   const core::RawClause* rbuf = merged.find("rbuf");
   if (sbuf == nullptr || rbuf == nullptr) return problems;

@@ -68,12 +68,13 @@ struct ClauseProblem {
 
 /// What a merged comm_p2p must carry (sbuf, rbuf, sender, receiver; sbuf and
 /// rbuf listing the same number of buffers) and what a merged
-/// comm_collective must carry (sbuf, rbuf, count; exactly one buffer each).
-/// `merged` has its inherited clauses resolved (merge_directives). Returns
-/// the missing-clause problem first, then the buffer-list one; empty when
-/// the directive is complete (always for comm_parameters). The translator
-/// rejects on the first problem, the analyzer reports them (CID-P005/P006),
-/// the explorer skips the directive.
+/// comm_collective must carry (sbuf, rbuf, count, and root unless its
+/// pattern is all-to-all; exactly one buffer each). `merged` has its
+/// inherited clauses resolved (merge_directives). Returns the missing-clause
+/// problems first, then the buffer-list one; empty when the directive is
+/// complete (always for comm_parameters). The translator rejects on the
+/// first problem, the analyzer reports them (CID-P005/P006), the explorer
+/// skips the directive.
 std::vector<ClauseProblem> required_clause_problems(
     const core::ParsedDirective& merged);
 

@@ -1,11 +1,29 @@
 // Source-to-source translation of the communication directives: the role
 // Open64 plays in the paper. The translator consumes C/C++ source containing
-// #pragma comm_parameters / #pragma comm_p2p and emits source in which every
-// directive has been replaced by the message passing calls of the selected
-// target library (miniMPI two-sided, miniMPI one-sided, or miniSHMEM), with
-// clause inheritance resolved statically, count inference emitted as
-// array-extent expressions, automatic datatype handling, and consolidated
-// synchronization per place_sync.
+// #pragma comm_parameters / comm_p2p / comm_collective and emits source in
+// which every directive has been replaced by the call the embedded API makes
+// for it (core::comm_parameters, core::comm_p2p, core::comm_collective), so
+// translated code runs the directive executor, exactly like a program
+// written against the embedded API:
+//
+//   #pragma comm_parameters ...   ->  ::cid::core::comm_parameters(
+//   { body }                               <own clauses>,
+//                                          [&](::cid::core::Region&) { body });
+//   #pragma comm_p2p ...          ->  ::cid::core::comm_p2p(<own clauses>
+//   { overlap }                            [, [&]() { overlap }]);
+//
+// Clause expressions become lambdas evaluated in the user's scope, buffers
+// become core::buf descriptors, keywords their core enumerators. Each
+// directive carries only its own clauses: the executor inherits the rest
+// through its region stack and alone decides target choice, count
+// inference, datatypes, persistent requests and where synchronization lands
+// (place_sync). A comm_collective, which the executor does not let inherit,
+// carries the collective clauses of its statically merged clause set, its
+// target(auto) lowered to the default target (the executor's
+// comm_collective does not resolve auto). The translator keeps the static
+// checks: required clauses after inheritance, keywords, reliability only on
+// MPI two-sided, no collective inside a reliability region, root on every
+// collective but all-to-all, and no one-sided collective.
 //
 // The translator finds no directives of its own: it walks the tree that
 // scan_directives() (translate/scan.hpp) builds, the same tree the analyzer
@@ -17,8 +35,9 @@
 // Scope, matching the paper's structured-region design: a directive must be
 // followed by a statement or a brace-delimited block (the overlap region for
 // comm_p2p, the clause scope for comm_parameters). Pragma lines may be
-// continued with trailing backslashes. Adjacent comm_parameters regions for
-// BEGIN_NEXT_PARAM_REGION / END_ADJ_PARAM_REGIONS must be lexical siblings.
+// continued with trailing backslashes. Region and overlap bodies become
+// lambdas: break/continue/goto out of them do not compile, and return ends
+// only the body.
 #pragma once
 
 #include <string>
@@ -30,12 +49,10 @@
 namespace cid::translate {
 
 struct Options {
-  /// Target used when a directive has no target clause.
+  /// Target of a top-level directive (and of a comm_collective) whose
+  /// clauses, inherited ones included, name none, and of a comm_collective
+  /// whose target is auto.
   core::Target default_target = core::Target::Mpi2Side;
-  /// Expression for the communicator in generated MPI calls.
-  std::string comm_expr = "::cid::mpi::Comm::world()";
-  /// Message tag used by generated point-to-point calls.
-  int tag = 2000;
   /// Emit explanatory comments in the generated code.
   bool annotate = true;
 };
@@ -45,9 +62,7 @@ struct Summary {
   int p2p_directives = 0;
   int collective_directives = 0;
   int parameter_regions = 0;
-  int consolidated_syncs = 0;
-  /// Regions carrying a reliability clause, lowered through the embedded
-  /// runtime API (the protocol is a runtime service, not a call pattern).
+  /// Regions carrying a reliability clause, their own or inherited.
   int reliable_regions = 0;
 };
 

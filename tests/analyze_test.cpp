@@ -240,6 +240,22 @@ int main() {
             "sender, receiver");
 }
 
+// The executor requires root for every collective pattern but all-to-all.
+TEST(Analyze, RootlessGatherIsMissingRoot) {
+  const Report report = analyze(R"(
+int main() {
+#pragma comm_collective pattern(PATTERN_MANY_TO_ONE) sbuf(a) rbuf(b) count(1)
+{ }
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(a) rbuf(b) count(1)
+{ }
+}
+)");
+  const Diagnostic& d = find(report, "CID-P005");
+  EXPECT_EQ(d.line, 3);
+  EXPECT_EQ(d.message, "pattern PATTERN_MANY_TO_ONE requires the root clause");
+  EXPECT_EQ(report.errors(), 1);
+}
+
 // --- buffer race detection --------------------------------------------------
 
 TEST(Analyze, RbufReusedWhileInFlight) {

@@ -376,8 +376,11 @@ TEST(CollectiveTranslate, GeneratesBcast) {
 { }
 )");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  EXPECT_TRUE(cid::contains(result.value().source, "cid::mpi::bcast"));
-  EXPECT_TRUE(cid::contains(result.value().source, "copy_block"));
+  const std::string& out = result.value().source;
+  EXPECT_TRUE(cid::contains(out, "::cid::core::comm_collective("));
+  EXPECT_TRUE(cid::contains(out, ".pattern(::cid::core::Pattern::OneToMany)"));
+  EXPECT_TRUE(cid::contains(out, ".root([&]"));
+  EXPECT_FALSE(cid::contains(out, "cid::mpi::"));
 }
 
 TEST(CollectiveTranslate, GeneratesGatherWithGroup) {
@@ -386,8 +389,11 @@ TEST(CollectiveTranslate, GeneratesGatherWithGroup) {
 { }
 )");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  EXPECT_TRUE(cid::contains(result.value().source, "cid::mpi::gather"));
-  EXPECT_TRUE(cid::contains(result.value().source, ".split("));
+  const std::string& out = result.value().source;
+  EXPECT_TRUE(cid::contains(out, ".pattern(::cid::core::Pattern::ManyToOne)"));
+  EXPECT_TRUE(cid::contains(
+      out, ".group([&]() -> ::cid::core::ExprValue { return "
+           "static_cast<::cid::core::ExprValue>(rank/2); })"));
 }
 
 TEST(CollectiveTranslate, GeneratesAlltoall) {
@@ -396,7 +402,8 @@ TEST(CollectiveTranslate, GeneratesAlltoall) {
 { }
 )");
   ASSERT_TRUE(result.is_ok());
-  EXPECT_TRUE(cid::contains(result.value().source, "cid::mpi::alltoall"));
+  EXPECT_TRUE(cid::contains(result.value().source,
+                            ".pattern(::cid::core::Pattern::AllToAll)"));
 }
 
 TEST(CollectiveTranslate, RequiresExplicitCount) {
@@ -407,13 +414,114 @@ TEST(CollectiveTranslate, RequiresExplicitCount) {
   EXPECT_FALSE(result.is_ok());
 }
 
-TEST(CollectiveTranslate, RejectsShmemTarget) {
+// The executor lowers SHMEM collectives (symmetric puts and flags), so the
+// translator passes the target through.
+TEST(CollectiveTranslate, ShmemTargetTranslates) {
   auto result = cid::translate::translate_source(R"(
 #pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(src) rbuf(dst) count(4) target(TARGET_COMM_SHMEM)
 { }
 )");
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_TRUE(cid::contains(result.value().source,
+                            ".target(::cid::core::Target::Shmem)"));
+}
+
+// The executor rejects one-sided collectives; the translator says so first.
+TEST(CollectiveTranslate, RejectsOneSidedTarget) {
+  auto result = cid::translate::translate_source(R"(
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(src) rbuf(dst) count(4) target(TARGET_COMM_MPI_1SIDE)
+{ }
+)");
   EXPECT_FALSE(result.is_ok());
   EXPECT_EQ(result.status().code(), cid::ErrorCode::UnsupportedTarget);
+}
+
+// A collective in a region takes the region's count (and target) at
+// translation time, since the executor's comm_collective reads only its own
+// clauses; the region's point-to-point clauses stay behind.
+TEST(CollectiveTranslate, InRegionCarriesMergedCollectiveClauses) {
+  auto result = cid::translate::translate_source(R"(
+#pragma comm_parameters sender(0) receiver(1) count(4) target(TARGET_COMM_SHMEM)
+{
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(src) rbuf(dst)
+{ }
+}
+)");
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const std::string& out = result.value().source;
+  const std::string call =
+      out.substr(out.find("::cid::core::comm_collective("));
+  EXPECT_TRUE(cid::contains(call, ".count([&]"));
+  EXPECT_TRUE(cid::contains(call, ".target(::cid::core::Target::Shmem)"));
+  EXPECT_FALSE(cid::contains(call, ".sender("));
+}
+
+// A directive may be the unbraced body of a for or if, so a collective with
+// a post-collective statement must stay one statement.
+TEST(CollectiveTranslate, BodyStaysUnderUnbracedLoop) {
+  const std::string loop = "for (int i = 0; i < 3; ++i)";
+  auto result = cid::translate::translate_source("void f() {\n  " + loop + R"(
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) sbuf(src) rbuf(dst) count(1)
+    post(i);
+}
+)");
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const std::string& out = result.value().source;
+  const std::string rest(cid::trim(out.substr(out.find(loop) + loop.size())));
+  ASSERT_EQ(rest.front(), '{') << out;
+  // The statement is the brace block; what follows it closes f.
+  std::size_t end = 0;
+  for (int depth = 0; end < rest.size(); ++end) {
+    if (rest[end] == '{') ++depth;
+    if (rest[end] == '}' && --depth == 0) break;
+  }
+  const std::string statement = rest.substr(0, end + 1);
+  EXPECT_TRUE(cid::contains(statement, "::cid::core::comm_collective("));
+  EXPECT_TRUE(cid::contains(statement, "post(i);"));
+  EXPECT_EQ(cid::trim(rest.substr(end + 1)), "}") << out;
+}
+
+// The executor requires root for every pattern but all-to-all; the
+// translator says so first, with the executor's message.
+TEST(CollectiveTranslate, RootlessOneToManyRejected) {
+  auto result = cid::translate::translate_source(R"(
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) sbuf(src) rbuf(dst) count(4)
+{ }
+)");
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().code(), cid::ErrorCode::InvalidClause);
+  EXPECT_EQ(result.status().message(),
+            "line 2: pattern PATTERN_ONE_TO_MANY requires the root clause");
+}
+
+// The executor's comm_collective does not resolve TARGET_COMM_AUTO, so a
+// collective's auto, its own or inherited, lowers to the default target.
+TEST(CollectiveTranslate, AutoTargetLowersToDefault) {
+  cid::translate::Options options;
+  options.default_target = Target::Shmem;
+  auto result = cid::translate::translate_source(R"(
+#pragma comm_parameters count(4) target(TARGET_COMM_AUTO)
+{
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(src) rbuf(dst)
+{ }
+}
+)",
+                                                 options);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const std::string& out = result.value().source;
+  const std::string call =
+      out.substr(out.find("::cid::core::comm_collective("));
+  EXPECT_TRUE(cid::contains(call, ".target(::cid::core::Target::Shmem)"));
+  EXPECT_FALSE(cid::contains(call, "Target::Auto"));
+
+  options.default_target = Target::Auto;
+  auto unresolved = cid::translate::translate_source(R"(
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(src) rbuf(dst) count(4)
+{ }
+)",
+                                                     options);
+  ASSERT_FALSE(unresolved.is_ok());
+  EXPECT_EQ(unresolved.status().code(), cid::ErrorCode::UnsupportedTarget);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Cross-module integration tests, including the full translator pipeline:
 // pragma source -> cidt translation -> host compiler -> executable linked
-// against miniMPI/miniSHMEM -> run -> verify output. This is the end-to-end
-// path the paper's Open64 implementation provides.
+// against the directive executor -> run -> verify output against an
+// embedded-API twin of the same program. This is the end-to-end path the
+// paper's Open64 implementation provides.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -89,20 +90,100 @@ std::string run_capture(const std::string& binary_path, int* status) {
   return buffer.str();
 }
 
-/// A complete pragma-annotated SPMD program: ring exchange, checked, then a
-/// region with guards. The translator must turn the pragmas into library
-/// calls that compile and produce correct data.
-constexpr const char* kRingProgram = R"prog(
+/// Prepended to every translated program below. Each program runs its
+/// rank body twice in one process: once with pragmas (translated), once as
+/// an embedded-API twin whose text is the same apart from the directives. It
+/// prints its OK line only when both runs agree on every rank's receive
+/// buffers, directive statistics and final virtual clock.
+constexpr const char* kTwinHarness = R"prog(
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
-#include "mpi/mpi.hpp"
+#include "core/core.hpp"
 #include "rt/runtime.hpp"
 #include "shmem/shmem.hpp"
-#include "translate/runtime.hpp"
 
+/// What one run leaves behind, per rank.
+struct Leg {
+  std::vector<std::vector<unsigned char>> bytes;  ///< receive buffers
+  std::vector<cid::core::CommStats> stats;
+  cid::rt::RunResult result;
+};
+Leg legs[2];  // [0] translated pragmas, [1] embedded-API twin
+
+void open_legs(int nprocs) {
+  for (Leg& leg : legs) {
+    leg.bytes.assign(nprocs, {});
+    leg.stats.assign(nprocs, {});
+  }
+}
+
+/// Append a receive buffer's bytes to the rank's record of run `leg`, and
+/// take the rank's statistics so far.
+void keep(int leg, int rank, const void* data, std::size_t size) {
+  const auto* first = static_cast<const unsigned char*>(data);
+  auto& bytes = legs[leg].bytes[rank];
+  bytes.insert(bytes.end(), first, first + size);
+  legs[leg].stats[rank] = cid::core::comm_stats();
+}
+
+bool legs_agree() {
+  bool same = true;
+  for (std::size_t r = 0; r < legs[0].bytes.size(); ++r) {
+    if (legs[0].bytes[r] != legs[1].bytes[r]) {
+      std::fprintf(stderr, "rank %zu: receive buffers differ\n", r);
+      same = false;
+    }
+    if (!(legs[0].stats[r] == legs[1].stats[r])) {
+      std::fprintf(stderr, "rank %zu: statistics differ\n%s\nvs\n%s\n", r,
+                   legs[0].stats[r].to_string().c_str(),
+                   legs[1].stats[r].to_string().c_str());
+      same = false;
+    }
+  }
+  if (legs[0].result.final_clocks != legs[1].result.final_clocks) {
+    for (std::size_t r = 0; r < legs[0].result.final_clocks.size(); ++r) {
+      std::fprintf(stderr, "rank %zu: final clock %.9f vs %.9f\n", r,
+                   legs[0].result.final_clocks[r],
+                   legs[1].result.final_clocks[r]);
+    }
+    same = false;
+  }
+  return same;
+}
+)prog";
+
+/// Translate `program` (after the twin harness), compile it, run it, and
+/// expect its OK line. Returns the translation's summary.
+cid::translate::Summary expect_twins_agree(const std::string& name,
+                                           const char* program,
+                                           const std::string& ok_line) {
+  const std::string dir = temp_dir();
+  auto translated = cid::translate::translate_source(
+      std::string(kTwinHarness) + program);
+  EXPECT_TRUE(translated.is_ok()) << translated.status().to_string();
+  if (!translated.is_ok()) return {};
+
+  const std::string source_path = dir + "/" + name + "_translated.cpp";
+  const std::string binary_path = dir + "/" + name + "_translated";
+  write_file(source_path, translated.value().source);
+  std::string log;
+  EXPECT_EQ(compile(source_path, binary_path, &log), 0)
+      << "compiler output:\n"
+      << log;
+
+  int status = 0;
+  const std::string output = run_capture(binary_path, &status);
+  EXPECT_EQ(status, 0) << output;
+  EXPECT_NE(output.find(ok_line), std::string::npos) << output;
+  return translated.value().summary;
+}
+
+/// A complete pragma-annotated SPMD program: ring exchange, checked.
+constexpr const char* kRingProgram = R"prog(
 int main() {
-  auto result = cid::rt::run(6, [](cid::rt::RankCtx& ctx) {
+  open_legs(6);
+  legs[0].result = cid::rt::run(6, [](cid::rt::RankCtx& ctx) {
     const int rank = ctx.rank();
     const int nprocs = ctx.nranks();
     int prev = (rank - 1 + nprocs) % nprocs;
@@ -120,44 +201,50 @@ int main() {
         std::exit(1);
       }
     }
+    keep(0, rank, buf2, sizeof buf2);
   });
-  std::printf("RING-OK %.3f\n", result.makespan() * 1e6);
+  legs[1].result = cid::rt::run(6, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    const int nprocs = ctx.nranks();
+    int prev = (rank - 1 + nprocs) % nprocs;
+    int next = (rank + 1) % nprocs;
+    double buf1[4];
+    double buf2[4] = {0, 0, 0, 0};
+    for (int i = 0; i < 4; ++i) buf1[i] = rank * 10.0 + i;
+
+    cid::core::comm_p2p(cid::core::Clauses()
+                            .sender(prev)
+                            .receiver(next)
+                            .sbuf(cid::core::buf(buf1))
+                            .rbuf(cid::core::buf(buf2)));
+
+    for (int i = 0; i < 4; ++i) {
+      if (buf2[i] != prev * 10.0 + i) {
+        std::fprintf(stderr, "rank %d: BAD DATA\n", rank);
+        std::exit(1);
+      }
+    }
+    keep(1, rank, buf2, sizeof buf2);
+  });
+  if (!legs_agree()) return 3;
+  std::printf("RING-OK %.3f\n", legs[0].result.makespan() * 1e6);
   return 0;
 }
 )prog";
 
 TEST(TranslatorPipeline, RingProgramTranslatesCompilesRuns) {
-  const std::string dir = temp_dir();
-  auto translated = cid::translate::translate_source(kRingProgram);
-  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
-  EXPECT_EQ(translated.value().summary.p2p_directives, 1);
-
-  const std::string source_path = dir + "/ring_translated.cpp";
-  write_file(source_path, translated.value().source);
-
-  std::string log;
-  ASSERT_EQ(compile(source_path, dir + "/ring_translated", &log), 0)
-      << "compiler output:\n"
-      << log;
-
-  int status = 0;
-  const std::string output = run_capture(dir + "/ring_translated", &status);
-  EXPECT_EQ(status, 0) << output;
-  EXPECT_NE(output.find("RING-OK"), std::string::npos) << output;
+  EXPECT_EQ(expect_twins_agree("ring", kRingProgram, "RING-OK")
+                .p2p_directives,
+            1);
 }
 
-/// The same program retargeted to SHMEM via the translator option; buffers
-/// must be symmetric, so the program allocates them with shmem::malloc_of.
+/// The same program retargeted to SHMEM by its target clause; the receive
+/// buffer must be symmetric, so the program allocates it with
+/// shmem::malloc_of.
 constexpr const char* kShmemProgram = R"prog(
-#include <cstdio>
-#include <cstdlib>
-#include "rt/runtime.hpp"
-#include "mpi/mpi.hpp"
-#include "shmem/shmem.hpp"
-#include "translate/runtime.hpp"
-
 int main() {
-  auto result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
+  open_legs(4);
+  legs[0].result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
     const int rank = ctx.rank();
     const int nprocs = ctx.nranks();
     int prev = (rank - 1 + nprocs) % nprocs;
@@ -173,45 +260,47 @@ int main() {
     for (int i = 0; i < 4; ++i) {
       if (buf2[i] != prev + i * 0.25) std::exit(1);
     }
+    keep(0, rank, buf2, 4 * sizeof(double));
   });
+  legs[1].result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    const int nprocs = ctx.nranks();
+    int prev = (rank - 1 + nprocs) % nprocs;
+    int next = (rank + 1) % nprocs;
+    double* buf2 = cid::shmem::malloc_of<double>(4);
+    double buf1[4];
+    for (int i = 0; i < 4; ++i) { buf1[i] = rank + i * 0.25; buf2[i] = -1; }
+    ctx.barrier();
+
+    cid::core::comm_p2p(cid::core::Clauses()
+                            .sender(prev)
+                            .receiver(next)
+                            .sbuf(cid::core::buf(buf1))
+                            .rbuf(cid::core::buf(buf2))
+                            .count(4)
+                            .target(cid::core::Target::Shmem));
+
+    for (int i = 0; i < 4; ++i) {
+      if (buf2[i] != prev + i * 0.25) std::exit(1);
+    }
+    keep(1, rank, buf2, 4 * sizeof(double));
+  });
+  if (!legs_agree()) return 3;
   std::printf("SHMEM-OK\n");
-  (void)result;
   return 0;
 }
 )prog";
 
 TEST(TranslatorPipeline, ShmemTargetCompilesRuns) {
-  const std::string dir = temp_dir();
-  auto translated = cid::translate::translate_source(kShmemProgram);
-  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
-
-  const std::string source_path = dir + "/shmem_translated.cpp";
-  write_file(source_path, translated.value().source);
-
-  std::string log;
-  ASSERT_EQ(compile(source_path, dir + "/shmem_translated", &log), 0)
-      << "compiler output:\n"
-      << log;
-
-  int status = 0;
-  const std::string output = run_capture(dir + "/shmem_translated", &status);
-  EXPECT_EQ(status, 0) << output;
-  EXPECT_NE(output.find("SHMEM-OK"), std::string::npos) << output;
+  expect_twins_agree("shmem", kShmemProgram, "SHMEM-OK");
 }
 
-/// Region with inheritance, loop, and count inference through the translated
-/// runtime helpers.
+/// Region with inheritance, a max_comm_iter loop (persistent requests in the
+/// executor), and count taken from the region.
 constexpr const char* kRegionProgram = R"prog(
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
-#include "mpi/mpi.hpp"
-#include "rt/runtime.hpp"
-#include "shmem/shmem.hpp"
-#include "translate/runtime.hpp"
-
 int main() {
-  cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
+  open_legs(4);
+  legs[0].result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
     const int rank = ctx.rank();
     const int nprocs = ctx.nranks();
     (void)nprocs;
@@ -232,47 +321,59 @@ int main() {
         if (buf2[p] != (rank - 1) * 2.0 + p) std::exit(1);
       }
     }
+    keep(0, rank, buf2, sizeof buf2);
   });
+  legs[1].result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    const int nprocs = ctx.nranks();
+    (void)nprocs;
+    const int n = 5;
+    double buf1[5];
+    double buf2[5] = {0, 0, 0, 0, 0};
+    for (int p = 0; p < n; ++p) buf1[p] = rank * 2.0 + p;
+
+    cid::core::comm_parameters(
+        cid::core::Clauses()
+            .sender(rank - 1)
+            .receiver(rank + 1)
+            .sendwhen(rank % 2 == 0)
+            .receivewhen(rank % 2 == 1)
+            .count(1)
+            .max_comm_iter(n)
+            .place_sync(cid::core::SyncPlacement::EndParamRegion),
+        [&](cid::core::Region& region) {
+      for (int p = 0; p < n; ++p)
+        region.p2p(cid::core::Clauses()
+                       .sbuf(cid::core::buf(&buf1[p]))
+                       .rbuf(cid::core::buf(&buf2[p])));
+    });
+
+    if (rank % 2 == 1) {
+      for (int p = 0; p < n; ++p) {
+        if (buf2[p] != (rank - 1) * 2.0 + p) std::exit(1);
+      }
+    }
+    keep(1, rank, buf2, sizeof buf2);
+  });
+  if (!legs_agree()) return 3;
   std::printf("REGION-OK\n");
   return 0;
 }
 )prog";
 
 TEST(TranslatorPipeline, RegionProgramCompilesRuns) {
-  const std::string dir = temp_dir();
-  auto translated = cid::translate::translate_source(kRegionProgram);
-  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
-  EXPECT_EQ(translated.value().summary.parameter_regions, 1);
-  EXPECT_EQ(translated.value().summary.consolidated_syncs, 1);
-
-  const std::string source_path = dir + "/region_translated.cpp";
-  write_file(source_path, translated.value().source);
-
-  std::string log;
-  ASSERT_EQ(compile(source_path, dir + "/region_translated", &log), 0)
-      << "compiler output:\n"
-      << log;
-
-  int status = 0;
-  const std::string output = run_capture(dir + "/region_translated", &status);
-  EXPECT_EQ(status, 0) << output;
-  EXPECT_NE(output.find("REGION-OK"), std::string::npos) << output;
+  const auto summary =
+      expect_twins_agree("region", kRegionProgram, "REGION-OK");
+  EXPECT_EQ(summary.parameter_regions, 1);
+  EXPECT_EQ(summary.p2p_directives, 1);
 }
 
 /// A nested region defers its sync, and with it the enclosing region's open
-/// requests, past the enclosing block: the request vectors it waits on at
-/// the next region's begin must still be in scope there.
+/// transfers, past the enclosing region to the next region's begin.
 constexpr const char* kNestedDeferralProgram = R"prog(
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
-#include "mpi/mpi.hpp"
-#include "rt/runtime.hpp"
-#include "shmem/shmem.hpp"
-#include "translate/runtime.hpp"
-
 int main() {
-  cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
+  open_legs(2);
+  legs[0].result = cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
     const int rank = ctx.rank();
     double a[2] = {1.0, 2.0}, b[2] = {0.0, 0.0};
     double c[2] = {3.0, 4.0}, d[2] = {0.0, 0.0};
@@ -294,45 +395,53 @@ int main() {
       { }
     }
     if (rank == 1 && f[1] != 6.0) std::exit(2);
+    keep(0, rank, b, sizeof b);
+    keep(0, rank, d, sizeof d);
+    keep(0, rank, f, sizeof f);
   });
+  legs[1].result = cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    double a[2] = {1.0, 2.0}, b[2] = {0.0, 0.0};
+    double c[2] = {3.0, 4.0}, d[2] = {0.0, 0.0};
+    double e[2] = {5.0, 6.0}, f[2] = {0.0, 0.0};
+    cid::core::comm_parameters(
+        cid::core::Clauses().sender(0).receiver(1).sendwhen(rank == 0).receivewhen(rank == 1),
+        [&](cid::core::Region& region) {
+      region.p2p(cid::core::Clauses().sbuf(cid::core::buf(a)).rbuf(cid::core::buf(b)));
+      cid::core::comm_parameters(
+          cid::core::Clauses().place_sync(cid::core::SyncPlacement::BeginNextParamRegion),
+          [&](cid::core::Region& inner) {
+        inner.p2p(cid::core::Clauses().sbuf(cid::core::buf(c)).rbuf(cid::core::buf(d)));
+      });
+    });
+    cid::core::comm_parameters(
+        cid::core::Clauses().sender(0).receiver(1).sendwhen(rank == 0).receivewhen(rank == 1),
+        [&](cid::core::Region& region) {
+      if (rank == 1 && (b[1] != 2.0 || d[1] != 4.0)) std::exit(1);
+      region.p2p(cid::core::Clauses().sbuf(cid::core::buf(e)).rbuf(cid::core::buf(f)));
+    });
+    if (rank == 1 && f[1] != 6.0) std::exit(2);
+    keep(1, rank, b, sizeof b);
+    keep(1, rank, d, sizeof d);
+    keep(1, rank, f, sizeof f);
+  });
+  if (!legs_agree()) return 3;
   std::printf("NESTED-OK\n");
   return 0;
 }
 )prog";
 
 TEST(TranslatorPipeline, NestedDeferralCompilesRuns) {
-  const std::string dir = temp_dir();
-  auto translated = cid::translate::translate_source(kNestedDeferralProgram);
-  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
-
-  const std::string source_path = dir + "/nested_translated.cpp";
-  write_file(source_path, translated.value().source);
-
-  std::string log;
-  ASSERT_EQ(compile(source_path, dir + "/nested_translated", &log), 0)
-      << "compiler output:\n"
-      << log;
-
-  int status = 0;
-  const std::string output = run_capture(dir + "/nested_translated", &status);
-  EXPECT_EQ(status, 0) << output;
-  EXPECT_NE(output.find("NESTED-OK"), std::string::npos) << output;
+  expect_twins_agree("nested", kNestedDeferralProgram, "NESTED-OK");
 }
 
 /// A comm_p2p nested in another's overlap body is a transfer of the
 /// enclosing region: it must be lowered, not left as a pragma the host
 /// compiler ignores.
 constexpr const char* kNestedOverlapProgram = R"prog(
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
-#include "mpi/mpi.hpp"
-#include "rt/runtime.hpp"
-#include "shmem/shmem.hpp"
-#include "translate/runtime.hpp"
-
 int main() {
-  cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
+  open_legs(2);
+  legs[0].result = cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
     const int rank = ctx.rank();
     double a[2] = {1.0, 2.0}, b[2] = {0.0, 0.0};
     double c[2] = {3.0, 4.0}, d[2] = {0.0, 0.0};
@@ -345,29 +454,87 @@ int main() {
       }
     }
     if (rank == 1 && (b[1] != 2.0 || d[1] != 4.0)) std::exit(1);
+    keep(0, rank, b, sizeof b);
+    keep(0, rank, d, sizeof d);
   });
+  legs[1].result = cid::rt::run(2, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    double a[2] = {1.0, 2.0}, b[2] = {0.0, 0.0};
+    double c[2] = {3.0, 4.0}, d[2] = {0.0, 0.0};
+    cid::core::comm_parameters(
+        cid::core::Clauses().sender(0).receiver(1).sendwhen(rank == 0).receivewhen(rank == 1),
+        [&](cid::core::Region& region) {
+      region.p2p(cid::core::Clauses().sbuf(cid::core::buf(a)).rbuf(cid::core::buf(b)), [&] {
+        region.p2p(cid::core::Clauses().sbuf(cid::core::buf(c)).rbuf(cid::core::buf(d)));
+      });
+    });
+    if (rank == 1 && (b[1] != 2.0 || d[1] != 4.0)) std::exit(1);
+    keep(1, rank, b, sizeof b);
+    keep(1, rank, d, sizeof d);
+  });
+  if (!legs_agree()) return 3;
   std::printf("OVERLAP-OK\n");
   return 0;
 }
 )prog";
 
 TEST(TranslatorPipeline, NestedOverlapTransferCompilesRuns) {
-  const std::string dir = temp_dir();
-  auto translated = cid::translate::translate_source(kNestedOverlapProgram);
-  ASSERT_TRUE(translated.is_ok()) << translated.status().to_string();
+  expect_twins_agree("overlap", kNestedOverlapProgram, "OVERLAP-OK");
+}
 
-  const std::string source_path = dir + "/overlap_translated.cpp";
-  write_file(source_path, translated.value().source);
+/// A grouped broadcast inside a region that supplies its count, under an
+/// unbraced loop whose post-collective statement must run every iteration.
+constexpr const char* kCollectiveProgram = R"prog(
+int main() {
+  open_legs(4);
+  legs[0].result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    double src[3], dst[3] = {0, 0, 0}, sum[1] = {0};
+    for (int i = 0; i < 3; ++i) src[i] = rank * 10.0 + i;
+#pragma comm_parameters count(3)
+    {
+      for (int step = 0; step < 2; ++step)
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) group(rank/2) sbuf(src) rbuf(dst)
+        sum[0] += dst[2];
+    }
+    const double root = (rank / 2) * 2 * 10.0;
+    if (dst[0] != root || sum[0] != 2 * (root + 2)) std::exit(1);
+    keep(0, rank, dst, sizeof dst);
+    keep(0, rank, sum, sizeof sum);
+  });
+  legs[1].result = cid::rt::run(4, [](cid::rt::RankCtx& ctx) {
+    const int rank = ctx.rank();
+    double src[3], dst[3] = {0, 0, 0}, sum[1] = {0};
+    for (int i = 0; i < 3; ++i) src[i] = rank * 10.0 + i;
+    cid::core::comm_parameters(
+        cid::core::Clauses().count(3), [&](cid::core::Region&) {
+      for (int step = 0; step < 2; ++step) {
+        cid::core::comm_collective(cid::core::Clauses()
+                                       .pattern(cid::core::Pattern::OneToMany)
+                                       .root(0)
+                                       .group(rank / 2)
+                                       .count(3)
+                                       .sbuf(cid::core::buf(src))
+                                       .rbuf(cid::core::buf(dst)));
+        sum[0] += dst[2];
+      }
+    });
+    const double root = (rank / 2) * 2 * 10.0;
+    if (dst[0] != root || sum[0] != 2 * (root + 2)) std::exit(1);
+    keep(1, rank, dst, sizeof dst);
+    keep(1, rank, sum, sizeof sum);
+  });
+  if (!legs_agree()) return 3;
+  std::printf("COLLECTIVE-OK\n");
+  return 0;
+}
+)prog";
 
-  std::string log;
-  ASSERT_EQ(compile(source_path, dir + "/overlap_translated", &log), 0)
-      << "compiler output:\n"
-      << log;
-
-  int status = 0;
-  const std::string output = run_capture(dir + "/overlap_translated", &status);
-  EXPECT_EQ(status, 0) << output;
-  EXPECT_NE(output.find("OVERLAP-OK"), std::string::npos) << output;
+TEST(TranslatorPipeline, CollectiveProgramCompilesRuns) {
+  const auto summary =
+      expect_twins_agree("collective", kCollectiveProgram, "COLLECTIVE-OK");
+  EXPECT_EQ(summary.parameter_regions, 1);
+  EXPECT_EQ(summary.collective_directives, 1);
 }
 
 TEST(TranslatorPipeline, CidtCliRoundTrip) {
@@ -381,7 +548,7 @@ TEST(TranslatorPipeline, CidtCliRoundTrip) {
   std::ifstream in(dir + "/cli_output.cpp");
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_NE(buffer.str().find("cid::mpi::isend"), std::string::npos);
+  EXPECT_NE(buffer.str().find("::cid::core::comm_p2p("), std::string::npos);
 
   std::ifstream log(dir + "/cli.log");
   std::stringstream log_buffer;

@@ -1,8 +1,10 @@
-// The one synchronization-placement model (core/sync_plan.hpp) and its three
+// The one synchronization-placement model (core/sync_plan.hpp) and its
 // consumers. Every place_sync sequence of three sibling regions, and every
 // nesting of one region in another, is scripted once and run through the
-// plan itself, the directive executor, the source translator and the static
-// analyzer; each consumer must land every transfer where the plan does.
+// plan itself, the directive executor and the static analyzer; each must
+// land every transfer where the plan does. The source translator leaves
+// placement to the executor: it must hand each region exactly its own
+// place_sync.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -156,18 +158,6 @@ Expected plan_of(const Program& program) {
   return out;
 }
 
-/// The region (bit r = region r) that posts each transfer.
-std::map<int, int> owners(const Program& program) {
-  std::map<int, int> owner;
-  std::vector<int> open;
-  for (const Step& step : program) {
-    if (step.kind == Step::Begin) open.push_back(step.id);
-    if (step.kind == Step::End) open.pop_back();
-    if (step.kind == Step::Post) owner[step.id] = open.back();
-  }
-  return owner;
-}
-
 // --- the executor ------------------------------------------------------------
 
 /// Runs a program through the embedded API on two ranks. Transfer t is
@@ -255,118 +245,107 @@ std::vector<std::vector<Landing>> run_executor(const Program& program) {
 
 // --- the translator and the analyzer ------------------------------------------
 
-/// Directive source for a program. Markers before each region's pragma and
-/// at the end of its body tell the translator's landing points apart. The
-/// gap `touched_gap` writes every receive buffer. `trailing_sibling` adds a
-/// standalone directive after the program, so its last gap lies between two
-/// siblings (where the analyzer checks gaps).
-struct Source {
-  std::string text;
-  std::map<int, int> region_of_id;  ///< translator directive id -> region
-};
-
-Source source_of(const Program& program, int touched_gap,
-                 bool trailing_sibling) {
-  Source out;
-  int next_id = 1;
-  out.text = "double s0[8], s1[8], s2[8], s3[8], s9[8];\n"
-             "double r0[8], r1[8], r2[8], r3[8], r9[8];\n"
-             "void program() {\n";
+/// Directive source for a program. A marker before each region's pragma
+/// tells the translated regions apart. The gap `touched_gap` writes every
+/// receive buffer. `trailing_sibling` adds a standalone directive after the
+/// program, so its last gap lies between two siblings (where the analyzer
+/// checks gaps).
+std::string source_of(const Program& program, int touched_gap,
+                      bool trailing_sibling) {
+  std::string out = "double s0[8], s1[8], s2[8], s3[8], s9[8];\n"
+                    "double r0[8], r1[8], r2[8], r3[8], r9[8];\n"
+                    "void program() {\n";
   for (const Step& step : program) {
     const std::string id = std::to_string(step.id);
     switch (step.kind) {
       case Step::Begin:
-        out.region_of_id[next_id++] = step.id;
-        out.text += "mark_open(" + id + ");\n"
-                    "#pragma comm_parameters sender(0) receiver(1) "
-                    "sendwhen(rank==0) receivewhen(rank==1) count(1)";
+        out += "mark_open(" + id + ");\n"
+               "#pragma comm_parameters sender(0) receiver(1) "
+               "sendwhen(rank==0) receivewhen(rank==1) count(1)";
         if (step.place_sync) {
-          out.text += " place_sync(" +
-                      std::string(sync_placement_keyword(*step.place_sync)) +
-                      ")";
+          out += " place_sync(" +
+                 std::string(sync_placement_keyword(*step.place_sync)) + ")";
         }
-        out.text += "\n{\n";
+        out += "\n{\n";
         break;
       case Step::Post:
-        ++next_id;
-        out.text += "#pragma comm_p2p sbuf(s" + id + ") rbuf(r" + id +
-                    ")\n{ }\n";
+        out += "#pragma comm_p2p sbuf(s" + id + ") rbuf(r" + id + ")\n{ }\n";
         break;
       case Step::End:
-        out.text += "mark_end(" + id + ");\n}\n";
+        out += "}\n";
         break;
       case Step::Gap:
         if (step.id == touched_gap) {
-          out.text += "r0[0] = r1[0] = r2[0] = r3[0] = 0.0;\n";
+          out += "r0[0] = r1[0] = r2[0] = r3[0] = 0.0;\n";
         }
         break;
     }
   }
   if (trailing_sibling) {
-    out.text += "#pragma comm_p2p sender(0) receiver(1) sendwhen(rank==0) "
-                "receivewhen(rank==1) count(1) sbuf(s9) rbuf(r9)\n{ }\n";
+    out += "#pragma comm_p2p sender(0) receiver(1) sendwhen(rank==0) "
+           "receivewhen(rank==1) count(1) sbuf(s9) rbuf(r9)\n{ }\n";
   }
-  out.text += "}\n";
-  return out;
+  return out + "}\n";
 }
 
 int number_after(const std::string& line, const std::string& prefix) {
   return std::stoi(line.substr(line.find(prefix) + prefix.size()));
 }
 
-/// The translator's landings, with `transfers` holding regions (bit r =
-/// region r): generated code waits on one request vector per region.
-std::vector<Landing> run_translator(const Program& program) {
-  const Source source = source_of(program, /*touched_gap=*/-1, false);
-  auto result = cid::translate::translate_source(source.text);
+/// The place_sync each translated region carries, by region: the
+/// SyncPlacement enumerator it names, "-" for none, "twice" for more.
+std::map<int, std::string> run_translator(const Program& program) {
+  auto result = cid::translate::translate_source(
+      source_of(program, /*touched_gap=*/-1, false));
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
   if (!result.is_ok()) return {};
-  std::vector<Landing> log;
-  std::string where;
-  std::istringstream lines(result.value().source);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.find("mark_open(") != std::string::npos) {
-      where = "begin R" + std::to_string(number_after(line, "mark_open("));
-    } else if (line.find("mark_end(") != std::string::npos) {
-      where = "end R" + std::to_string(number_after(line, "mark_end("));
-    } else if (line.find("WARNING: deferred synchronization") !=
-               std::string::npos) {
-      where = "flush";
-    } else if (line.find("::cid::mpi::waitall(cid_reqs_") !=
-               std::string::npos) {
-      const int id = number_after(line, "waitall(cid_reqs_");
-      record(log, where, 1u << source.region_of_id.at(id), 1);
+  const std::string& out = result.value().source;
+  const std::string call = ".place_sync(::cid::core::SyncPlacement::";
+  std::map<int, std::string> carried;
+  for (std::size_t mark = out.find("mark_open("); mark != std::string::npos;
+       mark = out.find("mark_open(", mark + 1)) {
+    const std::size_t begin = out.find("::cid::core::comm_parameters(", mark);
+    const std::string chain = out.substr(
+        begin, out.find("[&](::cid::core::Region&)", begin) - begin);
+    std::string& own = carried[number_after(out.substr(mark), "mark_open(")];
+    own = "-";
+    for (std::size_t at = chain.find(call); at != std::string::npos;
+         at = chain.find(call, at + 1)) {
+      const std::size_t name = at + call.size();
+      own = own == "-" ? chain.substr(name, chain.find(')', name) - name)
+                       : "twice";
     }
   }
-  return log;
+  return carried;
+}
+
+/// The place_sync each region of `program` writes itself, spelled as
+/// run_translator reports it.
+std::map<int, std::string> own_place_syncs(const Program& program) {
+  std::map<int, std::string> own;
+  for (const Step& step : program) {
+    if (step.kind != Step::Begin) continue;
+    own[step.id] = !step.place_sync ? "-"
+                   : *step.place_sync == SyncPlacement::EndParamRegion
+                       ? "EndParamRegion"
+                   : *step.place_sync == SyncPlacement::BeginNextParamRegion
+                       ? "BeginNextParamRegion"
+                       : "EndAdjParamRegions";
+  }
+  return own;
 }
 
 /// The analyzer's view of one gap: the transfers whose receive buffer it
 /// reports as still waiting for a deferred synchronization (CID-B023).
 unsigned run_analyzer(const Program& program, int gap_id) {
-  const Source source = source_of(program, gap_id, /*trailing_sibling=*/true);
-  const auto report = cid::analyze::analyze_source(source.text);
+  const auto report = cid::analyze::analyze_source(
+      source_of(program, gap_id, /*trailing_sibling=*/true));
   unsigned deferred = 0;
   for (const auto& diagnostic : report.diagnostics) {
     if (diagnostic.id != "CID-B023") continue;
     deferred |= 1u << number_after(diagnostic.message, "touches 'r");
   }
   return deferred;
-}
-
-/// The plan's landings re-expressed per region, as the translator sees them.
-std::vector<Landing> by_region(const std::vector<Landing>& landings,
-                               const std::map<int, int>& owner) {
-  std::vector<Landing> out;
-  for (const Landing& landing : landings) {
-    unsigned regions = 0;
-    for (const auto& [transfer, region] : owner) {
-      if (landing.transfers & (1u << transfer)) regions |= 1u << region;
-    }
-    record(out, landing.where, regions, 1);
-  }
-  for (Landing& landing : out) landing.batches = 0;
-  return out;
 }
 
 void expect_consumers_agree(const Program& program) {
@@ -377,9 +356,7 @@ void expect_consumers_agree(const Program& program) {
     EXPECT_EQ(landings, expected.landings) << "executor";
   }
 
-  std::vector<Landing> translated = run_translator(program);
-  for (Landing& landing : translated) landing.batches = 0;
-  EXPECT_EQ(translated, by_region(expected.landings, owners(program)))
+  EXPECT_EQ(run_translator(program), own_place_syncs(program))
       << "translator";
 
   for (const auto& [gap_id, deferred] : expected.deferred_at_gap) {

@@ -1,7 +1,12 @@
-// Tests for the source-to-source translator: clause inheritance resolved
-// statically, codegen for all three targets, sync placement, count
-// inference, and error reporting.
+// Tests for the source-to-source translator: every directive becomes the
+// embedded API's call with its own clauses (the executor inherits the rest),
+// clause expressions become lambdas, buffers core::buf descriptors, and the
+// static checks report bad input with its line.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/strings.hpp"
 #include "translate/translator.hpp"
@@ -18,6 +23,42 @@ std::string translate_ok(const std::string& source, Options options = {}) {
   return result.is_ok() ? result.value().source : std::string{};
 }
 
+/// The builder call a clause expression becomes.
+std::string expr(const std::string& clause, const std::string& text) {
+  return "." + clause +
+         "([&]() -> ::cid::core::ExprValue { return "
+         "static_cast<::cid::core::ExprValue>(" +
+         text + "); })";
+}
+
+/// The builder call a buffer clause argument becomes.
+std::string buffer(const std::string& clause, const std::string& name) {
+  return "." + clause + "(::cid::core::buf(" + name + ", \"" + name + "\"))";
+}
+
+/// The clause chain of every `callee` call in `out`, in source order: from
+/// the callee up to its body lambda or the end of the call.
+std::vector<std::string> chains(const std::string& out,
+                                const std::string& callee) {
+  std::vector<std::string> found;
+  for (std::size_t pos = out.find(callee); pos != std::string::npos;
+       pos = out.find(callee, pos + 1)) {
+    const std::size_t end =
+        std::min(out.find(");\n", pos), out.find(",\n    [&](", pos));
+    found.push_back(out.substr(pos, end - pos));
+  }
+  return found;
+}
+
+std::size_t occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
+}
+
 // Paper Listing 1.
 constexpr const char* kListing1 = R"(
 prev = (rank-1+nprocs)%nprocs;
@@ -28,11 +69,16 @@ next = (rank+1)%nprocs;
 
 TEST(Translate, Listing1GeneratesNonblockingMpi) {
   const std::string out = translate_ok(kListing1);
-  EXPECT_TRUE(contains(out, "cid::mpi::irecv"));
-  EXPECT_TRUE(contains(out, "cid::mpi::isend"));
-  EXPECT_TRUE(contains(out, "cid::mpi::waitall"));
-  EXPECT_TRUE(contains(out, "(prev)"));
-  EXPECT_TRUE(contains(out, "(next)"));
+  const auto p2p = chains(out, "::cid::core::comm_p2p(");
+  ASSERT_EQ(p2p.size(), 1u) << out;
+  EXPECT_EQ(p2p[0], "::cid::core::comm_p2p(::cid::core::Clauses()\n    " +
+                        expr("sender", "prev") + "\n    " +
+                        expr("receiver", "next") + "\n    " +
+                        buffer("sbuf", "buf1") + "\n    " +
+                        buffer("rbuf", "buf2") +
+                        "\n    .target(::cid::core::Target::Mpi2Side)");
+  // The executor lowers it: no message passing call is open-coded.
+  EXPECT_FALSE(contains(out, "cid::mpi::"));
   // Original non-directive lines preserved.
   EXPECT_TRUE(contains(out, "prev = (rank-1+nprocs)%nprocs;"));
   // No pragma left behind.
@@ -40,8 +86,12 @@ TEST(Translate, Listing1GeneratesNonblockingMpi) {
 }
 
 TEST(Translate, CountInferredFromArrays) {
+  // No count clause: the buffers carry their extents and the executor
+  // infers the count from the smallest.
   const std::string out = translate_ok(kListing1);
-  EXPECT_TRUE(contains(out, "smallest_extent(buf1, buf2)"));
+  EXPECT_TRUE(contains(out, buffer("sbuf", "buf1")));
+  EXPECT_TRUE(contains(out, buffer("rbuf", "buf2")));
+  EXPECT_FALSE(contains(out, ".count("));
 }
 
 TEST(Translate, ExplicitCountPassedVerbatim) {
@@ -49,8 +99,7 @@ TEST(Translate, ExplicitCountPassedVerbatim) {
 #pragma comm_p2p sender(prev) receiver(next) sbuf(a) rbuf(b) count(3*n)
 { }
 )");
-  EXPECT_TRUE(contains(out, "(3*n)"));
-  EXPECT_FALSE(contains(out, "smallest_extent"));
+  EXPECT_TRUE(contains(out, expr("count", "3*n")));
 }
 
 // Paper Listing 2: guards become if statements.
@@ -59,8 +108,8 @@ TEST(Translate, Listing2GuardsBecomeConditionals) {
 #pragma comm_p2p sbuf(buf1) rbuf(buf2) sender(rank-1) receiver(rank+1) sendwhen(rank%2==0) receivewhen(rank%2==1)
 { }
 )");
-  EXPECT_TRUE(contains(out, "if (rank%2==0)"));
-  EXPECT_TRUE(contains(out, "if (rank%2==1)"));
+  EXPECT_TRUE(contains(out, expr("sendwhen", "rank%2==0")));
+  EXPECT_TRUE(contains(out, expr("receivewhen", "rank%2==1")));
 }
 
 // Paper Listing 3: region with loop, clause inheritance, backslash
@@ -81,23 +130,27 @@ TEST(Translate, Listing3RegionInheritsClauses) {
   auto result = translate_source(kListing3);
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const std::string& out = result.value().source;
-  // The nested p2p inherited sender/receiver/count from the region.
-  EXPECT_TRUE(contains(out, "(rank-1)"));
-  EXPECT_TRUE(contains(out, "(rank+1)"));
-  EXPECT_TRUE(contains(out, "(size)"));
-  EXPECT_TRUE(contains(out, "&buf1[p]"));
-  EXPECT_TRUE(contains(out, "&buf2[p]"));
-  // Exactly one consolidated waitall for the whole region.
-  EXPECT_EQ(result.value().summary.consolidated_syncs, 1);
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  while ((pos = out.find("waitall", pos)) != std::string::npos) {
-    ++count;
-    pos += 7;
+  // The region carries its clauses; the nested p2p only its own, and the
+  // executor inherits sender/receiver/count through the region.
+  const auto region = chains(out, "::cid::core::comm_parameters(");
+  ASSERT_EQ(region.size(), 1u) << out;
+  for (const std::string& call :
+       {expr("sender", "rank-1"), expr("receiver", "rank+1"),
+        expr("sendwhen", "rank%2==0"), expr("receivewhen", "rank%2==1"),
+        expr("count", "size"), expr("max_comm_iter", "n"),
+        std::string(".place_sync(::cid::core::SyncPlacement::"
+                    "EndParamRegion)")}) {
+    EXPECT_TRUE(contains(region[0], call)) << call;
   }
-  EXPECT_EQ(count, 1u);
-  // The for loop survives around the posting code.
-  EXPECT_TRUE(contains(out, "for(p=0; p < n; p++)"));
+  const auto p2p = chains(out, "::cid::core::comm_p2p(");
+  ASSERT_EQ(p2p.size(), 1u) << out;
+  EXPECT_EQ(p2p[0], "::cid::core::comm_p2p(::cid::core::Clauses()\n    " +
+                        buffer("sbuf", "&buf1[p]") + "\n    " +
+                        buffer("rbuf", "&buf2[p]"));
+  // The for loop survives around the directive call, in the region body.
+  EXPECT_TRUE(contains(out, "for(p=0; p < n; p++)\n/* cid-translate: "
+                            "comm_p2p 2 */\n::cid::core::comm_p2p("));
+  EXPECT_LT(out.find("[&](::cid::core::Region&)"), out.find("for(p=0"));
 }
 
 TEST(Translate, ShmemTargetGeneratesPuts) {
@@ -105,9 +158,9 @@ TEST(Translate, ShmemTargetGeneratesPuts) {
 #pragma comm_p2p sender(prev) receiver(next) sbuf(src) rbuf(dst) count(4) target(TARGET_COMM_SHMEM)
 { }
 )");
-  EXPECT_TRUE(contains(out, "cid::shmem::putmem"));
-  EXPECT_TRUE(contains(out, "cid::shmem::barrier_all"));
-  EXPECT_FALSE(contains(out, "isend"));
+  EXPECT_TRUE(contains(out, ".target(::cid::core::Target::Shmem)"));
+  EXPECT_FALSE(contains(out, "cid::shmem::"));
+  EXPECT_FALSE(contains(out, "Target::Mpi2Side"));
 }
 
 TEST(Translate, Mpi1SideTargetGeneratesPutAndFence) {
@@ -115,9 +168,9 @@ TEST(Translate, Mpi1SideTargetGeneratesPutAndFence) {
 #pragma comm_p2p sender(prev) receiver(next) sbuf(src) rbuf(dst) count(4) target(TARGET_COMM_MPI_1SIDE)
 { }
 )");
-  EXPECT_TRUE(contains(out, "cid::mpi::Win::create"));
-  EXPECT_TRUE(contains(out, ".put("));
-  EXPECT_TRUE(contains(out, ".fence()"));
+  EXPECT_TRUE(contains(out, ".target(::cid::core::Target::Mpi1Side)"));
+  EXPECT_FALSE(contains(out, "Win::create"));
+  EXPECT_FALSE(contains(out, ".fence()"));
 }
 
 TEST(Translate, DefaultTargetOptionApplies) {
@@ -128,7 +181,7 @@ TEST(Translate, DefaultTargetOptionApplies) {
 { }
 )",
                                        options);
-  EXPECT_TRUE(contains(out, "putmem"));
+  EXPECT_TRUE(contains(out, ".target(::cid::core::Target::Shmem)"));
 }
 
 TEST(Translate, TargetClauseOverridesDefault) {
@@ -139,8 +192,8 @@ TEST(Translate, TargetClauseOverridesDefault) {
 { }
 )",
                                        options);
-  EXPECT_TRUE(contains(out, "isend"));
-  EXPECT_FALSE(contains(out, "putmem"));
+  EXPECT_TRUE(contains(out, ".target(::cid::core::Target::Mpi2Side)"));
+  EXPECT_FALSE(contains(out, "Target::Shmem"));
 }
 
 TEST(Translate, BufferListsFanOutToCalls) {
@@ -148,19 +201,13 @@ TEST(Translate, BufferListsFanOutToCalls) {
 #pragma comm_p2p sender(f) receiver(t) sbuf(ec,nc,lc,kc) rbuf(ec,nc,lc,kc) count(size2)
 { }
 )");
-  // Four receives and four sends.
-  std::size_t sends = 0, recvs = 0, pos = 0;
-  while ((pos = out.find("isend", pos)) != std::string::npos) {
-    ++sends;
-    pos += 5;
-  }
-  pos = 0;
-  while ((pos = out.find("irecv", pos)) != std::string::npos) {
-    ++recvs;
-    pos += 5;
-  }
-  EXPECT_EQ(sends, 4u);
-  EXPECT_EQ(recvs, 4u);
+  // Four send and four receive buffers, in clause order.
+  EXPECT_EQ(occurrences(out, ".sbuf(::cid::core::buf("), 4u);
+  EXPECT_EQ(occurrences(out, ".rbuf(::cid::core::buf("), 4u);
+  EXPECT_TRUE(contains(out, buffer("sbuf", "ec") + "\n    " +
+                                buffer("sbuf", "nc") + "\n    " +
+                                buffer("sbuf", "lc") + "\n    " +
+                                buffer("sbuf", "kc")));
 }
 
 TEST(Translate, OverlapBlockEmbedded) {
@@ -171,15 +218,17 @@ TEST(Translate, OverlapBlockEmbedded) {
 }
 )");
   EXPECT_TRUE(contains(out, "calculateCoreState(comm, lsms, local"));
-  // The overlap body sits between the posts and the waitall.
-  const std::size_t post = out.find("isend");
+  // The overlap body is the call's lambda argument, after the clauses.
+  const std::size_t chain = out.find(buffer("rbuf", "b"));
+  const std::size_t lambda = out.find(",\n    [&]() {\n");
   const std::size_t body = out.find("calculateCoreState");
-  const std::size_t sync = out.find("waitall");
-  ASSERT_NE(post, std::string::npos);
-  ASSERT_NE(body, std::string::npos);
-  ASSERT_NE(sync, std::string::npos);
-  EXPECT_LT(post, body);
-  EXPECT_LT(body, sync);
+  const std::size_t end = out.find("\n});\n");
+  ASSERT_NE(chain, std::string::npos) << out;
+  ASSERT_NE(lambda, std::string::npos) << out;
+  ASSERT_NE(end, std::string::npos) << out;
+  EXPECT_LT(chain, lambda);
+  EXPECT_LT(lambda, body);
+  EXPECT_LT(body, end);
 }
 
 TEST(Translate, SingleStatementBodyAccepted) {
@@ -187,8 +236,8 @@ TEST(Translate, SingleStatementBodyAccepted) {
 #pragma comm_p2p sender(s) receiver(r) sbuf(a) rbuf(b) count(1)
 do_work(p);
 )");
-  EXPECT_TRUE(contains(out, "do_work(p);"));
-  EXPECT_TRUE(contains(out, "waitall"));
+  EXPECT_TRUE(contains(out, "[&]() {\n/* cid-translate: overlapped "
+                            "computation */\ndo_work(p);"));
 }
 
 TEST(Translate, PlaceSyncBeginNextRegionDefers) {
@@ -205,15 +254,15 @@ TEST(Translate, PlaceSyncBeginNextRegionDefers) {
 }
 )");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-  const std::string& out = result.value().source;
-  // The first region's waitall must appear INSIDE the second region, before
-  // the second region's own posting code.
-  const std::size_t first_wait = out.find("waitall(cid_reqs_1)");
-  const std::size_t second_region_post = out.find("cid_reqs_");
-  const std::size_t second_wait = out.find("waitall(cid_reqs_", first_wait + 1);
-  ASSERT_NE(first_wait, std::string::npos);
-  ASSERT_NE(second_wait, std::string::npos);
-  EXPECT_GT(first_wait, second_region_post);
+  // Each region passes its own place_sync to the executor, which lands the
+  // deferred batch at the second region's begin.
+  const auto regions =
+      chains(result.value().source, "::cid::core::comm_parameters(");
+  ASSERT_EQ(regions.size(), 2u);
+  EXPECT_TRUE(contains(
+      regions[0],
+      ".place_sync(::cid::core::SyncPlacement::BeginNextParamRegion)"));
+  EXPECT_FALSE(contains(regions[1], ".place_sync("));
 }
 
 TEST(Translate, EndAdjacentRegionsDrainAtSeriesEnd) {
@@ -230,17 +279,18 @@ TEST(Translate, EndAdjacentRegionsDrainAtSeriesEnd) {
 }
 )");
   ASSERT_TRUE(result.is_ok());
-  const std::string& out = result.value().source;
-  // Both waitalls appear, and the deferred one is at the second region's end
-  // (after the second region's posting code).
-  const std::size_t deferred = out.find("waitall(cid_reqs_1)");
-  const std::size_t second_post = out.rfind("isend");
-  ASSERT_NE(deferred, std::string::npos);
-  EXPECT_GT(deferred, second_post);
+  const auto regions =
+      chains(result.value().source, "::cid::core::comm_parameters(");
+  ASSERT_EQ(regions.size(), 2u);
+  EXPECT_TRUE(contains(
+      regions[0],
+      ".place_sync(::cid::core::SyncPlacement::EndAdjParamRegions)"));
+  EXPECT_FALSE(contains(regions[1], ".place_sync("));
 }
 
-// A nested region's end lands every transfer posted since the last
-// landing, the enclosing region's included, exactly like the runtime.
+// A nested region is a comm_parameters call inside the enclosing region's
+// body, carrying only its own clauses: the executor lands the enclosing
+// region's open transfers at its end.
 TEST(Translate, NestedRegionEndWaitsEnclosingRequests) {
   const std::string out = translate_ok(R"(
 #pragma comm_parameters sender(0) receiver(1) count(1)
@@ -254,37 +304,18 @@ TEST(Translate, NestedRegionEndWaitsEnclosingRequests) {
 }
 }
 )");
-  // The nested region (id 3) is the block opened by its annotation.
-  const std::size_t open =
-      out.rfind('{', out.find("comm_parameters region 3"));
-  ASSERT_NE(open, std::string::npos);
-  std::size_t close = open;
-  for (int depth = 0; close < out.size(); ++close) {
-    if (out[close] == '{') ++depth;
-    if (out[close] == '}' && --depth == 0) break;
-  }
-  const std::string nested = out.substr(open, close - open);
-  const std::size_t post = nested.find("data_ptr(c)");
-  const std::size_t outer_wait = nested.find("waitall(cid_reqs_1)");
-  const std::size_t own_wait = nested.find("waitall(cid_reqs_3)");
-  ASSERT_NE(post, std::string::npos) << out;
-  ASSERT_NE(outer_wait, std::string::npos) << out;
-  ASSERT_NE(own_wait, std::string::npos) << out;
-  EXPECT_GT(outer_wait, post);
-  EXPECT_GT(own_wait, post);
-}
-
-TEST(Translate, DeferredSyncWithoutNextRegionWarnsAndDrains) {
-  auto result = translate_source(R"(
-#pragma comm_parameters sender(0) receiver(1) count(1) place_sync(BEGIN_NEXT_PARAM_REGION)
-{
-#pragma comm_p2p sbuf(a) rbuf(b)
-{ }
-}
-)");
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_TRUE(contains(result.value().source, "WARNING"));
-  EXPECT_TRUE(contains(result.value().source, "waitall"));
+  const auto regions = chains(out, "::cid::core::comm_parameters(");
+  ASSERT_EQ(regions.size(), 2u) << out;
+  EXPECT_EQ(regions[1],
+            "::cid::core::comm_parameters(::cid::core::Clauses()\n    " +
+                expr("count", "1"));
+  // The outer transfer, then the nested region holding the inner one.
+  const std::size_t outer_post = out.find(buffer("sbuf", "a"));
+  const std::size_t nested = out.find(regions[1]);
+  const std::size_t nested_post = out.find(buffer("sbuf", "c"));
+  ASSERT_NE(nested_post, std::string::npos) << out;
+  EXPECT_LT(outer_post, nested);
+  EXPECT_LT(nested, nested_post);
 }
 
 TEST(Translate, SourceWithoutDirectivesIsUnchanged) {
@@ -324,7 +355,7 @@ TEST(Translate, BracesInStringsAndCommentsIgnored) {
 }
 )");
   EXPECT_TRUE(contains(out, "closing } brace"));
-  EXPECT_TRUE(contains(out, "waitall"));
+  EXPECT_TRUE(contains(out, "work(text);\n\n});\n"));
 }
 
 TEST(Translate, ErrorsCarryLineNumbers) {
@@ -387,9 +418,14 @@ TEST(Translate, P2PNestedInOverlapBodyIsTranslated) {
   const std::string& out = result.value().source;
   EXPECT_EQ(result.value().summary.p2p_directives, 2);
   EXPECT_FALSE(contains(out, "#pragma"));
-  EXPECT_TRUE(contains(out, "::cid::trt::data_ptr(d)"));
-  // The nested transfer joins the enclosing region's consolidated sync.
-  EXPECT_EQ(out.find("waitall"), out.rfind("waitall"));
+  // The nested transfer is a comm_p2p call in the outer one's overlap
+  // lambda, so it joins the same region's synchronization.
+  const std::size_t overlap = out.find(",\n    [&]() {\n");
+  const std::size_t nested = out.find(buffer("rbuf", "d"));
+  ASSERT_NE(overlap, std::string::npos) << out;
+  ASSERT_NE(nested, std::string::npos) << out;
+  EXPECT_LT(overlap, nested);
+  EXPECT_EQ(chains(out, "::cid::core::comm_p2p(").size(), 2u);
 }
 
 TEST(Translate, UnterminatedContinuationRejectedWithScannerMessage) {
@@ -454,11 +490,15 @@ TEST(Translate, NestedRegionsInheritTransitively) {
 )");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const std::string& out = result.value().source;
-  // The innermost p2p inherited sender/receiver from the outer region and
-  // count from the inner one.
-  EXPECT_TRUE(contains(out, "(rank-1)"));
-  EXPECT_TRUE(contains(out, "(rank+1)"));
-  EXPECT_TRUE(contains(out, "(8)"));
+  // The innermost p2p inherits sender/receiver from the outer region and
+  // count from the inner one, at run time: each call carries its own.
+  const auto regions = chains(out, "::cid::core::comm_parameters(");
+  ASSERT_EQ(regions.size(), 2u) << out;
+  EXPECT_TRUE(contains(regions[0], expr("sender", "rank-1")));
+  EXPECT_TRUE(contains(regions[0], expr("receiver", "rank+1")));
+  EXPECT_TRUE(contains(regions[1], expr("count", "8")));
+  EXPECT_FALSE(contains(regions[1], ".sender("));
+  EXPECT_FALSE(contains(chains(out, "::cid::core::comm_p2p(")[0], ".count("));
   EXPECT_EQ(result.value().summary.parameter_regions, 2);
   EXPECT_EQ(result.value().summary.p2p_directives, 1);
 }
@@ -475,10 +515,13 @@ TEST(Translate, InnerRegionOverridesOuterClause) {
 }
 )");
   ASSERT_TRUE(result.is_ok());
-  const std::string& out = result.value().source;
-  EXPECT_TRUE(contains(out, "(16)"));
-  // The overridden outer count must not appear in any generated call.
-  EXPECT_FALSE(contains(out, "static_cast<std::size_t>(4)"));
+  const auto regions =
+      chains(result.value().source, "::cid::core::comm_parameters(");
+  ASSERT_EQ(regions.size(), 2u);
+  // The inner region's own count; the executor layers it over the outer one.
+  EXPECT_TRUE(contains(regions[0], expr("count", "4")));
+  EXPECT_TRUE(contains(regions[1], expr("count", "16")));
+  EXPECT_FALSE(contains(regions[1], expr("count", "4")));
 }
 
 TEST(Translate, RegionWhoseBodyIsABareDirective) {
@@ -492,7 +535,9 @@ TEST(Translate, RegionWhoseBodyIsABareDirective) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().summary.parameter_regions, 1);
   EXPECT_EQ(result.value().summary.p2p_directives, 1);
-  EXPECT_TRUE(contains(result.value().source, "waitall"));
+  EXPECT_TRUE(contains(result.value().source,
+                       "[&](::cid::core::Region&) {\n/* cid-translate: "
+                       "comm_p2p 2 */\n::cid::core::comm_p2p("));
 }
 
 TEST(Translate, MultipleIndependentP2PsShareRegionSync) {
@@ -509,15 +554,14 @@ TEST(Translate, MultipleIndependentP2PsShareRegionSync) {
 )");
   ASSERT_TRUE(result.is_ok());
   EXPECT_EQ(result.value().summary.p2p_directives, 3);
-  EXPECT_EQ(result.value().summary.consolidated_syncs, 1);
-  std::size_t waitalls = 0;
-  std::size_t pos = 0;
+  // Three calls in one region body: the executor's region end is their one
+  // synchronization; the generated code holds none of its own.
   const std::string& out = result.value().source;
-  while ((pos = out.find("waitall", pos)) != std::string::npos) {
-    ++waitalls;
-    pos += 7;
-  }
-  EXPECT_EQ(waitalls, 1u);
+  const std::size_t body = out.find("[&](::cid::core::Region&)");
+  const auto p2p = chains(out, "::cid::core::comm_p2p(");
+  ASSERT_EQ(p2p.size(), 3u) << out;
+  EXPECT_LT(body, out.find(p2p[0]));
+  EXPECT_FALSE(contains(out, "waitall"));
 }
 
 
@@ -531,11 +575,11 @@ TEST(Translate, ReliabilityRegionLowersThroughEmbeddedApi) {
 )");
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   const std::string& out = result.value().source;
-  // The protocol lives in the runtime, so the region becomes an embedded-API
-  // call instead of open-coded message passing.
+  // Like every region, a reliable one becomes an embedded-API call; the
+  // ack/retransmit protocol lives in the executor.
   EXPECT_TRUE(contains(out, "::cid::core::comm_parameters("));
-  EXPECT_TRUE(contains(out, ".reliability("));
-  EXPECT_TRUE(contains(out, ".p2p("));
+  EXPECT_TRUE(contains(out, ".reliability([&]"));
+  EXPECT_TRUE(contains(out, "::cid::core::comm_p2p("));
   EXPECT_FALSE(contains(out, "cid::mpi::isend"));
   EXPECT_FALSE(contains(out, "cid::mpi::waitall"));
   EXPECT_EQ(result.value().summary.reliable_regions, 1);
@@ -564,6 +608,70 @@ TEST(Translate, ReliabilityRejectsCollectivesInRegion) {
 )");
   ASSERT_FALSE(result.is_ok());
   EXPECT_TRUE(contains(result.status().message(), "comm_collective"));
+}
+
+}  // namespace
+
+namespace {
+
+// The executor never lets a nested region inherit place_sync: a region
+// nested in a deferring one carries no place_sync of its own.
+TEST(Translate, NestedRegionDoesNotInheritPlaceSync) {
+  const std::string out = translate_ok(R"(
+#pragma comm_parameters sender(0) receiver(1) count(1) place_sync(BEGIN_NEXT_PARAM_REGION)
+{
+#pragma comm_parameters reliability(100, 3)
+{
+#pragma comm_p2p sbuf(a) rbuf(b)
+{ }
+}
+}
+)");
+  bool reliable_region = false;
+  for (const std::string& chain :
+       chains(out, "::cid::core::comm_parameters(")) {
+    if (!contains(chain, ".reliability(")) continue;
+    reliable_region = true;
+    EXPECT_FALSE(contains(chain, ".place_sync(")) << chain;
+  }
+  EXPECT_TRUE(reliable_region) << out;
+}
+
+// target(auto) is resolved per site by the executor (cid::tune), so it
+// stays Target::Auto instead of lowering to the default target.
+TEST(Translate, AutoTargetStaysAuto) {
+  Options options;
+  options.default_target = cid::core::Target::Shmem;
+  const std::string out = translate_ok(R"(
+#pragma comm_p2p sender(prev) receiver(next) sbuf(a) rbuf(b) target(TARGET_COMM_AUTO)
+{ }
+)",
+                                       options);
+  EXPECT_TRUE(contains(out, ".target(::cid::core::Target::Auto)"));
+  EXPECT_FALSE(contains(out, "Target::Shmem"));
+}
+
+TEST(Translate, UnknownTargetKeywordRejected) {
+  auto result = translate_source(R"(
+#pragma comm_p2p sender(0) receiver(1) sbuf(a) rbuf(b) target(TARGET_COMM_PIGEON)
+{ }
+)");
+  ASSERT_FALSE(result.is_ok());
+  EXPECT_EQ(result.status().message(),
+            "line 2: unknown target keyword 'TARGET_COMM_PIGEON'");
+}
+
+// A region's clauses are captured where the region opens and evaluated by
+// the executor each time a transfer inside it runs.
+TEST(Translate, RegionBodyIsALambda) {
+  const std::string out = translate_ok(R"(
+#pragma comm_parameters sender(0) receiver(1) count(1)
+{
+  step();
+}
+)");
+  EXPECT_TRUE(contains(out, "[&](::cid::core::Region&) {\n\n  step();\n\n});"))
+      << out;
 }
 
 }  // namespace

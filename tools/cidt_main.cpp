@@ -51,8 +51,8 @@ struct SubcommandHelp {
 constexpr SubcommandHelp kSubcommands[] = {
     {"",
      "[-o out.cpp] [--check] [--target mpi2side|mpi1side|shmem]\n"
-     "  [--comm <expr>] [--no-annotate] [--summary] input.cpp",
-     "translate directive pragmas to message passing code;\n"
+     "  [--no-annotate] [--summary] input.cpp",
+     "translate directive pragmas to directive executor calls;\n"
      "--check validates the directives without writing output"},
     {"check", "[--json] [--sweep MIN..MAX] file.cpp...",
      "static analysis: match/race/sync/type diagnostics\n"
@@ -764,8 +764,6 @@ int translate_main(int argc, char** argv) {
         std::fprintf(stderr, "cidt: unknown target '%s'\n", name.c_str());
         return usage(argv[0]);
       }
-    } else if (arg == "--comm" && i + 1 < argc) {
-      options.comm_expr = argv[++i];
     } else if (arg == "--no-annotate") {
       options.annotate = false;
     } else if (arg == "--summary") {
@@ -821,11 +819,9 @@ int translate_main(int argc, char** argv) {
     const auto& summary = result.value().summary;
     std::fprintf(stderr,
                  "cidt: %d comm_p2p directive(s), %d comm_collective "
-                 "directive(s), %d comm_parameters region(s) (%d reliable), "
-                 "%d consolidated synchronization(s)\n",
+                 "directive(s), %d comm_parameters region(s) (%d reliable)\n",
                  summary.p2p_directives, summary.collective_directives,
-                 summary.parameter_regions,
-                 summary.reliable_regions, summary.consolidated_syncs);
+                 summary.parameter_regions, summary.reliable_regions);
   }
   return kExitClean;
 }

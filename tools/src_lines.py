@@ -7,7 +7,8 @@ HEAD to HEAD, the way a pull request's diff is shown, and prints one line:
     src/: +ADDED -REMOVED net NET (FILES files)
 
 It reports and never gates: the exit status is 0 whenever git can diff the
-two refs.
+two refs. With -h, --help or a wrong argument count it prints the usage and
+exits 2.
 
 Usage:
     python3 tools/src_lines.py BASE [HEAD]     # HEAD defaults to HEAD
@@ -41,7 +42,7 @@ def src_numstat(base: str, head: str) -> list[tuple[int, int, str]]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (2, 3):
+    if len(argv) not in (2, 3) or argv[1] in ("-h", "--help"):
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
         print("usage: src_lines.py BASE [HEAD]", file=sys.stderr)
         return 2

@@ -26,9 +26,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Two wildcard-receiver ranks, two in-flight candidates each, one
-// synchronization scope — the minimal shape where the lowest-rank rule
-// prunes (same as tests/explore_test.cpp).
+// Two wildcard-receiver ranks, two in-flight candidates each, one region:
+// each receiver lands its first wildcard receive before receiving into the
+// same buffer again — the minimal shape where the lowest-rank rule prunes
+// (same as tests/explore_test.cpp).
 constexpr const char* kCrossfire2 = R"(
 int a[8]; int b[8]; int c[8]; int d[8];
 int k;

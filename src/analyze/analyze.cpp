@@ -235,6 +235,11 @@ class Walker {
         sequence(node.children, &merged);
         plan_.end_region(placement, forget);
       } else {
+        // A collective synchronizes: the executor lands the open batch
+        // before it runs.
+        if (node.directive.kind == core::DirectiveKind::CommCollective) {
+          forget(plan_.open());
+        }
         const bool usable =
             detail::check_required_clauses(ctx_, node, merged);
         if (usable) {

@@ -58,9 +58,7 @@ void print_human(const FileReport& file, std::ostream& out) {
   }
 }
 
-namespace {
-
-void append_json_string(std::string& out, const std::string& text) {
+void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   for (const char c : text) {
     switch (c) {
@@ -82,8 +80,6 @@ void append_json_string(std::string& out, const std::string& text) {
   }
   out += '"';
 }
-
-}  // namespace
 
 std::string to_json(const std::vector<FileReport>& files) {
   int errors = 0;

@@ -61,4 +61,8 @@ void print_human(const FileReport& file, std::ostream& out);
 ///  "summary":{"files","directives","errors","warnings"}}.
 std::string to_json(const std::vector<FileReport>& files);
 
+/// Append `text` as a quoted, escaped JSON string (shared with
+/// `cidt explore --json`).
+void append_json_string(std::string& out, std::string_view text);
+
 }  // namespace cid::analyze

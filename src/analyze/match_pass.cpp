@@ -50,16 +50,13 @@ bool check_required_clauses(AnalysisContext& ctx, const DirectiveNode& node,
                             const core::ParsedDirective& merged) {
   const auto problems = translate::required_clause_problems(merged);
   for (const translate::ClauseProblem& problem : problems) {
-    std::string hint;
-    if (problem.missing) {
-      hint = merged.kind == core::DirectiveKind::CommP2P
-                 ? "add the clause(s) on the directive or on the enclosing "
-                   "comm_parameters region"
-                 : "the translated collective needs explicit sbuf, rbuf "
-                   "and count";
-    }
-    ctx.report.add(problem.missing ? "CID-P005" : "CID-P006", Severity::Error,
-                   node.line, node.column, problem.message, std::move(hint));
+    const bool missing = !problem.missing.empty();
+    ctx.report.add(missing ? "CID-P005" : "CID-P006", Severity::Error,
+                   node.line, node.column, problem.message,
+                   missing ? "add " + problem.missing +
+                                 " on the directive or on the enclosing "
+                                 "comm_parameters region"
+                           : "");
   }
   return problems.empty();
 }

@@ -276,7 +276,10 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
 
   const Env env = make_env(ClauseView(clauses));
   const Pattern pattern = *clauses.pattern_clause();
-  const Target target = clauses.target_clause().value_or(Target::Mpi2Side);
+  // cid::tune picks collective algorithms, not targets: auto is what p2p's
+  // auto resolves to without a profile, MPI two-sided.
+  Target target = clauses.target_clause().value_or(Target::Mpi2Side);
+  if (target == Target::Auto) target = Target::Mpi2Side;
   CID_REQUIRE(target != Target::Mpi1Side, ErrorCode::UnsupportedTarget,
               "comm_collective does not support TARGET_COMM_MPI_1SIDE");
 

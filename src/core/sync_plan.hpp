@@ -1,7 +1,8 @@
 // The one synchronization-placement model (paper Section III-A, place_sync).
-// The directive executor (Batch = PendingOps) and the analyzer (the
-// receives in flight) each drive a SyncPlan, so they agree on where every
-// transfer's sync lands; translated code runs the executor. Batches:
+// Three consumers drive a SyncPlan, so they agree on where every transfer's
+// sync lands: the directive executor (Batch = PendingOps; translated code
+// runs it), the analyzer (the receives in flight) and the schedule-space
+// explorer (one plan per explored rank, explore/program.hpp). Batches:
 //   open           posted since the last landing, at any nesting depth;
 //   at_next_begin  deferred by BEGIN_NEXT_PARAM_REGION;
 //   at_series_end  deferred by END_ADJ_PARAM_REGIONS.
@@ -9,6 +10,11 @@
 // (never inherited; END_PARAM_REGION when absent): END_PARAM_REGION lands
 // at_series_end then open, the other two move open into their batch.
 // Landing hands a non-empty batch to a callback that must leave it empty.
+// Besides these, the consumers land the open batch themselves after a
+// standalone transfer (the analyzer never adds one to it) and before a
+// comm_collective. The executor and the explorer also land any batch that
+// holds a buffer a new transfer touches, before that transfer posts (the
+// adjacency rule); the analyzer reports that reuse as CID-B020 instead.
 #pragma once
 
 #include <iterator>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -31,178 +30,195 @@ using detail::SendRecord;
 using detail::Session;
 using detail::WaitInfo;
 
-std::optional<core::ExprValue> eval_clause(const ClauseExpr& clause, int rank,
-                                           int nprocs) {
-  core::Env env;
-  env.bind("rank", rank);
-  env.bind("nprocs", nprocs);
-  auto value = clause.expr.eval(env);
-  if (!value.is_ok()) return std::nullopt;
-  return value.value();
-}
+/// One rank of the interpreter: the effects walk() drives
+/// (explore/program.hpp), on the real runtime.
+class RankInterpreter {
+ public:
+  /// One posted request: a receive and the buffer it writes, or a send and
+  /// the buffer it reads.
+  struct Posted {
+    mpi::Request request;
+    bool recv = false;
+    int src = -1;  ///< receive: the sender, mpi::kAnySource when symbolic
+    int line = 0;
+    std::string buffer;
+  };
+  using Batch = std::vector<Posted>;
 
-/// Guard evaluation: absent means true; symbolic branches the execution;
-/// a failed evaluation (division by zero) is modeled as false with a note.
-bool eval_guard(Session& session, const ClauseExpr& guard, int rank,
-                int nprocs, int site, int line) {
-  if (!guard.present) return true;
-  if (guard.symbolic) {
-    return session.decide(DecisionKind::Guard, rank, site, 2) == 1;
-  }
-  auto value = eval_clause(guard, rank, nprocs);
-  if (!value) {
-    session.note("line " + std::to_string(line) + ": guard fails to evaluate "
-                 "on rank " + std::to_string(rank) + "; treated as false");
-    return false;
-  }
-  return *value != 0;
-}
+  /// One transfer on this rank after its decisions.
+  struct Posting {
+    const Node* op = nullptr;
+    std::optional<int> src;   ///< receive from (mpi::kAnySource: symbolic)
+    std::optional<int> dest;  ///< send to
+  };
 
-void run_collective(const Op& op, Session& session, const mpi::Comm& world,
-                    int rank, int nprocs) {
-  int root = 0;
-  if (op.root.present) {
+  RankInterpreter(Session& session, int rank, int nprocs)
+      : session_(session), rank_(rank), nprocs_(nprocs) {}
+
+  /// The decisions in order: receive guard, sender, send guard, receiver.
+  Posting prepare(const Node& op) {
+    Posting posting;
+    posting.op = &op;
+    if (holds(op.receivewhen, op)) {
+      posting.src = op.sender.symbolic ? std::optional<int>(mpi::kAnySource)
+                                       : peer(op.sender);
+      if (!posting.src) skipped(op, "receive", "sender");
+    }
+    if (holds(op.sendwhen, op)) {
+      posting.dest = op.receiver.symbolic
+                         ? std::optional<int>(session_.decide(
+                               DecisionKind::Value, rank_, op.site, nprocs_))
+                         : peer(op.receiver);
+      if (!posting.dest) skipped(op, "send", "receiver");
+    }
+    return posting;
+  }
+
+  /// A receive into a buffer still being received into is CID-E105.
+  bool touches(const Batch& batch, const Posting& posting) {
+    const Node& op = *posting.op;
+    bool touched = false;
+    for (const Posted& pending : batch) {
+      if (posting.src && pending.buffer == op.rbuf) {
+        if (pending.recv) {
+          session_.note_rbuf_reuse(rank_, pending.line, op.line, op.rbuf);
+          return true;
+        }
+        touched = true;
+      }
+      if (posting.dest && pending.recv && pending.buffer == op.sbuf) {
+        touched = true;
+      }
+    }
+    return touched;
+  }
+
+  /// Receive side first (the executor posts irecv before isend). Payloads
+  /// carry {site, sender}; what a receive gets is never read, so every
+  /// receive lands in one sink.
+  void post(const Posting& posting, Batch& open) {
+    const Node& op = *posting.op;
+    if (posting.src) {
+      open.push_back({mpi::irecv(world_, sink_.data(), 2, *posting.src,
+                                 kP2PTag),
+                      true, *posting.src, op.line, op.rbuf});
+    }
+    if (posting.dest) {
+      const std::array<int, 2> payload{{op.site, rank_}};
+      open.push_back({mpi::isend(world_, payload.data(), 2, *posting.dest,
+                                 kP2PTag),
+                      false, -1, op.line, op.sbuf});
+    }
+  }
+
+  /// Consolidated sync: complete the batch's receives in post order, then
+  /// finalize the (eagerly completed) sends.
+  void land(Batch& batch) {
+    for (Posted& posted : batch) {
+      if (!posted.recv) continue;
+      session_.set_wait(rank_, {posted.src == mpi::kAnySource
+                                    ? WaitInfo::kWildRecv
+                                    : WaitInfo::kExactRecv,
+                                posted.src, posted.line});
+      mpi::wait(posted.request);
+    }
+    session_.set_wait(rank_, {WaitInfo::kNone, -1, 0});
+    for (Posted& posted : batch) {
+      if (!posted.recv) mpi::wait(posted.request);
+    }
+    batch.clear();
+  }
+
+  void collective(const Node& op) {
+    int root = 0;
     if (op.root.symbolic) {
       // A collective's root must be agreed by every rank (MPI semantics):
       // one shared decision, not a per-rank branch.
-      root = session.decide_shared(rank, op.site, nprocs);
-    } else {
-      auto value = eval_clause(op.root, rank, nprocs);
-      if (!value || *value < 0 || *value >= nprocs) {
-        session.note("line " + std::to_string(op.line) +
-                     ": collective skipped on rank " + std::to_string(rank) +
-                     " (root unevaluable or out of range)");
+      root = session_.decide_shared(rank_, op.site, nprocs_);
+    } else if (op.root.present) {
+      const auto value = peer(op.root);
+      if (!value) {
+        skipped(op, "collective", "root");
         return;
       }
-      root = static_cast<int>(*value);
+      root = *value;
     }
+    session_.set_wait(rank_, {WaitInfo::kCollective, -1, op.line});
+    std::vector<int> send(nprocs_, rank_);
+    std::vector<int> recv(nprocs_, 0);
+    switch (op.pattern) {
+      case core::Pattern::OneToMany:
+        mpi::bcast(world_, send.data(), 1, root);
+        break;
+      case core::Pattern::ManyToOne:
+        mpi::gather(world_, send.data(), 1, recv.data(), root);
+        break;
+      case core::Pattern::AllToAll:
+        mpi::alltoall(world_, send.data(), 1, recv.data());
+        break;
+    }
+    session_.set_wait(rank_, {WaitInfo::kNone, -1, 0});
   }
-  session.set_wait(rank, {WaitInfo::kCollective, -1, op.line});
-  std::vector<int> send(nprocs, rank);
-  std::vector<int> recv(nprocs, 0);
-  switch (op.kind) {
-    case CollectiveKind::Bcast:
-      mpi::bcast(world, send.data(), 1, root);
-      break;
-    case CollectiveKind::Gather:
-      mpi::gather(world, send.data(), 1, recv.data(), root);
-      break;
-    case CollectiveKind::AllToAll:
-      mpi::alltoall(world, send.data(), 1, recv.data());
-      break;
+
+ private:
+  std::optional<core::ExprValue> value_of(const ClauseExpr& clause) const {
+    core::Env env;
+    env.bind("rank", rank_);
+    env.bind("nprocs", nprocs_);
+    auto value = clause.expr.eval(env);
+    if (!value.is_ok()) return std::nullopt;
+    return value.value();
   }
-  session.set_wait(rank, {WaitInfo::kNone, -1, 0});
-}
+
+  /// Guard evaluation: absent means true; symbolic branches the execution;
+  /// a failed evaluation (division by zero) is modeled as false with a note.
+  bool holds(const ClauseExpr& guard, const Node& op) {
+    if (!guard.present) return true;
+    if (guard.symbolic) {
+      return session_.decide(DecisionKind::Guard, rank_, op.site, 2) == 1;
+    }
+    const auto value = value_of(guard);
+    if (!value) {
+      session_.note("line " + std::to_string(op.line) +
+                    ": guard fails to evaluate on rank " +
+                    std::to_string(rank_) + "; treated as false");
+      return false;
+    }
+    return *value != 0;
+  }
+
+  /// A rank-valued clause on this rank; nullopt when it does not evaluate
+  /// to a rank.
+  std::optional<int> peer(const ClauseExpr& clause) const {
+    const auto value = value_of(clause);
+    if (!value || *value < 0 || *value >= nprocs_) return std::nullopt;
+    return static_cast<int>(*value);
+  }
+
+  void skipped(const Node& op, const char* what, const char* clause) {
+    session_.note("line " + std::to_string(op.line) + ": " + what +
+                  " skipped on rank " + std::to_string(rank_) + " (" +
+                  clause + " unevaluable or out of range)");
+  }
+
+  Session& session_;
+  int rank_;
+  int nprocs_;
+  mpi::Comm world_ = mpi::Comm::world();
+  std::array<int, 2> sink_{};
+};
 
 void interpret_rank(const Program& program, Session& session,
                     rt::RankCtx& ctx) {
-  const int rank = ctx.rank();
-  const int nprocs = ctx.nranks();
-  const mpi::Comm world = mpi::Comm::world();
-  for (const SyncScope& scope : program.scopes) {
-    struct PostedRecv {
-      mpi::Request request;
-      int line = 0;
-      bool wild = false;
-      int src = -1;
-      std::array<int, 2> data{{-1, -1}};
-      std::string rbuf;
-    };
-    std::deque<PostedRecv> recvs;  // deque: stable payload addresses
-    std::vector<mpi::Request> sends;
-    for (const Op& op : scope.ops) {
-      if (op.collective) {
-        run_collective(op, session, world, rank, nprocs);
-        continue;
-      }
-      // Receive side first (the translator posts irecv before isend).
-      if (eval_guard(session, op.receivewhen, rank, nprocs, op.site,
-                     op.line)) {
-        int src = -1;
-        bool wild = false;
-        bool usable = true;
-        if (op.sender.symbolic) {
-          wild = true;
-          src = mpi::kAnySource;
-        } else {
-          auto value = eval_clause(op.sender, rank, nprocs);
-          if (!value || *value < 0 || *value >= nprocs) {
-            session.note("line " + std::to_string(op.line) +
-                         ": receive skipped on rank " + std::to_string(rank) +
-                         " (sender unevaluable or out of range)");
-            usable = false;
-          } else {
-            src = static_cast<int>(*value);
-          }
-        }
-        if (usable) {
-          if (!op.rbuf.empty()) {
-            for (const PostedRecv& pending : recvs) {
-              if (pending.rbuf == op.rbuf) {
-                session.note_rbuf_reuse(rank, pending.line, op.line, op.rbuf);
-                break;
-              }
-            }
-          }
-          recvs.push_back({{}, op.line, wild, src, {{-1, -1}}, op.rbuf});
-          PostedRecv& posted = recvs.back();
-          posted.request =
-              mpi::irecv(world, posted.data.data(), 2, src, kP2PTag);
-        }
-      }
-      // Send side.
-      if (eval_guard(session, op.sendwhen, rank, nprocs, op.site, op.line)) {
-        std::optional<int> dest;
-        if (op.receiver.symbolic) {
-          dest = session.decide(DecisionKind::Value, rank, op.site, nprocs);
-        } else {
-          auto value = eval_clause(op.receiver, rank, nprocs);
-          if (!value || *value < 0 || *value >= nprocs) {
-            session.note("line " + std::to_string(op.line) +
-                         ": send skipped on rank " + std::to_string(rank) +
-                         " (receiver unevaluable or out of range)");
-          } else {
-            dest = static_cast<int>(*value);
-          }
-        }
-        if (dest) {
-          const std::array<int, 2> payload{{op.site, rank}};
-          sends.push_back(
-              mpi::isend(world, payload.data(), 2, *dest, kP2PTag));
-        }
-      }
-    }
-    // Consolidated sync: complete the scope's receives in post order, then
-    // finalize the (eagerly completed) sends.
-    for (PostedRecv& posted : recvs) {
-      session.set_wait(
-          rank, {posted.wild ? WaitInfo::kWildRecv : WaitInfo::kExactRecv,
-                 posted.src, posted.line});
-      mpi::wait(posted.request);
-      session.note_recv(rank, posted.line, posted.data[0], posted.data[1]);
-    }
-    session.set_wait(rank, {WaitInfo::kNone, -1, 0});
-    for (mpi::Request& request : sends) mpi::wait(request);
-  }
-  session.rank_done(rank);
+  RankInterpreter rank(session, ctx.rank(), ctx.nranks());
+  walk(program, rank);
+  session.rank_done(ctx.rank());
 }
 
-struct ExecutionOutcome {
-  std::vector<ChoicePoint> choices;
-  bool deadlocked = false;
-  bool cyclic = false;
-  bool truncated = false;
-  std::vector<WaitInfo> snapshot;
-  std::vector<SendRecord> sends;
-  std::vector<RbufReuse> rbuf_reuses;
-  std::vector<std::string> notes;
-  std::string error;
-};
-
-ExecutionOutcome run_one(const Program& program, const Options& options,
-                         std::vector<int> schedule) {
-  Session session(program, options.nprocs, options.dpor, std::move(schedule),
-                  options.max_decisions);
+/// Run one execution under `session`. Returns why it failed; empty when it
+/// completed, deadlocked or was truncated.
+std::string run_one(const Program& program, const Options& options,
+                    Session& session) {
   rt::RunOptions run_options;
   // Determinism is load-bearing: the explicit sim transport (never
   // CID_BACKEND) and a single pooled worker make every execution a pure
@@ -211,25 +227,14 @@ ExecutionOutcome run_one(const Program& program, const Options& options,
   run_options.sim_workers = 1;
   run_options.world_setup = [&](rt::World& world) { session.install(world); };
   run_options.idle_hook = [&] { return session.on_idle(); };
-  ExecutionOutcome outcome;
   try {
     rt::run(options.nprocs, simnet::MachineModel::cray_xk7_gemini(),
             [&](rt::RankCtx& ctx) { interpret_rank(program, session, ctx); },
             run_options);
   } catch (const CidError& error) {
-    if (!session.deadlocked() && !session.truncated()) {
-      outcome.error = error.what();
-    }
+    if (!session.deadlocked() && !session.truncated()) return error.what();
   }
-  outcome.choices = session.choices();
-  outcome.deadlocked = session.deadlocked();
-  outcome.cyclic = session.cyclic();
-  outcome.truncated = session.truncated();
-  outcome.snapshot = session.wait_snapshot();
-  outcome.sends = session.sends();
-  outcome.rbuf_reuses = session.rbuf_reuses();
-  outcome.notes = session.notes();
-  return outcome;
+  return {};
 }
 
 std::vector<int> chosen_prefix(const std::vector<ChoicePoint>& choices,
@@ -292,17 +297,17 @@ struct Harvest {
     witnesses.push_back({id, line, schedule});
   }
 
-  void harvest(const ExecutionOutcome& outcome) {
-    for (const std::string& note : outcome.notes) notes.insert(note);
-    const std::vector<int> full = chosen_prefix(outcome.choices,
-                                                outcome.choices.size());
-    if (outcome.deadlocked) {
+  void harvest(const Session& run, const std::string& error) {
+    for (const std::string& note : run.notes()) notes.insert(note);
+    const std::vector<int> full =
+        chosen_prefix(run.choices(), run.choices().size());
+    if (run.deadlocked()) {
       std::string signature;
       std::string description;
       int line = 0;
       int blocked = 0;
-      for (std::size_t r = 0; r < outcome.snapshot.size(); ++r) {
-        const WaitInfo& wait = outcome.snapshot[r];
+      for (std::size_t r = 0; r < run.wait_snapshot().size(); ++r) {
+        const WaitInfo& wait = run.wait_snapshot()[r];
         signature += std::to_string(static_cast<int>(wait.kind)) + ":" +
                      std::to_string(wait.peer) + ":" +
                      std::to_string(wait.line) + ";";
@@ -312,11 +317,11 @@ struct Harvest {
         description += wait_description(wait, static_cast<int>(r));
         if (line == 0 && wait.line > 0) line = wait.line;
       }
-      const std::string id = outcome.cyclic ? "CID-E100" : "CID-E101";
+      const std::string id = run.cyclic() ? "CID-E100" : "CID-E101";
       add(id + signature, id, analyze::Severity::Error, line,
           "schedule-space deadlock (" + std::to_string(blocked) + " of " +
               std::to_string(options->nprocs) + " ranks blocked" +
-              (outcome.cyclic ? ", cyclic wait" : ", no cycle: orphaned waits") +
+              (run.cyclic() ? ", cyclic wait" : ", no cycle: orphaned waits") +
               "): " + description,
           full);
     }
@@ -324,8 +329,8 @@ struct Harvest {
     // rank) holds >= 2 messages is nondeterministic. Distinct send sites
     // feed the receive from different source lines — a value race (E102);
     // one site with several senders is a match-order race (E103).
-    for (std::size_t i = 0; i < outcome.choices.size(); ++i) {
-      const ChoicePoint& point = outcome.choices[i];
+    for (std::size_t i = 0; i < run.choices().size(); ++i) {
+      const ChoicePoint& point = run.choices()[i];
       if (point.kind != DecisionKind::Wild) continue;
       std::map<int, std::vector<const Candidate*>> by_rank;
       for (const Candidate& candidate : point.candidates) {
@@ -342,8 +347,8 @@ struct Harvest {
         }
         for (std::size_t a = 0; a + 1 < candidates.size(); ++a) {
           for (std::size_t b = a + 1; b < candidates.size(); ++b) {
-            const SendRecord& sa = outcome.sends[candidates[a]->uid - 1];
-            const SendRecord& sb = outcome.sends[candidates[b]->uid - 1];
+            const SendRecord& sa = run.sends()[candidates[a]->uid - 1];
+            const SendRecord& sb = run.sends()[candidates[b]->uid - 1];
             if (!Session::concurrent(sa, sb)) all_concurrent = false;
           }
         }
@@ -358,7 +363,7 @@ struct Harvest {
                       ")";
           }
         }
-        const std::vector<int> witness = chosen_prefix(outcome.choices, i + 1);
+        const std::vector<int> witness = chosen_prefix(run.choices(), i + 1);
         std::string key_sites;
         for (int site : sites) key_sites += std::to_string(site) + ",";
         std::string key_srcs;
@@ -387,9 +392,9 @@ struct Harvest {
         }
       }
     }
-    if (!outcome.deadlocked && !outcome.truncated && outcome.error.empty()) {
+    if (!run.deadlocked() && !run.truncated() && error.empty()) {
       std::vector<const SendRecord*> stranded;
-      for (const SendRecord& send : outcome.sends) {
+      for (const SendRecord& send : run.sends()) {
         if (send.site >= 0 && !send.extracted) stranded.push_back(&send);
       }
       if (!stranded.empty()) {
@@ -412,7 +417,7 @@ struct Harvest {
             full);
       }
     }
-    for (const RbufReuse& reuse : outcome.rbuf_reuses) {
+    for (const RbufReuse& reuse : run.rbuf_reuses()) {
       add("E105:" + std::to_string(reuse.line_first) + ":" +
               std::to_string(reuse.line_second) + ":" + reuse.buffer,
           "CID-E105", analyze::Severity::Warning, reuse.line_second,
@@ -424,8 +429,8 @@ struct Harvest {
               std::to_string(reuse.rank) + ")",
           full);
     }
-    if (!outcome.error.empty()) {
-      notes.insert("internal: execution failed: " + outcome.error);
+    if (!error.empty()) {
+      notes.insert("internal: execution failed: " + error);
     }
   }
 };
@@ -494,20 +499,22 @@ Result<ExploreResult> explore_source(std::string_view source,
   while (!worklist.empty() && result.executions < options.max_executions) {
     std::vector<int> prefix = std::move(worklist.back());
     worklist.pop_back();
-    const ExecutionOutcome outcome = run_one(program, options, prefix);
+    Session session(options.nprocs, options.dpor, prefix,
+                    options.max_decisions);
+    harvest.harvest(session, run_one(program, options, session));
+    const std::vector<ChoicePoint>& choices = session.choices();
     ++result.executions;
-    result.decisions += static_cast<long long>(outcome.choices.size());
-    result.max_depth = std::max(result.max_depth,
-                                static_cast<int>(outcome.choices.size()));
-    harvest.harvest(outcome);
-    if (outcome.truncated) {
+    result.decisions += static_cast<long long>(choices.size());
+    result.max_depth =
+        std::max(result.max_depth, static_cast<int>(choices.size()));
+    if (session.truncated()) {
       result.truncated = true;
       continue;
     }
     for (std::size_t i = std::max(prefix.size(), seed_length);
-         i < outcome.choices.size(); ++i) {
-      for (int alt = 1; alt < outcome.choices[i].num_options; ++alt) {
-        std::vector<int> next = chosen_prefix(outcome.choices, i);
+         i < choices.size(); ++i) {
+      for (int alt = 1; alt < choices[i].num_options; ++alt) {
+        std::vector<int> next = chosen_prefix(choices, i);
         next.push_back(alt);
         worklist.push_back(std::move(next));
       }
@@ -526,28 +533,9 @@ Result<ExploreResult> explore_source(std::string_view source,
 
 std::string to_json(const std::string& path, const ExploreResult& result) {
   std::string out;
-  auto append_escaped = [&out](std::string_view text) {
-    out += '"';
-    for (char c : text) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-            out += buffer;
-          } else {
-            out += c;
-          }
-      }
-    }
-    out += '"';
-  };
+  using analyze::append_json_string;
   out += "{\"cidexplore\":1,\"file\":";
-  append_escaped(path);
+  append_json_string(out, path);
   out += ",\"nprocs\":" + std::to_string(result.nprocs);
   out += ",\"mode\":\"" + std::string(result.dpor ? "dpor" : "naive") + "\"";
   out += ",\"executions\":" + std::to_string(result.executions);
@@ -560,15 +548,15 @@ std::string to_json(const std::string& path, const ExploreResult& result) {
     const analyze::Diagnostic& diagnostic = result.report.diagnostics[i];
     if (i > 0) out += ',';
     out += "{\"id\":";
-    append_escaped(diagnostic.id);
+    append_json_string(out, diagnostic.id);
     out += ",\"severity\":\"";
     out += diagnostic.severity == analyze::Severity::Error ? "error"
                                                            : "warning";
     out += "\",\"line\":" + std::to_string(diagnostic.line);
     out += ",\"message\":";
-    append_escaped(diagnostic.message);
+    append_json_string(out, diagnostic.message);
     out += ",\"hint\":";
-    append_escaped(diagnostic.hint);
+    append_json_string(out, diagnostic.hint);
     out += '}';
   }
   out += "],\"witnesses\":[";
@@ -576,7 +564,7 @@ std::string to_json(const std::string& path, const ExploreResult& result) {
     const Witness& witness = result.witnesses[i];
     if (i > 0) out += ',';
     out += "{\"id\":";
-    append_escaped(witness.id);
+    append_json_string(out, witness.id);
     out += ",\"line\":" + std::to_string(witness.line);
     out += ",\"schedule\":[";
     for (std::size_t k = 0; k < witness.schedule.size(); ++k) {
@@ -588,7 +576,7 @@ std::string to_json(const std::string& path, const ExploreResult& result) {
   out += "],\"notes\":[";
   for (std::size_t i = 0; i < result.notes.size(); ++i) {
     if (i > 0) out += ',';
-    append_escaped(result.notes[i]);
+    append_json_string(out, result.notes[i]);
   }
   out += "],\"summary\":{\"errors\":" + std::to_string(result.report.errors());
   out += ",\"warnings\":" + std::to_string(result.report.warnings());

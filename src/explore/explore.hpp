@@ -2,11 +2,13 @@
 //
 // The static analyzer (cid::analyze) proves what it can from clause
 // expressions over rank/nprocs and *skips* everything symbolic. This module
-// is the dynamic complement: it runs the directive program under a
-// controlled scheduler that owns every source of nondeterminism — symbolic
-// guard outcomes, symbolic peer/root values, and the order in which
-// wildcard receives consume competing messages — and enumerates the
-// schedule tree, DPOR-style, reporting:
+// is the dynamic complement: it runs the directive program, each rank's
+// synchronization placed by core::SyncPlan where the directive executor
+// places it (explore/program.hpp), under a controlled scheduler that owns
+// every source of nondeterminism — symbolic guard outcomes, symbolic
+// peer/root values, and the order in which wildcard receives consume
+// competing messages — and enumerates the schedule tree, DPOR-style,
+// reporting:
 //
 //   CID-E100  cyclic-wait deadlock                       (error)
 //   CID-E101  stalled ranks, no cycle (orphaned waits)   (error)

@@ -93,18 +93,30 @@ std::string generate_program(std::uint64_t seed) {
       "#pragma comm_p2p sbuf(a) rbuf(b) sender(0) receiver(1)\n"
       "*/\n"
       "void work0(); void work1(); void work2(); void work3();\n"
-      "void work4(); void work5();\n"
+      "void work4(); void work5(); void work6(); void work7(); void work8();\n"
       "void step() {\n";
+  // A region's place_sync: absent, or one of the three placements.
+  static const char* const kPlaceSync[] = {
+      "", " place_sync(END_PARAM_REGION)",
+      " place_sync(BEGIN_NEXT_PARAM_REGION)",
+      " place_sync(END_ADJ_PARAM_REGIONS)"};
   const int constructs = 1 + static_cast<int>(rng.next_below(3));
   int index = 0;
+  bool deferred = false;  // lands only at a following sibling region
   for (int i = 0; i < constructs; ++i) {
-    switch (rng.next_below(5)) {
-      case 0:  // region wrapping one or two p2ps (exercises inheritance)
-        source += "#pragma comm_parameters count(4)\n  {\n";
+    switch (deferred ? 0 : rng.next_below(5)) {
+      case 0: {  // region wrapping one or two p2ps (exercises inheritance)
+        // The last region of a run lands its own sync.
+        const auto placement = rng.next_below(i + 1 < constructs ? 4 : 2);
+        deferred = placement >= 2;
+        source += "#pragma comm_parameters count(4)" +
+                  std::string(kPlaceSync[placement]) + "\n  {\n";
         source += gen_p2p(rng, index++);
+        if (rng.next_below(4) == 0) source += gen_collective(rng, index++);
         if (rng.next_below(2) == 0) source += gen_p2p(rng, index++);
         source += "  }\n";
         break;
+      }
       case 1:
         source += gen_collective(rng, index++);
         break;
@@ -131,7 +143,6 @@ FuzzOutcome fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
   const analyze::Report report =
       analyze::analyze_source(out.program, analyze_options);
   out.analyze_errors = report.errors();
-  out.analyze_warnings = report.warnings();
   out.analyze_symbolic_skips = report.symbolic_skips;
   bool m010 = false;
   bool m011 = false;
@@ -160,9 +171,6 @@ FuzzOutcome fuzz_one(std::uint64_t seed, const FuzzOptions& options) {
     return out;
   }
   const ExploreResult& result = explored.value();
-  out.explore_errors = result.report.errors();
-  out.explore_warnings = result.report.warnings();
-  out.explore_executions = result.executions;
   out.explore_truncated = result.truncated;
   bool value_race = false;
   for (const analyze::Diagnostic& diagnostic : result.report.diagnostics) {

@@ -47,12 +47,8 @@ struct FuzzOutcome {
   // layer observations, for summaries and tests
   bool translate_ok = false;
   int analyze_errors = 0;
-  int analyze_warnings = 0;
   int analyze_symbolic_skips = 0;
   bool analyze_m012 = false;
-  int explore_errors = 0;
-  int explore_warnings = 0;
-  int explore_executions = 0;
   bool explore_deadlock = false;
   bool explore_truncated = false;
 };

@@ -1,5 +1,7 @@
 #include "explore/program.hpp"
 
+#include <optional>
+
 #include "core/clauses.hpp"
 #include "core/pragma.hpp"
 #include "translate/scan.hpp"
@@ -14,13 +16,6 @@ using translate::DirectiveNode;
 
 struct Builder {
   Program program;
-  SyncScope open;
-
-  void flush() {
-    if (open.ops.empty()) return;
-    program.scopes.push_back(std::move(open));
-    open = SyncScope{};
-  }
 
   void note(const DirectiveNode& node, const std::string& text) {
     program.notes.push_back("line " + std::to_string(node.line) + ": " + text);
@@ -32,7 +27,8 @@ struct Builder {
     const auto problems = translate::required_clause_problems(merged);
     if (problems.empty()) return false;
     note(node, problems.front().message + "; skipped (" +
-                   (problems.front().missing ? "CID-P005" : "CID-P006") +
+                   (problems.front().missing.empty() ? "CID-P006"
+                                                     : "CID-P005") +
                    " territory)");
     return true;
   }
@@ -45,16 +41,20 @@ struct Builder {
     }
   }
 
-  int new_site(int line) {
-    program.site_lines.push_back(line);
-    return static_cast<int>(program.site_lines.size()) - 1;
+  /// A transfer or collective leaf with a fresh site index.
+  Node leaf(const DirectiveNode& node, Node::Kind kind) {
+    program.site_lines.push_back(node.line);
+    Node leaf;
+    leaf.kind = kind;
+    leaf.line = node.line;
+    leaf.site = static_cast<int>(program.site_lines.size()) - 1;
+    return leaf;
   }
 
-  void add_p2p(const DirectiveNode& node, const ParsedDirective& merged) {
-    Op op;
-    op.site = new_site(node.line);
-    op.line = node.line;
-    if (incomplete(node, merged)) return;
+  std::optional<Node> p2p(const DirectiveNode& node,
+                          const ParsedDirective& merged) {
+    Node op = leaf(node, Node::Kind::Transfer);
+    if (incomplete(node, merged)) return std::nullopt;
     op.sender = translate::clause_expr(merged, "sender");
     op.receiver = translate::clause_expr(merged, "receiver");
     op.sendwhen = translate::clause_expr(merged, "sendwhen");
@@ -63,7 +63,7 @@ struct Builder {
         op.sendwhen.unparsable() || op.receivewhen.unparsable()) {
       note(node, "comm_p2p skipped: clause expression does not parse "
                  "(CID-P003 territory)");
-      return;
+      return std::nullopt;
     }
     const core::RawClause* sbuf = merged.find("sbuf");
     op.sbuf = sbuf->args[0];
@@ -75,60 +75,42 @@ struct Builder {
         op.receivewhen.symbolic) {
       ++program.symbolic_clauses;
     }
-    open.ops.push_back(std::move(op));
+    return op;
   }
 
-  void add_collective(const DirectiveNode& node,
-                      const ParsedDirective& merged) {
-    Op op;
-    op.collective = true;
-    op.site = new_site(node.line);
-    op.line = node.line;
-    if (incomplete(node, merged)) return;
-    const core::RawClause* pattern = merged.find("pattern");
-    if (pattern == nullptr || pattern->args.empty()) {
-      note(node, "comm_collective skipped: missing pattern clause");
-      return;
-    }
-    auto kind = core::parse_pattern_keyword(pattern->args[0]);
+  std::optional<Node> collective(const DirectiveNode& node,
+                                 const ParsedDirective& merged) {
+    Node op = leaf(node, Node::Kind::Collective);
+    if (incomplete(node, merged)) return std::nullopt;
+    // The scanner rejects a collective without a pattern clause.
+    const std::string& pattern = merged.find("pattern")->args[0];
+    auto kind = core::parse_pattern_keyword(pattern);
     if (!kind.is_ok()) {
-      note(node, "comm_collective skipped: unknown pattern '" +
-                     pattern->args[0] + "'");
-      return;
+      note(node, "comm_collective skipped: unknown pattern '" + pattern + "'");
+      return std::nullopt;
     }
-    switch (kind.value()) {
-      case core::Pattern::OneToMany:
-        op.kind = CollectiveKind::Bcast;
-        break;
-      case core::Pattern::ManyToOne:
-        op.kind = CollectiveKind::Gather;
-        break;
-      case core::Pattern::AllToAll:
-        op.kind = CollectiveKind::AllToAll;
-        break;
-    }
+    op.pattern = kind.value();
     op.root = translate::clause_expr(merged, "root");
     if (op.root.unparsable()) {
       note(node, "comm_collective skipped: root expression does not parse");
-      return;
+      return std::nullopt;
     }
     if (op.root.symbolic) ++program.symbolic_clauses;
-    open.ops.push_back(std::move(op));
+    return op;
   }
 
-  /// Walk the children of a region (or the root list). A nested
-  /// comm_parameters closes the surrounding scope: its transfers complete at
-  /// its own end, before anything posted after it.
-  void walk(const std::vector<DirectiveNode>& nodes,
-            const ParsedDirective* inherited) {
+  /// The modeled nodes of the children of a region (or of the root list).
+  std::vector<Node> walk(const std::vector<DirectiveNode>& nodes,
+                         const ParsedDirective* inherited) {
+    std::vector<Node> out;
     for (const DirectiveNode& node : nodes) {
       ParsedDirective merged =
           inherited != nullptr
               ? translate::merge_directives(*inherited, node.directive)
               : node.directive;
+      std::optional<Node> modeled;
       switch (node.directive.kind) {
         case DirectiveKind::CommParameters: {
-          flush();
           if (merged.find("reliability") != nullptr) {
             note(node, "reliability clause ignored (no fault layer under "
                        "exploration)");
@@ -136,35 +118,28 @@ struct Builder {
           if (merged.find("max_comm_iter") != nullptr) {
             note(node, "region body executes once (max_comm_iter ignored)");
           }
-          if (const auto* sync = merged.find("place_sync");
-              sync != nullptr && !sync->args.empty() &&
-              sync->args[0] != "END_PARAM_REGION") {
-            note(node, "place_sync " + sync->args[0] +
-                           " modeled as END_PARAM_REGION");
-          }
-          const int before = static_cast<int>(program.scopes.size());
-          walk(node.children, &merged);
-          flush();
-          if (static_cast<int>(program.scopes.size()) > before &&
-              program.scopes[before].line == 0) {
-            program.scopes[before].line = node.line;
-          }
+          Node region;
+          region.kind = Node::Kind::Region;
+          region.line = node.line;
+          // An invalid keyword is the analyzer's CID-S032.
+          const auto placement = core::place_sync_of(node.directive);
+          if (placement.is_ok()) region.place_sync = placement.value();
+          region.children = walk(node.children, &merged);
+          modeled = std::move(region);
           break;
         }
         case DirectiveKind::CommP2P:
-          add_p2p(node, merged);
+          modeled = p2p(node, merged);
           note_nested(node.children);
-          if (open.line == 0) open.line = node.line;
-          if (inherited == nullptr) flush();  // standalone: own sync scope
           break;
         case DirectiveKind::CommCollective:
-          add_collective(node, merged);
+          modeled = collective(node, merged);
           note_nested(node.children);
-          if (open.line == 0) open.line = node.line;
-          if (inherited == nullptr) flush();
           break;
       }
+      if (modeled) out.push_back(std::move(*modeled));
     }
+    return out;
   }
 };
 
@@ -174,8 +149,7 @@ Result<Program> build_program(std::string_view source) {
   const translate::DirectiveTree tree = translate::scan_directives(source);
   if (Status status = tree.first_issue(); !status.is_ok()) return status;
   Builder builder;
-  builder.walk(tree.roots, nullptr);
-  builder.flush();
+  builder.program.roots = builder.walk(tree.roots, nullptr);
   return std::move(builder.program);
 }
 

@@ -7,10 +7,9 @@
 
 namespace cid::explore::detail {
 
-Session::Session(const Program& program, int nprocs, bool dpor,
-                 std::vector<int> schedule, int max_decisions)
-    : program_(&program),
-      nprocs_(nprocs),
+Session::Session(int nprocs, bool dpor, std::vector<int> schedule,
+                 int max_decisions)
+    : nprocs_(nprocs),
       dpor_(dpor),
       schedule_(std::move(schedule)),
       max_decisions_(max_decisions),
@@ -39,14 +38,6 @@ void Session::install(rt::World& world) {
       record.site = site;
     }
     envelope.explore_uid = record.uid;
-    trace_.push_back("send uid=" + std::to_string(record.uid) + " rank " +
-                     std::to_string(record.src) + " -> " +
-                     std::to_string(dest) +
-                     (record.site >= 0
-                          ? " (site " + std::to_string(record.site) + ", line " +
-                                std::to_string(program_->site_lines[record.site]) +
-                                ")"
-                          : " (internal)"));
     sends_.push_back(std::move(record));
   });
   for (int r = 0; r < nprocs_; ++r) {
@@ -67,8 +58,6 @@ void Session::install(rt::World& world) {
             vc_[r][k] = std::max(vc_[r][k], record.vc[k]);
           }
           ++vc_[r][r];
-          trace_.push_back("extract uid=" + std::to_string(envelope.explore_uid) +
-                           " by rank " + std::to_string(r));
         });
   }
 }
@@ -102,11 +91,6 @@ int Session::decide(DecisionKind kind, int rank, int site, int num_options) {
   point.num_options = num_options;
   point.chosen = take_choice(num_options);
   choices_.push_back(point);
-  trace_.push_back(std::string(kind == DecisionKind::Guard ? "guard" : "value") +
-                   " decision rank " + std::to_string(rank) + " site " +
-                   std::to_string(site) + " -> " +
-                   std::to_string(point.chosen) + "/" +
-                   std::to_string(num_options));
   return point.chosen;
 }
 
@@ -129,14 +113,6 @@ void Session::rank_done(int rank) {
 void Session::note_rbuf_reuse(int rank, int line_first, int line_second,
                               const std::string& buffer) {
   rbuf_reuses_.push_back({rank, line_first, line_second, buffer});
-}
-
-void Session::note_recv(int rank, int line, int payload_site,
-                        int payload_src) {
-  trace_.push_back("recv complete rank " + std::to_string(rank) + " line " +
-                   std::to_string(line) + " <- rank " +
-                   std::to_string(payload_src) + " (site " +
-                   std::to_string(payload_site) + ")");
 }
 
 bool Session::detect_cycle() const {
@@ -214,11 +190,6 @@ bool Session::on_idle() {
   point.candidates = std::move(options);
   choices_.push_back(std::move(point));
   released_.insert(chosen.uid);
-  trace_.push_back("wild decision: release uid=" + std::to_string(chosen.uid) +
-                   " (rank " + std::to_string(chosen.src) + " -> " +
-                   std::to_string(chosen.recv_rank) + ") of " +
-                   std::to_string(choices_.back().num_options) +
-                   " candidate(s)");
   // Wake the receiving rank's parked waiter so it rescans and matches the
   // released envelope (interrupt_all is a rescan signal, not an error, when
   // the world is healthy).

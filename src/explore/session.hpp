@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "explore/program.hpp"
 #include "rt/world.hpp"
 
 namespace cid::explore::detail {
@@ -94,8 +93,8 @@ struct RbufReuse {
 
 class Session {
  public:
-  Session(const Program& program, int nprocs, bool dpor,
-          std::vector<int> schedule, int max_decisions);
+  Session(int nprocs, bool dpor, std::vector<int> schedule,
+          int max_decisions);
 
   /// Install the delivery tap and per-mailbox wildcard gates / extract taps
   /// on the freshly built world (rt::RunOptions::world_setup).
@@ -117,7 +116,6 @@ class Session {
   void rank_done(int rank);
   void note_rbuf_reuse(int rank, int line_first, int line_second,
                        const std::string& buffer);
-  void note_recv(int rank, int line, int payload_site, int payload_src);
   /// Model-deviation note (skipped send/receive, failed evaluation, ...).
   void note(std::string text) { notes_.push_back(std::move(text)); }
 
@@ -129,7 +127,6 @@ class Session {
   const std::vector<WaitInfo>& wait_snapshot() const { return snapshot_; }
   const std::vector<SendRecord>& sends() const { return sends_; }
   const std::vector<RbufReuse>& rbuf_reuses() const { return rbuf_reuses_; }
-  const std::vector<std::string>& trace() const { return trace_; }
   const std::vector<std::string>& notes() const { return notes_; }
 
   /// Neither send happens-before the other (by the recorded vector clocks).
@@ -140,7 +137,6 @@ class Session {
   bool detect_cycle() const;
   void abort_run();
 
-  const Program* program_;
   rt::World* world_ = nullptr;
   int nprocs_;
   bool dpor_;
@@ -161,7 +157,6 @@ class Session {
   bool aborting_ = false;
   std::vector<WaitInfo> snapshot_;
   std::vector<RbufReuse> rbuf_reuses_;
-  std::vector<std::string> trace_;
   std::vector<std::string> notes_;
 };
 

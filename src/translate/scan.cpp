@@ -191,18 +191,18 @@ std::vector<ClauseProblem> required_clause_problems(
   }
   if (!missing.empty()) {
     problems.push_back(
-        {true, p2p ? "comm_p2p is missing required clause(s) after "
-                     "inheritance: " + missing
-                   : "comm_collective is missing required clause(s): " +
-                         missing});
+        {missing, p2p ? "comm_p2p is missing required clause(s) after "
+                        "inheritance: " + missing
+                      : "comm_collective is missing required clause(s): " +
+                            missing});
   }
   // The executor's rule (Clauses::validate_for_collective), in its words.
   if (const core::RawClause* pattern = merged.find("pattern");
       !p2p && pattern != nullptr && merged.find("root") == nullptr) {
     auto parsed = core::parse_pattern_keyword(pattern->args[0]);
     if (parsed.is_ok() && parsed.value() != core::Pattern::AllToAll) {
-      problems.push_back(
-          {true, "pattern " + pattern->args[0] + " requires the root clause"});
+      problems.push_back({"root", "pattern " + pattern->args[0] +
+                                      " requires the root clause"});
     }
   }
   const core::RawClause* sbuf = merged.find("sbuf");
@@ -210,13 +210,13 @@ std::vector<ClauseProblem> required_clause_problems(
   if (sbuf == nullptr || rbuf == nullptr) return problems;
   if (p2p && sbuf->args.size() != rbuf->args.size()) {
     problems.push_back(
-        {false, "sbuf lists " + std::to_string(sbuf->args.size()) +
-                    " buffer(s) but rbuf lists " +
-                    std::to_string(rbuf->args.size()) +
-                    "; paired send/receive buffers must agree in number"});
+        {"", "sbuf lists " + std::to_string(sbuf->args.size()) +
+                 " buffer(s) but rbuf lists " +
+                 std::to_string(rbuf->args.size()) +
+                 "; paired send/receive buffers must agree in number"});
   } else if (!p2p && (sbuf->args.size() != 1 || rbuf->args.size() != 1)) {
     problems.push_back(
-        {false, "comm_collective takes exactly one sbuf and one rbuf"});
+        {"", "comm_collective takes exactly one sbuf and one rbuf"});
   }
   return problems;
 }

@@ -61,8 +61,8 @@ core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
 
 /// One reason a comm_p2p / comm_collective cannot be lowered.
 struct ClauseProblem {
-  bool missing = false;  ///< a required clause is absent (else the sbuf/rbuf
-                         ///< lists disagree)
+  std::string missing;  ///< the absent required clause(s), comma-separated;
+                        ///< empty when the sbuf/rbuf lists disagree
   std::string message;
 };
 

@@ -221,15 +221,10 @@ class Translator {
     }
     auto target = core::parse_target_keyword(target_of(merged));
     if (!target.is_ok()) return at(node, target.status());
-    // The executor's comm_collective does not resolve TARGET_COMM_AUTO
-    // through cid::tune, so a collective's auto lowers to the default target.
-    const core::Target lowered = target.value() == core::Target::Auto
-                                     ? options_.default_target
-                                     : target.value();
-    if (lowered == core::Target::Mpi1Side || lowered == core::Target::Auto) {
+    if (target.value() == core::Target::Mpi1Side) {
       return at(node, Status(ErrorCode::UnsupportedTarget,
-                             "comm_collective does not support " +
-                                 std::string(core::target_keyword(lowered))));
+                             "comm_collective does not support "
+                             "TARGET_COMM_MPI_1SIDE"));
     }
     ParsedDirective collective;
     collective.kind = DirectiveKind::CommCollective;
@@ -240,7 +235,7 @@ class Translator {
       }
     }
     collective.clauses.push_back(
-        {"target", {std::string(core::target_keyword(lowered))}, 0});
+        {"target", {std::string(core::target_keyword(target.value()))}, 0});
     auto builder = clauses_builder(collective);
     if (!builder.is_ok()) return at(node, builder.status());
 

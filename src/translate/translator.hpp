@@ -18,12 +18,11 @@
 // through its region stack and alone decides target choice, count
 // inference, datatypes, persistent requests and where synchronization lands
 // (place_sync). A comm_collective, which the executor does not let inherit,
-// carries the collective clauses of its statically merged clause set, its
-// target(auto) lowered to the default target (the executor's
-// comm_collective does not resolve auto). The translator keeps the static
-// checks: required clauses after inheritance, keywords, reliability only on
-// MPI two-sided, no collective inside a reliability region, root on every
-// collective but all-to-all, and no one-sided collective.
+// carries the collective clauses of its statically merged clause set. The
+// translator keeps the static checks: required clauses after inheritance,
+// keywords, reliability only on MPI two-sided, no collective inside a
+// reliability region, root on every collective but all-to-all, and no
+// one-sided collective.
 //
 // The translator finds no directives of its own: it walks the tree that
 // scan_directives() (translate/scan.hpp) builds, the same tree the analyzer
@@ -50,8 +49,7 @@ namespace cid::translate {
 
 struct Options {
   /// Target of a top-level directive (and of a comm_collective) whose
-  /// clauses, inherited ones included, name none, and of a comm_collective
-  /// whose target is auto.
+  /// clauses, inherited ones included, name none.
   core::Target default_target = core::Target::Mpi2Side;
   /// Emit explanatory comments in the generated code.
   bool annotate = true;

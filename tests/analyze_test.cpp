@@ -238,6 +238,36 @@ int main() {
   EXPECT_EQ(d.message,
             "comm_p2p is missing required clause(s) after inheritance: "
             "sender, receiver");
+  EXPECT_EQ(d.hint,
+            "add sender, receiver on the directive or on the enclosing "
+            "comm_parameters region");
+}
+
+// A collective inherits count, sbuf and rbuf like a transfer does; the hint
+// names what is missing.
+TEST(Analyze, CollectiveHintNamesTheMissingClauses) {
+  const Report report = analyze(R"(
+int main() {
+#pragma comm_parameters count(4) sbuf(a)
+{
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL)
+{ }
+}
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) sbuf(a) rbuf(b) count(1)
+{ }
+}
+)");
+  ASSERT_EQ(report.errors(), 2) << render(report);
+  EXPECT_EQ(report.diagnostics[0].id, "CID-P005");
+  EXPECT_EQ(report.diagnostics[0].message,
+            "comm_collective is missing required clause(s): rbuf");
+  EXPECT_EQ(report.diagnostics[0].hint,
+            "add rbuf on the directive or on the enclosing comm_parameters "
+            "region");
+  EXPECT_EQ(report.diagnostics[1].id, "CID-P005");
+  EXPECT_EQ(report.diagnostics[1].hint,
+            "add root on the directive or on the enclosing comm_parameters "
+            "region");
 }
 
 // The executor requires root for every collective pattern but all-to-all.
@@ -257,6 +287,29 @@ int main() {
 }
 
 // --- buffer race detection --------------------------------------------------
+
+// A collective synchronizes: the executor lands the open batch before it
+// runs, so the second ring's receive into rb is not a reuse in flight.
+TEST(Analyze, CollectiveLandsTheOpenBatch) {
+  const Report report = analyze(R"(
+double sb[8];
+double rb[8];
+double cs[8];
+double cr[8];
+int main() {
+#pragma comm_parameters count(4)
+{
+#pragma comm_p2p sbuf(sb) rbuf(rb) receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)
+{ }
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) sbuf(cs) rbuf(cr)
+{ }
+#pragma comm_p2p sbuf(sb) rbuf(rb) receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)
+{ }
+}
+}
+)");
+  EXPECT_TRUE(report.clean()) << render(report);
+}
 
 TEST(Analyze, RbufReusedWhileInFlight) {
   const Report report = analyze(R"(

@@ -494,9 +494,10 @@ TEST(CollectiveTranslate, RootlessOneToManyRejected) {
             "line 2: pattern PATTERN_ONE_TO_MANY requires the root clause");
 }
 
-// The executor's comm_collective does not resolve TARGET_COMM_AUTO, so a
-// collective's auto, its own or inherited, lowers to the default target.
-TEST(CollectiveTranslate, AutoTargetLowersToDefault) {
+// The executor resolves a collective's TARGET_COMM_AUTO itself, so the
+// translator passes it through, its own or inherited, and the default target
+// may be auto.
+TEST(CollectiveTranslate, AutoTargetPassesThrough) {
   cid::translate::Options options;
   options.default_target = Target::Shmem;
   auto result = cid::translate::translate_source(R"(
@@ -511,17 +512,57 @@ TEST(CollectiveTranslate, AutoTargetLowersToDefault) {
   const std::string& out = result.value().source;
   const std::string call =
       out.substr(out.find("::cid::core::comm_collective("));
-  EXPECT_TRUE(cid::contains(call, ".target(::cid::core::Target::Shmem)"));
-  EXPECT_FALSE(cid::contains(call, "Target::Auto"));
+  EXPECT_TRUE(cid::contains(call, ".target(::cid::core::Target::Auto)"));
+  EXPECT_FALSE(cid::contains(call, "Target::Shmem"));
 
   options.default_target = Target::Auto;
-  auto unresolved = cid::translate::translate_source(R"(
+  auto defaulted = cid::translate::translate_source(R"(
 #pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(src) rbuf(dst) count(4)
 { }
 )",
-                                                     options);
-  ASSERT_FALSE(unresolved.is_ok());
-  EXPECT_EQ(unresolved.status().code(), cid::ErrorCode::UnsupportedTarget);
+                                                    options);
+  ASSERT_TRUE(defaulted.is_ok()) << defaulted.status().to_string();
+  EXPECT_TRUE(cid::contains(defaulted.value().source,
+                            ".target(::cid::core::Target::Auto)"));
+}
+
+// A collective's target(auto) is MPI two-sided: the same bytes, the same
+// executor counters and the same virtual clocks, on an ordinary rbuf.
+TEST(CollectiveDirective, AutoTargetRunsAsMpiTwoSided) {
+  struct Outcome {
+    std::vector<std::vector<double>> received;
+    std::vector<CommStats> stats;
+    std::vector<double> clocks;
+  };
+  const auto run = [](Target target) {
+    Outcome out;
+    out.received.resize(4);
+    out.stats.resize(4);
+    const auto rank_body = [&](RankCtx& ctx) {
+      std::vector<double> sbuf(4, 0.0);
+      std::vector<double> rbuf(4, -1.0);
+      if (ctx.rank() == 2) std::iota(sbuf.begin(), sbuf.end(), 7.0);
+      comm_collective(Clauses()
+                          .pattern(Pattern::OneToMany)
+                          .root(2)
+                          .count(4)
+                          .target(target)
+                          .sbuf(buf(sbuf))
+                          .rbuf(buf(rbuf)));
+      out.received[ctx.rank()] = rbuf;
+      out.stats[ctx.rank()] = comm_stats();
+    };
+    out.clocks =
+        cid::rt::run(4, MachineModel::cray_xk7_gemini(), rank_body)
+            .final_clocks;
+    return out;
+  };
+  const Outcome automatic = run(Target::Auto);
+  const Outcome two_sided = run(Target::Mpi2Side);
+  EXPECT_EQ(automatic.received, two_sided.received);
+  EXPECT_EQ(automatic.received[0], (std::vector<double>{7.0, 8.0, 9.0, 10.0}));
+  EXPECT_EQ(automatic.stats, two_sided.stats);
+  EXPECT_EQ(automatic.clocks, two_sided.clocks);
 }
 
 }  // namespace

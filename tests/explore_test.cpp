@@ -48,10 +48,11 @@ void step() {
 }
 )";
 
-// Four wildcard receives across two ranks in ONE synchronization scope:
-// rank 1 and rank 2 each hold two in-flight wildcard candidates at the
-// same quiescence point, which is exactly where DPOR's lowest-rank rule
-// prunes and naive enumeration does not.
+// Four wildcard receives across two ranks in one region: rank 1 and rank 2
+// each receive into a buffer they are already receiving into, so each lands
+// its first wildcard receive while competing messages are in flight. That
+// quiescence point is exactly where DPOR's lowest-rank rule prunes and
+// naive enumeration does not.
 constexpr const char* kTwoRankWildcards = R"(
 int a[8]; int b[8]; int c[8]; int d[8];
 int k;
@@ -252,6 +253,174 @@ TEST(Explore, ScheduleFormatsAndParsesRoundTrip) {
   EXPECT_FALSE(cid::explore::parse_schedule("1,x,2").is_ok());
 }
 
+// --- synchronization lands where the executor lands it ---------------------
+
+// Two ranks, each receiving from (recv-only) or sending to (send-only) the
+// other.
+#define CID_RECV_ONLY \
+  "sender(1-rank) receiver(1-rank) sendwhen(rank<0) receivewhen(rank>=0)"
+#define CID_SEND_ONLY \
+  "sender(1-rank) receiver(1-rank) sendwhen(rank>=0) receivewhen(rank<0)"
+
+TEST(ExploreSync, NestedRegionLandsTheOuterReceiveAtItsEnd) {
+  // The nested region's begin lands nothing; its end lands the outer
+  // receive after the send is posted.
+  const auto result = explore(R"(
+int a[4]; int b[4];
+void step() {
+#pragma comm_parameters count(4)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_RECV_ONLY R"(
+    { }
+#pragma comm_parameters count(4)
+    {
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_SEND_ONLY R"(
+      { }
+    }
+  }
+}
+)",
+                              2);
+  EXPECT_TRUE(result.report.diagnostics.empty());
+}
+
+TEST(ExploreSync, DeferredReceiveLandsAfterTheNextRegionSends) {
+  const auto result = explore(R"(
+int a[4]; int b[4];
+void step() {
+#pragma comm_parameters count(4) place_sync(END_ADJ_PARAM_REGIONS)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_RECV_ONLY R"(
+    { }
+  }
+#pragma comm_parameters count(4)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_SEND_ONLY R"(
+    { }
+  }
+}
+)",
+                              2);
+  EXPECT_TRUE(result.report.diagnostics.empty());
+  EXPECT_TRUE(result.notes.empty());
+}
+
+TEST(ExploreSync, CollectiveLandsTheOpenReceiveFirst) {
+  // The receive waits at the collective, before any rank sends: a cycle.
+  const auto result = explore(R"(
+int a[4]; int b[4]; int c[8]; int d[8];
+void step() {
+#pragma comm_parameters count(4)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_RECV_ONLY R"(
+    { }
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(c) rbuf(d)
+    { }
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_SEND_ONLY R"(
+    { }
+  }
+}
+)",
+                              2);
+  EXPECT_TRUE(has(result, "CID-E100"));
+}
+
+TEST(ExploreSync, ReceiveIntoAnInFlightBufferLandsItFirst) {
+  // The second receive into b lands the first before it posts, and no rank
+  // has sent yet: the adjacency rule's sync deadlocks.
+  const auto result = explore(R"(
+int a[4]; int b[4];
+void step() {
+#pragma comm_parameters count(4)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_RECV_ONLY R"(
+    { }
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_RECV_ONLY R"(
+    { }
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_SEND_ONLY R"(
+    { }
+#pragma comm_p2p sbuf(a) rbuf(b) )" CID_SEND_ONLY R"(
+    { }
+  }
+}
+)",
+                              2);
+  EXPECT_TRUE(has(result, "CID-E100"));
+  EXPECT_TRUE(has(result, "CID-E105"));
+}
+
+TEST(ExploreSync, CollectiveLandsTheRingBeforeTheNextRing) {
+  // A ring into b, a collective, and a ring into b again: the collective
+  // lands the first ring, so b is not in flight when the second ring posts
+  // (Analyze.CollectiveLandsTheOpenBatch is the static twin).
+  const auto result = explore(R"(
+int a[4]; int b[4]; int c[4]; int d[4];
+void step() {
+#pragma comm_parameters count(4)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)
+    { }
+#pragma comm_collective pattern(PATTERN_ONE_TO_MANY) root(0) sbuf(c) rbuf(d)
+    { }
+#pragma comm_p2p sbuf(a) rbuf(b) receiver((rank+1)%nprocs) sender((rank+nprocs-1)%nprocs)
+    { }
+  }
+}
+)",
+                              3);
+  EXPECT_TRUE(result.report.diagnostics.empty());
+  EXPECT_EQ(result.executions, 1);
+}
+
+#undef CID_RECV_ONLY
+#undef CID_SEND_ONLY
+
+// examples/explore_deferred.cpp: a race that exists only because the first
+// region defers its sync.
+constexpr const char* kDeferredRace = R"(
+int a[8]; int b[8]; int c[8]; int d[8];
+int k;
+void produce(); void reflect();
+void step() {
+#pragma comm_parameters count(4) place_sync(END_ADJ_PARAM_REGIONS)
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) receiver(0) sender(k) sendwhen(rank==1) receivewhen(rank==0)
+    { produce(); }
+  }
+#pragma comm_parameters count(4)
+  {
+#pragma comm_p2p sbuf(c) rbuf(d) receiver(0) sender(k) sendwhen(rank==0) receivewhen(rank==0)
+    { reflect(); }
+  }
+}
+)";
+
+TEST(ExploreSync, DeferredSyncRaceIsFoundWhereCheckIsClean) {
+  cid::analyze::Options static_opts;
+  static_opts.nprocs_min = 3;
+  static_opts.nprocs_max = 3;
+  const auto report = cid::analyze::analyze_source(kDeferredRace, static_opts);
+  EXPECT_TRUE(report.diagnostics.empty());
+  EXPECT_EQ(report.symbolic_skips, 2);
+
+  const auto full = explore(kDeferredRace, 3);
+  ASSERT_TRUE(has(full, "CID-E102"));
+  Options replay_opts;
+  replay_opts.nprocs = 3;
+  replay_opts.schedule = witness_of(full, "CID-E102").schedule;
+  replay_opts.max_executions = 1;
+  auto replay = cid::explore::explore_source(kDeferredRace, replay_opts);
+  ASSERT_TRUE(replay.is_ok());
+  EXPECT_EQ(replay.value().executions, 1);
+  EXPECT_TRUE(has(replay.value(), "CID-E102"));
+
+  // Without the deferral rank 0 completes b before it sends to itself.
+  std::string landed = kDeferredRace;
+  landed.replace(landed.find(" place_sync(END_ADJ_PARAM_REGIONS)"),
+                 std::string(" place_sync(END_ADJ_PARAM_REGIONS)").size(), "");
+  EXPECT_TRUE(explore(landed.c_str(), 3).report.diagnostics.empty());
+}
+
 // --- the directive program model -------------------------------------------
 
 TEST(ExploreProgram, NestedTransferDirectivesAreNoted) {
@@ -271,8 +440,44 @@ void step() {
                       "line 6: directive nested in a transfer's body not "
                       "modeled"),
             notes.end());
-  ASSERT_EQ(program.value().scopes.size(), 1u);
-  EXPECT_EQ(program.value().scopes[0].ops.size(), 1u);
+  ASSERT_EQ(program.value().roots.size(), 1u);
+  EXPECT_EQ(program.value().roots[0].kind, cid::explore::Node::Kind::Transfer);
+  EXPECT_TRUE(program.value().roots[0].children.empty());
+}
+
+TEST(ExploreProgram, RegionsKeepTheirOwnPlaceSyncAndChildren) {
+  auto program = cid::explore::build_program(R"(
+int a[8]; int b[8];
+void step() {
+#pragma comm_parameters count(4) place_sync(BEGIN_NEXT_PARAM_REGION)
+  {
+#pragma comm_parameters sender(0) receiver(0)
+    {
+#pragma comm_p2p sbuf(a) rbuf(b)
+      { }
+    }
+#pragma comm_collective pattern(PATTERN_ALL_TO_ALL) sbuf(a) rbuf(b)
+    { }
+  }
+}
+)");
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+  using Kind = cid::explore::Node::Kind;
+  using cid::core::SyncPlacement;
+  const auto& roots = program.value().roots;
+  ASSERT_EQ(roots.size(), 1u);
+  EXPECT_EQ(roots[0].kind, Kind::Region);
+  EXPECT_EQ(roots[0].place_sync, SyncPlacement::BeginNextParamRegion);
+  ASSERT_EQ(roots[0].children.size(), 2u);
+  const auto& inner = roots[0].children[0];
+  EXPECT_EQ(inner.kind, Kind::Region);
+  EXPECT_EQ(inner.place_sync, SyncPlacement::EndParamRegion);  // not inherited
+  ASSERT_EQ(inner.children.size(), 1u);
+  EXPECT_EQ(inner.children[0].kind, Kind::Transfer);
+  EXPECT_EQ(inner.children[0].site, 0);
+  EXPECT_EQ(roots[0].children[1].kind, Kind::Collective);
+  EXPECT_EQ(roots[0].children[1].site, 1);
+  EXPECT_EQ(program.value().site_lines, (std::vector<int>{8, 11}));
 }
 
 TEST(ExploreProgram, IncompleteTransferIsSkippedByTheSharedClauseRule) {
@@ -288,7 +493,7 @@ void step() {
   EXPECT_EQ(program.value().notes[0],
             "line 4: comm_p2p is missing required clause(s) after "
             "inheritance: rbuf; skipped (CID-P005 territory)");
-  EXPECT_TRUE(program.value().scopes.empty());
+  EXPECT_TRUE(program.value().roots.empty());
 }
 
 // --- the cross-layer fuzzer -------------------------------------------------

@@ -1,12 +1,13 @@
 // The analysis driver: scans the source into the directive tree the
 // translator also lowers (translate::scan_directives), recovers the
-// declaration model, then walks the tree the way the translator walks it —
-// same clause inheritance, same required-clause rule, same synchronization
-// placement (core::SyncPlan) — dispatching the match, buffer and type passes
-// and performing the sync-placement checks itself (they need sibling context
-// the per-directive passes do not have).
+// declaration model, then runs the tree through translate::walk, the static
+// walk the explorer also runs, so it merges clauses and lands every batch
+// where the directive executor does. Its effects dispatch the match, buffer
+// and type passes and perform the sync-placement checks.
 #include <algorithm>
 #include <cctype>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "analyze/analyze.hpp"
@@ -15,6 +16,7 @@
 #include "core/expr.hpp"
 #include "core/pragma.hpp"
 #include "translate/scan.hpp"
+#include "translate/walk.hpp"
 
 namespace cid::analyze {
 
@@ -73,33 +75,23 @@ namespace {
 
 using detail::AnalysisContext;
 using detail::InFlight;
-using detail::InFlightPlan;
 
-class Walker {
+/// The analyzer's effects for translate::walk. One plan stands for every
+/// rank: a batch (the buffers held) lands where some rank provably does.
+class Analysis {
  public:
-  explicit Walker(AnalysisContext& ctx) : ctx_(ctx) {}
+  using Batch = std::vector<InFlight>;
 
-  void run(const std::vector<DirectiveNode>& roots) {
-    sequence(roots, nullptr);
-  }
+  explicit Analysis(AnalysisContext& ctx) : ctx_(ctx) {}
 
- private:
-  AnalysisContext& ctx_;
-  /// Receives in flight, placed the way the executor and translator place
-  /// their synchronization; a landed batch is simply forgotten.
-  InFlightPlan plan_;
-  static void forget(std::vector<InFlight>& batch) { batch.clear(); }
-
-  static bool is_region(const DirectiveNode& node) {
-    return node.directive.kind == core::DirectiveKind::CommParameters;
-  }
-
-  /// Clause-value checks on a region directive: place_sync/target keywords
-  /// (CID-S032), max_comm_iter positivity (CID-S032), conflicts with the
-  /// enclosing region (CID-S033) and reliability constraints (CID-S035).
-  void check_region_clauses(const DirectiveNode& node,
-                            const core::ParsedDirective* inherited,
-                            const core::ParsedDirective& merged) {
+  /// A region's clause-value checks: place_sync/target keywords
+  /// (CID-S032), a deferring place_sync with no later sibling region
+  /// (CID-S030/S031), max_comm_iter positivity (CID-S032), conflicts with
+  /// the enclosing region (CID-S033) and reliability constraints (CID-S035).
+  void region(const DirectiveNode& node, const core::ParsedDirective& merged,
+              const core::ParsedDirective* enclosing,
+              std::span<const DirectiveNode> later) {
+    ++ctx_.report.directives_checked;
     if (const auto* clause = node.directive.find("place_sync")) {
       auto parsed = core::parse_sync_placement_keyword(clause->args[0]);
       if (!parsed.is_ok()) {
@@ -107,6 +99,22 @@ class Walker {
                         detail::clause_column(node, *clause),
                         "place_sync(" + clause->args[0] + "): " +
                             parsed.status().message());
+      } else if (parsed.value() != core::SyncPlacement::EndParamRegion &&
+                 std::none_of(later.begin(), later.end(), [](const auto& s) {
+                   return s.directive.kind ==
+                          core::DirectiveKind::CommParameters;
+                 })) {
+        // Deferred syncs drain only at a later sibling region.
+        const bool begin_next =
+            parsed.value() == core::SyncPlacement::BeginNextParamRegion;
+        ctx_.report.add(
+            begin_next ? "CID-S030" : "CID-S031", Severity::Error, node.line,
+            node.column,
+            "place_sync(" + clause->args[0] +
+                ") defers the consolidated sync to a following parameter "
+                "region, but no region follows this one",
+            "the receives posted here would never be completed; use "
+            "END_PARAM_REGION or add the adjacent region");
       }
     }
     if (const auto* clause = node.directive.find("max_comm_iter")) {
@@ -122,8 +130,8 @@ class Walker {
                   "; the region would execute no communication iterations");
         }
       }
-      if (inherited != nullptr) {
-        if (const auto* outer = inherited->find("max_comm_iter");
+      if (enclosing != nullptr) {
+        if (const auto* outer = enclosing->find("max_comm_iter");
             outer != nullptr && outer->args[0] != clause->args[0]) {
           ctx_.report.add(
               "CID-S033", Severity::Warning, node.line,
@@ -166,6 +174,52 @@ class Walker {
         }
       }
     }
+    check_target_keyword(node);
+  }
+
+  void between(const DirectiveNode& previous, const DirectiveNode& next,
+               const Batch& deferred) {
+    detail::check_gap_references(ctx_, previous, next, deferred);
+  }
+
+  std::optional<Batch> prepare(const DirectiveNode& node,
+                               const core::ParsedDirective& merged) {
+    if (!check_leaf(node, merged)) return std::nullopt;
+    reported_ = false;
+    return detail::check_p2p_buffers(ctx_, node, merged);
+  }
+
+  bool touches(const Batch& batch, const Batch& posting) {
+    return detail::touches_in_flight(ctx_, posting, batch, reported_);
+  }
+
+  void post(const Batch& posting, Batch& open) {
+    open.insert(open.end(), posting.begin(), posting.end());
+  }
+
+  void land(Batch& batch) { batch.clear(); }
+
+  void collective(const DirectiveNode& node,
+                  const core::ParsedDirective& merged) {
+    check_leaf(node, merged);
+  }
+
+ private:
+  /// The checks every transfer and collective gets. Returns false when the
+  /// directive is too malformed for the buffer checks.
+  bool check_leaf(const DirectiveNode& node,
+                  const core::ParsedDirective& merged) {
+    ++ctx_.report.directives_checked;
+    const bool usable = detail::check_required_clauses(ctx_, node, merged);
+    if (usable) {
+      detail::check_match_and_counts(ctx_, node, merged);
+      detail::check_buffer_types(ctx_, node, merged);
+    }
+    check_target_keyword(node);
+    return usable;
+  }
+
+  void check_target_keyword(const DirectiveNode& node) {
     if (const auto* clause = node.directive.find("target")) {
       auto parsed = core::parse_target_keyword(clause->args[0]);
       if (!parsed.is_ok()) {
@@ -177,93 +231,8 @@ class Walker {
     }
   }
 
-  /// Walk one sibling sequence (the file top level, or a region body).
-  void sequence(const std::vector<DirectiveNode>& nodes,
-                const core::ParsedDirective* inherited) {
-    std::size_t previous_end = std::string::npos;
-
-    for (std::size_t k = 0; k < nodes.size(); ++k) {
-      const DirectiveNode& node = nodes[k];
-      ++ctx_.report.directives_checked;
-
-      // Statements between this node and the previous sibling run while
-      // deferred receives are still in flight.
-      if (previous_end != std::string::npos &&
-          previous_end < node.pragma_begin) {
-        plan_.for_each_deferred([&](const std::vector<InFlight>& batch) {
-          detail::check_gap_references(ctx_, previous_end, node.pragma_begin,
-                                       batch);
-        });
-      }
-
-      const core::ParsedDirective merged =
-          inherited == nullptr
-              ? node.directive
-              : translate::merge_directives(*inherited, node.directive);
-
-      if (is_region(node)) {
-        check_region_clauses(node, inherited, merged);
-
-        // An invalid keyword is reported above (CID-S032).
-        const auto parsed = core::place_sync_of(node.directive);
-        const core::SyncPlacement placement =
-            parsed.is_ok() ? parsed.value()
-                           : core::SyncPlacement::EndParamRegion;
-        if (placement != core::SyncPlacement::EndParamRegion) {
-          // Deferred syncs drain only at a later sibling region.
-          bool has_following_region = false;
-          for (std::size_t j = k + 1; j < nodes.size(); ++j) {
-            if (is_region(nodes[j])) has_following_region = true;
-          }
-          if (!has_following_region) {
-            const bool begin_next =
-                placement == core::SyncPlacement::BeginNextParamRegion;
-            ctx_.report.add(
-                begin_next ? "CID-S030" : "CID-S031", Severity::Error,
-                node.line, node.column,
-                std::string("place_sync(") +
-                    (begin_next ? "BEGIN_NEXT_PARAM_REGION"
-                                : "END_ADJ_PARAM_REGIONS") +
-                    ") defers the consolidated sync to a following "
-                    "parameter region, but no region follows this one",
-                "the receives posted here would never be completed; use "
-                "END_PARAM_REGION or add the adjacent region");
-          }
-        }
-
-        plan_.begin_region(forget);
-        sequence(node.children, &merged);
-        plan_.end_region(placement, forget);
-      } else {
-        // A collective synchronizes: the executor lands the open batch
-        // before it runs.
-        if (node.directive.kind == core::DirectiveKind::CommCollective) {
-          forget(plan_.open());
-        }
-        const bool usable =
-            detail::check_required_clauses(ctx_, node, merged);
-        if (usable) {
-          detail::check_match_and_counts(ctx_, node, merged);
-          detail::check_buffer_types(ctx_, node, merged);
-          detail::check_p2p_buffers(ctx_, node, merged, plan_,
-                                    /*append=*/inherited != nullptr);
-        }
-        if (const auto* clause = node.directive.find("target")) {
-          auto parsed = core::parse_target_keyword(clause->args[0]);
-          if (!parsed.is_ok()) {
-            ctx_.report.add("CID-S032", Severity::Error, node.line,
-                            detail::clause_column(node, *clause),
-                            "target(" + clause->args[0] + "): " +
-                                parsed.status().message());
-          }
-        }
-        // Directives nested inside a p2p body inherit the same surrounding
-        // region, as the translator lowers them.
-        sequence(node.children, inherited);
-      }
-      previous_end = node.node_end;
-    }
-  }
+  AnalysisContext& ctx_;
+  bool reported_ = false;  ///< CID-B020 already reported for this posting
 };
 
 /// Classify a scan issue by its message: the scanner produces a closed set
@@ -298,7 +267,8 @@ Report analyze_source(std::string_view source, const Options& options) {
   }
 
   AnalysisContext ctx{source, tree.mask, tree.lines, model, options, report};
-  Walker(ctx).run(tree.roots);
+  Analysis analysis(ctx);
+  translate::walk(tree.roots, analysis);
   report.sort();
   return report;
 }

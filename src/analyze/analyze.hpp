@@ -7,9 +7,10 @@
 //     range, pairing each posted send with the receive that should consume
 //     it — stranded sends, receives that never fire, and out-of-range peers
 //     become diagnostics long before the program deadlocks at run time;
-//  2. buffer race detection: an rbuf reused while a previous receive into it
-//     is still waiting for the consolidated sync, sbuf/rbuf self-aliasing,
-//     and overlap-region statements that touch in-flight buffers;
+//  2. buffer race detection: a transfer touching a buffer a previous
+//     receive still writes (the executor's hidden sync), sbuf/rbuf
+//     self-aliasing, and overlap-region statements that touch in-flight
+//     buffers;
 //  3. sync placement and inheritance validation: dangling
 //     BEGIN_NEXT_PARAM_REGION / END_ADJ_PARAM_REGIONS, max_comm_iter
 //     conflicts, contradictory inherited clauses, count/extent mismatches;

@@ -3,19 +3,19 @@
 // The translated program posts nonblocking operations at each comm_p2p and
 // completes them at the region's consolidated synchronization, so between
 // the directive and the sync every rbuf is live hardware territory. These
-// checks find the textual patterns that reuse that territory: a second
-// receive into an rbuf still in flight (CID-B020), a directive whose send
-// and receive buffers alias on a rank that does both (CID-B021), an
-// overlap block touching the buffer it is supposed to be overlapping with
-// (CID-B022), and statements between regions touching buffers whose sync
-// was deferred by place_sync (CID-B023).
+// checks find the textual patterns that reuse that territory: a transfer
+// touching a buffer an earlier receive still writes, a hidden sync in the
+// executor (CID-B020), a directive whose send and receive buffers alias on
+// a rank that does both (CID-B021), an overlap block touching the buffer it
+// is supposed to be overlapping with (CID-B022), and statements between
+// regions touching buffers whose sync was deferred by place_sync (CID-B023).
 //
 // Guards are respected: two receives into the same buffer race only when
 // some rank can post both, so receivewhen/sendwhen expressions are swept
 // exactly like the match pass sweeps them. Symbolic guards make the pair
 // unprovable and produce no diagnostic.
-#include <cctype>
 #include <optional>
+#include <utility>
 
 #include "analyze/passes.hpp"
 #include "core/expr.hpp"
@@ -28,15 +28,7 @@ using core::Env;
 using core::RawClause;
 using translate::DirectiveNode;
 
-std::string normalized(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (!std::isspace(static_cast<unsigned char>(c))) out += c;
-  }
-  return out;
-}
-
+using translate::buffer_identity;
 using translate::ClauseExpr;
 
 /// Does a sendwhen/receivewhen guard hold on `rank`? Absent guards are always
@@ -69,65 +61,41 @@ std::optional<std::pair<int, int>> first_overlap(const AnalysisContext& ctx,
 
 }  // namespace
 
-void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
-                       const core::ParsedDirective& merged, InFlightPlan& plan,
-                       bool append) {
-  if (merged.kind != core::DirectiveKind::CommP2P) return;
+std::vector<InFlight> check_p2p_buffers(AnalysisContext& ctx,
+                                        const DirectiveNode& node,
+                                        const core::ParsedDirective& merged) {
   const RawClause* sbuf = merged.find("sbuf");
   const RawClause* rbuf = merged.find("rbuf");
-  if (rbuf == nullptr) return;
-
+  const ClauseExpr send_guard = translate::clause_expr(merged, "sendwhen");
   const ClauseExpr recv_guard = translate::clause_expr(merged, "receivewhen");
-
-  // CID-B020: a receive into a buffer an earlier directive is still
-  // receiving into (its synchronization has not landed yet).
-  bool reported_b020 = false;
-  const auto check_reuse = [&](const std::vector<InFlight>& batch) {
-    for (const std::string& argument : rbuf->args) {
-      const std::string text = normalized(argument);
-      for (const InFlight& earlier : batch) {
-        if (earlier.text != text || reported_b020) continue;
-        const ClauseExpr earlier_guard =
-            translate::clause_expr(earlier.receivewhen);
-        const auto overlap = first_overlap(ctx, recv_guard, earlier_guard);
-        if (!overlap.has_value()) continue;
-        reported_b020 = true;
-        ctx.report.add(
-            "CID-B020", Severity::Error, node.line,
-            clause_column(node, *rbuf),
-            "rbuf(" + argument + ") is reused while the receive posted by "
-                "the directive at line " + std::to_string(earlier.line) +
-                " is still in flight (rank " +
-                std::to_string(overlap->second) + " posts both at nprocs=" +
-                std::to_string(overlap->first) + ")",
-            "both receives complete only at the consolidated sync, so the "
-            "second arrival overwrites the first; use distinct buffers or "
-            "split the region");
-      }
+  std::vector<InFlight> posting;
+  for (const bool recv : {true, false}) {
+    for (const std::string& argument : (recv ? rbuf : sbuf)->args) {
+      posting.push_back(
+          {buffer_identity(argument), buffer_base_identifier(argument),
+           (recv ? recv_guard : send_guard).text, node.line,
+           clause_column(node, recv ? *rbuf : *sbuf), recv});
     }
-  };
-  plan.for_each_in_flight(check_reuse);
+  }
 
   // CID-B021: send and receive staged through the same memory on a rank
   // that does both.
-  if (sbuf != nullptr) {
-    const ClauseExpr send_guard = translate::clause_expr(merged, "sendwhen");
-    const std::size_t pairs = std::min(sbuf->args.size(), rbuf->args.size());
-    for (std::size_t i = 0; i < pairs; ++i) {
-      if (normalized(sbuf->args[i]) != normalized(rbuf->args[i])) continue;
-      const auto overlap = first_overlap(ctx, send_guard, recv_guard);
-      if (!overlap.has_value()) continue;
-      ctx.report.add(
-          "CID-B021", Severity::Error, node.line,
-          clause_column(node, *rbuf),
-          "sbuf and rbuf both name '" + sbuf->args[i] + "' and rank " +
-              std::to_string(overlap->second) + " both sends and receives "
-              "at nprocs=" + std::to_string(overlap->first) +
-              ", so the incoming message overwrites the outgoing data",
-          "stage through distinct buffers, or make sendwhen/receivewhen "
-          "disjoint as in the paper's transfer_atom example");
-      break;
+  const std::size_t pairs = std::min(sbuf->args.size(), rbuf->args.size());
+  for (std::size_t i = 0; i < pairs; ++i) {
+    if (buffer_identity(sbuf->args[i]) != buffer_identity(rbuf->args[i])) {
+      continue;
     }
+    const auto overlap = first_overlap(ctx, send_guard, recv_guard);
+    if (!overlap.has_value()) continue;
+    ctx.report.add(
+        "CID-B021", Severity::Error, node.line, clause_column(node, *rbuf),
+        "sbuf and rbuf both name '" + sbuf->args[i] + "' and rank " +
+            std::to_string(overlap->second) + " both sends and receives "
+            "at nprocs=" + std::to_string(overlap->first) +
+            ", so the incoming message overwrites the outgoing data",
+        "stage through distinct buffers, or make sendwhen/receivewhen "
+        "disjoint as in the paper's transfer_atom example");
+    break;
   }
 
   // CID-B022: the overlap block (the directive's own body) touching an rbuf
@@ -154,23 +122,51 @@ void check_p2p_buffers(AnalysisContext& ctx, const DirectiveNode& node,
       }
     }
   }
-
-  if (!append) return;
-  for (const std::string& argument : rbuf->args) {
-    InFlight entry;
-    entry.text = normalized(argument);
-    entry.base = buffer_base_identifier(argument);
-    entry.receivewhen = recv_guard.text;
-    entry.line = node.line;
-    plan.open().push_back(std::move(entry));
-  }
+  return posting;
 }
 
-void check_gap_references(AnalysisContext& ctx, std::size_t begin,
-                          std::size_t end,
+bool touches_in_flight(AnalysisContext& ctx,
+                       const std::vector<InFlight>& posting,
+                       const std::vector<InFlight>& batch, bool& reported) {
+  bool touched = false;
+  for (const InFlight& mine : posting) {
+    for (const InFlight& earlier : batch) {
+      // Two reads never conflict.
+      if (mine.text != earlier.text || !(mine.recv || earlier.recv)) continue;
+      const auto overlap =
+          first_overlap(ctx, translate::clause_expr(mine.guard),
+                        translate::clause_expr(earlier.guard));
+      if (!overlap.has_value()) continue;
+      touched = true;
+      if (!earlier.recv || std::exchange(reported, true)) continue;
+      const std::string line = std::to_string(earlier.line);
+      ctx.report.add(
+          "CID-B020", Severity::Error, mine.line, mine.column,
+          (mine.recv ? "rbuf(" + mine.text + ") is reused while the receive"
+                     : "sbuf(" + mine.text + ") sends from the buffer the "
+                       "receive") +
+              " posted by the directive at line " + line +
+              (mine.recv ? " is still in flight" : " is still writing") +
+              " (rank " + std::to_string(overlap->second) +
+              " posts both at nprocs=" + std::to_string(overlap->first) +
+              "); the executor completes that receive here, before it posts "
+              "this directive",
+          "that completion is a hidden synchronization: it blocks until line " +
+              line + "'s message arrives, and deadlocks when its sender "
+              "sends only after this directive; use distinct buffers or "
+              "split the region");
+    }
+  }
+  return touched;
+}
+
+void check_gap_references(AnalysisContext& ctx, const DirectiveNode& previous,
+                          const DirectiveNode& next,
                           const std::vector<InFlight>& deferred) {
+  const std::size_t begin = previous.node_end;
+  const std::size_t end = next.pragma_begin;
   for (const InFlight& entry : deferred) {
-    if (entry.base.empty()) continue;
+    if (!entry.recv || entry.base.empty()) continue;
     if (!references_identifier(ctx, begin, end, entry.base, {})) continue;
     ctx.report.add(
         "CID-B023", Severity::Warning, ctx.lines.line_of(begin), 0,

@@ -8,7 +8,6 @@
 #include "analyze/analyze.hpp"
 #include "analyze/diagnostics.hpp"
 #include "analyze/source_model.hpp"
-#include "core/sync_plan.hpp"
 #include "translate/scan.hpp"
 
 namespace cid::analyze::detail {
@@ -22,18 +21,16 @@ struct AnalysisContext {
   Report& report;
 };
 
-/// A receive posted by an earlier comm_p2p whose consolidated sync has not
-/// landed yet.
+/// A buffer a comm_p2p holds until its synchronization lands: a receive
+/// writes it, a send reads it.
 struct InFlight {
-  std::string text;  ///< rbuf clause argument, whitespace-normalized
-  std::string base;  ///< base identifier ("" when none)
-  std::string receivewhen;  ///< guard expression text ("" when unguarded)
-  int line = 0;             ///< line of the posting directive
+  std::string text;   ///< clause argument (translate::buffer_identity)
+  std::string base;   ///< base identifier ("" when none)
+  std::string guard;  ///< its receivewhen/sendwhen text ("" when unguarded)
+  int line = 0;       ///< line of the posting directive
+  int column = 0;     ///< column of its buffer clause there
+  bool recv = false;
 };
-
-/// The receives in flight, one batch per synchronization point
-/// (core/sync_plan.hpp).
-using InFlightPlan = core::SyncPlan<std::vector<InFlight>>;
 
 /// Column of a clause within its pragma (falls back to the pragma's own
 /// column for '\'-continued pragmas, where joined offsets do not map back).
@@ -62,22 +59,26 @@ bool check_required_clauses(AnalysisContext& ctx,
                             const translate::DirectiveNode& node,
                             const core::ParsedDirective& merged);
 
-/// Buffer race checks for one comm_p2p: rbuf already in flight in any batch
-/// of `plan` (CID-B020), sbuf/rbuf self-alias on a rank that both sends and
-/// receives (CID-B021), overlap statements touching an in-flight rbuf
-/// (CID-B022). Appends the directive's rbufs to the plan's open batch when
-/// `append` is set (directives inside a comm_parameters region, whose
-/// consolidated sync is still to come); standalone directives synchronize
-/// immediately and leave nothing behind.
-void check_p2p_buffers(AnalysisContext& ctx,
-                       const translate::DirectiveNode& node,
-                       const core::ParsedDirective& merged, InFlightPlan& plan,
-                       bool append);
+/// The buffers a comm_p2p that passed check_required_clauses holds once
+/// posted, after its sbuf/rbuf self-alias (CID-B021) and overlap-block
+/// (CID-B022) checks.
+std::vector<InFlight> check_p2p_buffers(AnalysisContext& ctx,
+                                        const translate::DirectiveNode& node,
+                                        const core::ParsedDirective& merged);
 
-/// CID-B023: statements in [begin,end) touching buffers whose sync was
-/// deferred past their region (place_sync BEGIN_NEXT/END_ADJ).
-void check_gap_references(AnalysisContext& ctx, std::size_t begin,
-                          std::size_t end,
+/// The adjacency rule: does a transfer holding `posting` touch a buffer
+/// `batch` holds, on a rank that provably posts both? CID-B020 (unless
+/// `reported`, which it sets) when a receive holds it: the executor
+/// completes that receive first.
+bool touches_in_flight(AnalysisContext& ctx,
+                       const std::vector<InFlight>& posting,
+                       const std::vector<InFlight>& batch, bool& reported);
+
+/// CID-B023: statements between two sibling directives touching buffers
+/// whose receive was deferred past them (place_sync BEGIN_NEXT/END_ADJ).
+void check_gap_references(AnalysisContext& ctx,
+                          const translate::DirectiveNode& previous,
+                          const translate::DirectiveNode& next,
                           const std::vector<InFlight>& deferred);
 
 /// Reflection rules surfaced at lint time (CID-T040..T042) for every

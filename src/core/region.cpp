@@ -322,27 +322,25 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
   }
 }
 
-/// The adjacency analysis of Section III-A: adjacent directives with
-/// independent buffers share one synchronization; a dependence on any
-/// in-flight batch (open, or deferred by place_sync) forces an intermediate
-/// sync of that batch's rank-local completions. Window fences are collective
-/// and stay with the batch until it lands, which every rank reaches.
+/// The adjacency rule (SyncPlan::land_touching) on this rank's buffer
+/// ranges: a batch the incoming transfer conflicts with gets an intermediate
+/// sync of its rank-local completions. Window fences are collective and stay
+/// with the batch until it lands, which every rank reaches.
 void sync_if_buffers_conflict(ExecState& state,
                               const std::vector<BufferRange>& incoming) {
-  const auto conflicts = [&](const PendingOps& batch) {
-    for (const auto& range : incoming) {
-      for (const auto& in_flight : batch.ranges) {
-        if (ranges_conflict(range, in_flight)) return true;
-      }
-    }
-    return false;
-  };
-  state.sync_plan.for_each_in_flight([&](PendingOps& batch) {
-    if (conflicts(batch)) {
-      ++state.stats.conflict_flushes;
-      state.complete_local(batch);
-    }
-  });
+  state.sync_plan.land_touching(
+      [&](const PendingOps& batch) {
+        for (const auto& range : incoming) {
+          for (const auto& in_flight : batch.ranges) {
+            if (ranges_conflict(range, in_flight)) return true;
+          }
+        }
+        return false;
+      },
+      [&](PendingOps& batch) {
+        ++state.stats.conflict_flushes;
+        state.complete_local(batch);
+      });
 }
 
 void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,

@@ -1,8 +1,8 @@
 // The one synchronization-placement model (paper Section III-A, place_sync).
 // Three consumers drive a SyncPlan, so they agree on where every transfer's
 // sync lands: the directive executor (Batch = PendingOps; translated code
-// runs it), the analyzer (the receives in flight) and the schedule-space
-// explorer (one plan per explored rank, explore/program.hpp). Batches:
+// runs it), the analyzer (the buffers in flight) and the schedule-space
+// explorer (one plan per explored rank). Batches:
 //   open           posted since the last landing, at any nesting depth;
 //   at_next_begin  deferred by BEGIN_NEXT_PARAM_REGION;
 //   at_series_end  deferred by END_ADJ_PARAM_REGIONS.
@@ -10,11 +10,9 @@
 // (never inherited; END_PARAM_REGION when absent): END_PARAM_REGION lands
 // at_series_end then open, the other two move open into their batch.
 // Landing hands a non-empty batch to a callback that must leave it empty.
-// Besides these, the consumers land the open batch themselves after a
-// standalone transfer (the analyzer never adds one to it) and before a
-// comm_collective. The executor and the explorer also land any batch that
-// holds a buffer a new transfer touches, before that transfer posts (the
-// adjacency rule); the analyzer reports that reuse as CID-B020 instead.
+// Before a transfer posts, land_touching lands each in-flight batch it
+// touches. Consumers land the open batch after a standalone transfer and
+// before a comm_collective; the static ones walk via translate/walk.hpp.
 #pragma once
 
 #include <iterator>
@@ -52,6 +50,16 @@ class SyncPlan {
     }
   }
 
+  /// The adjacency rule (Section III-A): before a transfer posts, land each
+  /// in-flight batch it touches, empty or not. Here `land` may keep what
+  /// only the batch's own landing completes (the executor's window fences).
+  template <typename Touches, typename Land>
+  void land_touching(Touches&& touches, Land&& land) {
+    for_each_in_flight([&](Batch& batch) {
+      if (touches(batch)) land(batch);
+    });
+  }
+
   /// comm_flush: land everything.
   template <typename Land>
   void flush_all(Land&& land) {
@@ -71,10 +79,6 @@ class SyncPlan {
   void for_each_deferred(Visit&& visit) {
     visit(at_next_begin_);
     visit(at_series_end_);
-  }
-
-  bool idle() const {
-    return open_.empty() && at_next_begin_.empty() && at_series_end_.empty();
   }
 
  private:

@@ -16,6 +16,7 @@
 #include "net/transport.hpp"
 #include "rt/runtime.hpp"
 #include "simnet/machine_model.hpp"
+#include "translate/walk.hpp"
 
 namespace cid::explore {
 
@@ -30,8 +31,8 @@ using detail::SendRecord;
 using detail::Session;
 using detail::WaitInfo;
 
-/// One rank of the interpreter: the effects walk() drives
-/// (explore/program.hpp), on the real runtime.
+/// One rank of the interpreter: the effects translate::walk drives, on the
+/// real runtime. The walk reaches leaves in site order.
 class RankInterpreter {
  public:
   /// One posted request: a receive and the buffer it writes, or a send and
@@ -52,11 +53,19 @@ class RankInterpreter {
     std::optional<int> dest;  ///< send to
   };
 
-  RankInterpreter(Session& session, int rank, int nprocs)
-      : session_(session), rank_(rank), nprocs_(nprocs) {}
+  RankInterpreter(const Program& program, Session& session, int rank,
+                  int nprocs)
+      : program_(program), session_(session), rank_(rank), nprocs_(nprocs) {}
+
+  // The explorer checks no regions or gaps.
+  void region(const auto&, const auto&, const auto*, auto) {}
+  void between(const auto&, const auto&, const Batch&) {}
 
   /// The decisions in order: receive guard, sender, send guard, receiver.
-  Posting prepare(const Node& op) {
+  std::optional<Posting> prepare(const translate::DirectiveNode&,
+                                 const core::ParsedDirective&) {
+    const Node& op = program_.leaves[next_site_++];
+    if (op.skipped) return std::nullopt;
     Posting posting;
     posting.op = &op;
     if (holds(op.receivewhen, op)) {
@@ -79,16 +88,13 @@ class RankInterpreter {
     const Node& op = *posting.op;
     bool touched = false;
     for (const Posted& pending : batch) {
-      if (posting.src && pending.buffer == op.rbuf) {
-        if (pending.recv) {
-          session_.note_rbuf_reuse(rank_, pending.line, op.line, op.rbuf);
-          return true;
-        }
-        touched = true;
+      if (pending.recv && posting.src && pending.buffer == op.rbuf) {
+        session_.note_rbuf_reuse(rank_, pending.line, op.line, op.rbuf);
+        return true;
       }
-      if (posting.dest && pending.recv && pending.buffer == op.sbuf) {
-        touched = true;
-      }
+      touched = touched || touches_buffer(op, posting.src.has_value(),
+                                          posting.dest.has_value(),
+                                          pending.buffer, pending.recv);
     }
     return touched;
   }
@@ -129,7 +135,10 @@ class RankInterpreter {
     batch.clear();
   }
 
-  void collective(const Node& op) {
+  void collective(const translate::DirectiveNode&,
+                  const core::ParsedDirective&) {
+    const Node& op = program_.leaves[next_site_++];
+    if (op.skipped) return;
     int root = 0;
     if (op.root.symbolic) {
       // A collective's root must be agreed by every rank (MPI semantics):
@@ -201,19 +210,14 @@ class RankInterpreter {
                   clause + " unevaluable or out of range)");
   }
 
+  const Program& program_;
+  std::size_t next_site_ = 0;
   Session& session_;
   int rank_;
   int nprocs_;
   mpi::Comm world_ = mpi::Comm::world();
   std::array<int, 2> sink_{};
 };
-
-void interpret_rank(const Program& program, Session& session,
-                    rt::RankCtx& ctx) {
-  RankInterpreter rank(session, ctx.rank(), ctx.nranks());
-  walk(program, rank);
-  session.rank_done(ctx.rank());
-}
 
 /// Run one execution under `session`. Returns why it failed; empty when it
 /// completed, deadlocked or was truncated.
@@ -229,7 +233,11 @@ std::string run_one(const Program& program, const Options& options,
   run_options.idle_hook = [&] { return session.on_idle(); };
   try {
     rt::run(options.nprocs, simnet::MachineModel::cray_xk7_gemini(),
-            [&](rt::RankCtx& ctx) { interpret_rank(program, session, ctx); },
+            [&](rt::RankCtx& ctx) {
+              RankInterpreter rank(program, session, ctx.rank(), ctx.nranks());
+              translate::walk(program.roots, rank);
+              session.rank_done(ctx.rank());
+            },
             run_options);
   } catch (const CidError& error) {
     if (!session.deadlocked() && !session.truncated()) return error.what();
@@ -359,7 +367,7 @@ struct Harvest {
           origin += "rank " + std::to_string(candidate->src);
           if (candidate->site >= 0) {
             origin += " (line " +
-                      std::to_string(program->site_lines[candidate->site]) +
+                      std::to_string(program->leaves[candidate->site].line) +
                       ")";
           }
         }
@@ -405,13 +413,13 @@ struct Harvest {
           if (k >= 3) continue;
           if (!detail.empty()) detail += "; ";
           detail += "send at line " +
-                    std::to_string(program->site_lines[stranded[k]->site]) +
+                    std::to_string(program->leaves[stranded[k]->site].line) +
                     " (rank " + std::to_string(stranded[k]->src) + " -> " +
                     std::to_string(stranded[k]->dest) + ")";
         }
         if (stranded.size() > 3) detail += "; ...";
         add(key, "CID-E104", analyze::Severity::Warning,
-            program->site_lines[stranded.front()->site],
+            program->leaves[stranded.front()->site].line,
             std::to_string(stranded.size()) +
                 " message(s) left unreceived at exit: " + detail,
             full);
@@ -523,7 +531,7 @@ Result<ExploreResult> explore_source(std::string_view source,
   if (!worklist.empty()) result.truncated = true;
 
   harvest.report.directives_checked =
-      static_cast<int>(program.site_lines.size());
+      static_cast<int>(program.leaves.size());
   harvest.report.sort();
   result.report = std::move(harvest.report);
   result.witnesses = std::move(harvest.witnesses);

@@ -4,7 +4,7 @@
 // expressions over rank/nprocs and *skips* everything symbolic. This module
 // is the dynamic complement: it runs the directive program, each rank's
 // synchronization placed by core::SyncPlan where the directive executor
-// places it (explore/program.hpp), under a controlled scheduler that owns
+// places it (translate/walk.hpp), under a controlled scheduler that owns
 // every source of nondeterminism — symbolic guard outcomes, symbolic
 // peer/root values, and the order in which wildcard receives consume
 // competing messages — and enumerates the schedule tree, DPOR-style,

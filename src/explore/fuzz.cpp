@@ -18,8 +18,9 @@ const char* pick(Rng& rng, const std::vector<const char*>& pool) {
 /// One generated comm_p2p line. The clause pools are chosen so the corpus
 /// covers clean rings/chains, statically-provable mismatches (CID-M01x
 /// material) and symbolic directives (wildcard/guard-branch material for the
-/// explorer) in roughly equal measure.
-std::string gen_p2p(Rng& rng, int index) {
+/// explorer) in roughly equal measure. Sometimes its overlap body holds
+/// another comm_p2p, which runs after the outer one posts.
+std::string gen_p2p(Rng& rng, int& index, bool may_nest = true) {
   static const std::vector<const char*> kExactPeers = {
       "(rank+1)%nprocs", "(rank+nprocs-1)%nprocs", "rank+1", "rank-1", "0",
       "nprocs-1"};
@@ -62,11 +63,14 @@ std::string gen_p2p(Rng& rng, int index) {
       break;
     }
   }
-  line += "\n  { work" + std::to_string(index) + "(); }\n";
-  return line;
+  line += "\n  { work" + std::to_string(index++) + "();";
+  if (may_nest && rng.next_below(4) == 0) {
+    line += "\n" + gen_p2p(rng, index, false) + " ";
+  }
+  return line + " }\n";
 }
 
-std::string gen_collective(Rng& rng, int index) {
+std::string gen_collective(Rng& rng, int& index) {
   static const std::vector<const char*> kPatterns = {
       "PATTERN_ONE_TO_MANY", "PATTERN_MANY_TO_ONE", "PATTERN_ALL_TO_ALL"};
   static const std::vector<const char*> kRoots = {"0", "nprocs-1", "k",
@@ -77,7 +81,7 @@ std::string gen_collective(Rng& rng, int index) {
   if (rng.next_below(2) == 0) {
     line += " root(" + std::string(pick(rng, kRoots)) + ")";
   }
-  line += "\n  { work" + std::to_string(index) + "(); }\n";
+  line += "\n  { work" + std::to_string(index++) + "(); }\n";
   return line;
 }
 
@@ -92,8 +96,10 @@ std::string generate_program(std::uint64_t seed) {
       "/* pragma text in a comment is not a directive:\n"
       "#pragma comm_p2p sbuf(a) rbuf(b) sender(0) receiver(1)\n"
       "*/\n"
-      "void work0(); void work1(); void work2(); void work3();\n"
-      "void work4(); void work5(); void work6(); void work7(); void work8();\n"
+      "void work0(); void work1(); void work2(); void work3(); void work4();\n"
+      "void work5(); void work6(); void work7(); void work8(); void work9();\n"
+      "void work10(); void work11(); void work12(); void work13();\n"
+      "void work14();\n"
       "void step() {\n";
   // A region's place_sync: absent, or one of the three placements.
   static const char* const kPlaceSync[] = {
@@ -111,17 +117,17 @@ std::string generate_program(std::uint64_t seed) {
         deferred = placement >= 2;
         source += "#pragma comm_parameters count(4)" +
                   std::string(kPlaceSync[placement]) + "\n  {\n";
-        source += gen_p2p(rng, index++);
-        if (rng.next_below(4) == 0) source += gen_collective(rng, index++);
-        if (rng.next_below(2) == 0) source += gen_p2p(rng, index++);
+        source += gen_p2p(rng, index);
+        if (rng.next_below(4) == 0) source += gen_collective(rng, index);
+        if (rng.next_below(2) == 0) source += gen_p2p(rng, index);
         source += "  }\n";
         break;
       }
       case 1:
-        source += gen_collective(rng, index++);
+        source += gen_collective(rng, index);
         break;
       default:
-        source += gen_p2p(rng, index++);
+        source += gen_p2p(rng, index);
         break;
     }
   }

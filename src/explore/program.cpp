@@ -1,6 +1,6 @@
 #include "explore/program.hpp"
 
-#include <optional>
+#include <utility>
 
 #include "core/clauses.hpp"
 #include "core/pragma.hpp"
@@ -33,28 +33,11 @@ struct Builder {
     return true;
   }
 
-  /// Directives nested in a transfer's body are not modeled.
-  void note_nested(const std::vector<DirectiveNode>& nodes) {
-    for (const DirectiveNode& node : nodes) {
-      note(node, "directive nested in a transfer's body not modeled");
-      note_nested(node.children);
-    }
-  }
-
-  /// A transfer or collective leaf with a fresh site index.
-  Node leaf(const DirectiveNode& node, Node::Kind kind) {
-    program.site_lines.push_back(node.line);
-    Node leaf;
-    leaf.kind = kind;
-    leaf.line = node.line;
-    leaf.site = static_cast<int>(program.site_lines.size()) - 1;
-    return leaf;
-  }
-
-  std::optional<Node> p2p(const DirectiveNode& node,
-                          const ParsedDirective& merged) {
-    Node op = leaf(node, Node::Kind::Transfer);
-    if (incomplete(node, merged)) return std::nullopt;
+  /// Decode a transfer's clauses into `op`; false, with a note, when the
+  /// explorer skips it.
+  bool p2p(const DirectiveNode& node, const ParsedDirective& merged,
+           Node& op) {
+    if (incomplete(node, merged)) return false;
     op.sender = translate::clause_expr(merged, "sender");
     op.receiver = translate::clause_expr(merged, "receiver");
     op.sendwhen = translate::clause_expr(merged, "sendwhen");
@@ -63,11 +46,11 @@ struct Builder {
         op.sendwhen.unparsable() || op.receivewhen.unparsable()) {
       note(node, "comm_p2p skipped: clause expression does not parse "
                  "(CID-P003 territory)");
-      return std::nullopt;
+      return false;
     }
     const core::RawClause* sbuf = merged.find("sbuf");
-    op.sbuf = sbuf->args[0];
-    op.rbuf = merged.find("rbuf")->args[0];
+    op.sbuf = translate::buffer_identity(sbuf->args[0]);
+    op.rbuf = translate::buffer_identity(merged.find("rbuf")->args[0]);
     if (sbuf->args.size() > 1) {
       note(node, "only the first sbuf/rbuf pair is modeled");
     }
@@ -75,81 +58,66 @@ struct Builder {
         op.receivewhen.symbolic) {
       ++program.symbolic_clauses;
     }
-    return op;
+    return true;
   }
 
-  std::optional<Node> collective(const DirectiveNode& node,
-                                 const ParsedDirective& merged) {
-    Node op = leaf(node, Node::Kind::Collective);
-    if (incomplete(node, merged)) return std::nullopt;
+  bool collective(const DirectiveNode& node, const ParsedDirective& merged,
+                  Node& op) {
+    if (incomplete(node, merged)) return false;
     // The scanner rejects a collective without a pattern clause.
     const std::string& pattern = merged.find("pattern")->args[0];
     auto kind = core::parse_pattern_keyword(pattern);
     if (!kind.is_ok()) {
       note(node, "comm_collective skipped: unknown pattern '" + pattern + "'");
-      return std::nullopt;
+      return false;
     }
     op.pattern = kind.value();
     op.root = translate::clause_expr(merged, "root");
     if (op.root.unparsable()) {
       note(node, "comm_collective skipped: root expression does not parse");
-      return std::nullopt;
+      return false;
     }
     if (op.root.symbolic) ++program.symbolic_clauses;
-    return op;
+    return true;
   }
 
-  /// The modeled nodes of the children of a region (or of the root list).
-  std::vector<Node> walk(const std::vector<DirectiveNode>& nodes,
-                         const ParsedDirective* inherited) {
-    std::vector<Node> out;
+  /// Decode the leaves of `nodes` and their bodies in textual order.
+  void decode(const std::vector<DirectiveNode>& nodes,
+              const ParsedDirective* enclosing) {
     for (const DirectiveNode& node : nodes) {
-      ParsedDirective merged =
-          inherited != nullptr
-              ? translate::merge_directives(*inherited, node.directive)
-              : node.directive;
-      std::optional<Node> modeled;
-      switch (node.directive.kind) {
-        case DirectiveKind::CommParameters: {
-          if (merged.find("reliability") != nullptr) {
-            note(node, "reliability clause ignored (no fault layer under "
-                       "exploration)");
-          }
-          if (merged.find("max_comm_iter") != nullptr) {
-            note(node, "region body executes once (max_comm_iter ignored)");
-          }
-          Node region;
-          region.kind = Node::Kind::Region;
-          region.line = node.line;
-          // An invalid keyword is the analyzer's CID-S032.
-          const auto placement = core::place_sync_of(node.directive);
-          if (placement.is_ok()) region.place_sync = placement.value();
-          region.children = walk(node.children, &merged);
-          modeled = std::move(region);
-          break;
+      const ParsedDirective merged =
+          translate::merge_directives(enclosing, node.directive);
+      if (node.directive.kind == DirectiveKind::CommParameters) {
+        if (merged.find("reliability") != nullptr) {
+          note(node, "reliability clause ignored (no fault layer under "
+                     "exploration)");
         }
-        case DirectiveKind::CommP2P:
-          modeled = p2p(node, merged);
-          note_nested(node.children);
-          break;
-        case DirectiveKind::CommCollective:
-          modeled = collective(node, merged);
-          note_nested(node.children);
-          break;
+        if (merged.find("max_comm_iter") != nullptr) {
+          note(node, "region body executes once (max_comm_iter ignored)");
+        }
+        decode(node.children, &merged);
+        continue;
       }
-      if (modeled) out.push_back(std::move(*modeled));
+      const bool transfer = node.directive.kind == DirectiveKind::CommP2P;
+      Node op;
+      op.line = node.line;
+      op.site = static_cast<int>(program.leaves.size());
+      op.skipped = !(transfer ? p2p(node, merged, op)
+                              : collective(node, merged, op));
+      program.leaves.push_back(std::move(op));
+      decode(node.children, enclosing);
     }
-    return out;
   }
 };
 
 }  // namespace
 
 Result<Program> build_program(std::string_view source) {
-  const translate::DirectiveTree tree = translate::scan_directives(source);
+  translate::DirectiveTree tree = translate::scan_directives(source);
   if (Status status = tree.first_issue(); !status.is_ok()) return status;
   Builder builder;
-  builder.program.roots = builder.walk(tree.roots, nullptr);
+  builder.decode(tree.roots, nullptr);
+  builder.program.roots = std::move(tree.roots);
   return std::move(builder.program);
 }
 

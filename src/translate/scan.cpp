@@ -160,11 +160,12 @@ std::vector<unsigned char> code_mask(std::string_view text) {
   return mask;
 }
 
-core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
+core::ParsedDirective merge_directives(const core::ParsedDirective* outer,
                                        const core::ParsedDirective& inner) {
+  if (outer == nullptr) return inner;
   core::ParsedDirective merged;
   merged.kind = inner.kind;
-  for (const auto& clause : outer.clauses) {
+  for (const auto& clause : outer->clauses) {
     if (inner.find(clause.name) == nullptr) merged.clauses.push_back(clause);
   }
   for (const auto& clause : inner.clauses) merged.clauses.push_back(clause);

@@ -11,12 +11,13 @@
 //    the file.
 //  - the clause rules the static layers share: textual inheritance
 //    (merge_directives), the clauses a merged transfer must carry
-//    (required_clause_problems) and rank-symbolic clause expressions
-//    (clause_expr);
+//    (required_clause_problems), rank-symbolic clause expressions
+//    (clause_expr) and buffer identity (buffer_identity);
 //  - character-level helpers the analyzer's declaration scan also uses
 //    (block extents, line numbers, the code mask).
 #pragma once
 
+#include <cctype>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -53,10 +54,11 @@ std::vector<unsigned char> code_mask(std::string_view text);
 
 // --- clause rules shared by the translator, analyzer and explorer ----------
 
-/// Textual clause inheritance: `inner`'s clauses layered over `outer`'s
-/// (clauses present on `inner` win, absent ones inherit) — the static
+/// Textual clause inheritance: `inner`'s clauses layered over those of the
+/// enclosing region `outer` (clauses present on `inner` win, absent ones
+/// inherit; `inner` itself when there is no region) — the static
 /// counterpart of core::Clauses::merged. The result keeps `inner`'s kind.
-core::ParsedDirective merge_directives(const core::ParsedDirective& outer,
+core::ParsedDirective merge_directives(const core::ParsedDirective* outer,
                                        const core::ParsedDirective& inner);
 
 /// One reason a comm_p2p / comm_collective cannot be lowered.
@@ -98,6 +100,14 @@ ClauseExpr clause_expr(std::string text);
 /// The first argument of clause `name` on `merged` (absent when missing).
 ClauseExpr clause_expr(const core::ParsedDirective& merged,
                        std::string_view name);
+
+/// A buffer clause argument as the static layers compare buffers: its text
+/// without whitespace, so rbuf(r[0]) and rbuf(r[ 0 ]) name one buffer.
+inline std::string buffer_identity(std::string_view argument) {
+  std::string out(argument);
+  std::erase_if(out, [](unsigned char c) { return std::isspace(c) != 0; });
+  return out;
+}
 
 // --- the directive tree -----------------------------------------------------
 

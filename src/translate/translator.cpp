@@ -149,13 +149,6 @@ class Translator {
     return options_.annotate ? "/* cid-translate: " + note + " */\n" : "";
   }
 
-  /// `node`'s clauses layered over those of its enclosing region, if any.
-  static ParsedDirective merged_clauses(const DirectiveNode& node,
-                                        const ParsedDirective* region) {
-    return region != nullptr ? merge_directives(*region, node.directive)
-                             : node.directive;
-  }
-
   /// The target keyword a merged clause set lowers to: its own, else the
   /// configured default.
   std::string target_of(const ParsedDirective& merged) const {
@@ -183,7 +176,7 @@ class Translator {
                                   const ParsedDirective* parent) {
     ++summary_.parameter_regions;
     const int id = next_id_++;
-    const ParsedDirective merged = merged_clauses(node, parent);
+    const ParsedDirective merged = merge_directives(parent, node.directive);
     const bool reliable = merged.find("reliability") != nullptr;
     if (reliable) ++summary_.reliable_regions;
 
@@ -214,7 +207,7 @@ class Translator {
                        "supported (reliability covers point-to-point "
                        "transfers)"));
     }
-    const ParsedDirective merged = merged_clauses(node, region);
+    const ParsedDirective merged = merge_directives(region, node.directive);
     if (auto problems = required_clause_problems(merged); !problems.empty()) {
       return at(node,
                 Status(ErrorCode::InvalidClause, problems.front().message));
@@ -258,7 +251,7 @@ class Translator {
     ++summary_.p2p_directives;
     const int id = next_id_++;
 
-    const ParsedDirective merged = merged_clauses(node, region);
+    const ParsedDirective merged = merge_directives(region, node.directive);
     if (auto problems = required_clause_problems(merged); !problems.empty()) {
       return at(node,
                 Status(ErrorCode::InvalidClause, problems.front().message));

@@ -330,7 +330,69 @@ int main() {
   EXPECT_EQ(d.line, 9);
   EXPECT_EQ(d.message,
             "rbuf(rb) is reused while the receive posted by the directive "
-            "at line 7 is still in flight (rank 1 posts both at nprocs=2)");
+            "at line 7 is still in flight (rank 1 posts both at nprocs=2); "
+            "the executor completes that receive here, before it posts this "
+            "directive");
+  EXPECT_EQ(d.hint,
+            "that completion is a hidden synchronization: it blocks until "
+            "line 7's message arrives, and deadlocks when its sender sends "
+            "only after this directive; use distinct buffers or split the "
+            "region");
+}
+
+TEST(Analyze, SendFromAnRbufInFlightIsAHiddenSync) {
+  // Rank 1 receives into rb, then sends rb back before the region's sync:
+  // the executor completes the receive first.
+  const Report report = analyze(R"(
+double sb[8];
+double rb[8];
+int main() {
+#pragma comm_parameters count(4)
+{
+#pragma comm_p2p sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1) sbuf(sb) rbuf(rb)
+{ }
+#pragma comm_p2p sender(1) receiver(0) sendwhen(rank==1) receivewhen(rank==0) sbuf(rb) rbuf(sb)
+{ }
+}
+}
+)");
+  const Diagnostic& d = find(report, "CID-B020");
+  EXPECT_EQ(d.line, 9);
+  EXPECT_EQ(d.message,
+            "sbuf(rb) sends from the buffer the receive posted by the "
+            "directive at line 7 is still writing (rank 1 posts both at "
+            "nprocs=2); the executor completes that receive here, before it "
+            "posts this directive");
+}
+
+TEST(Analyze, ReceiveLandedByReuseIsNotReportedAsDeferred) {
+  // Line 8 reuses r, so the executor completes line 6's receive there:
+  // only line 8's receive is still deferred at the gap.
+  const Report report = analyze(R"(
+double s0[8], s1[8], r[8];
+int main() {
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1) count(8) place_sync(BEGIN_NEXT_PARAM_REGION)
+{
+#pragma comm_p2p sbuf(s0) rbuf(r)
+{ }
+#pragma comm_p2p sbuf(s1) rbuf(r)
+{ }
+}
+  r[0] = 1.0;
+#pragma comm_parameters sender(0) receiver(1) sendwhen(rank==0) receivewhen(rank==1) count(8)
+{
+}
+}
+)");
+  int deferred = 0;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.id != "CID-B023") continue;
+    ++deferred;
+    EXPECT_NE(d.message.find("posted at line 8"), std::string::npos)
+        << render(report);
+  }
+  EXPECT_EQ(deferred, 1) << render(report);
+  EXPECT_EQ(find(report, "CID-B020").line, 8);
 }
 
 TEST(Analyze, DisjointGuardsMakeRbufReuseSafe) {

@@ -349,6 +349,45 @@ void step() {
   EXPECT_TRUE(has(result, "CID-E105"));
 }
 
+TEST(ExploreSync, OneBufferSpelledTwoWaysIsReusedInFlight) {
+  // r[0] and r[ 0 ] name one address: the executor lands the first receive
+  // before it posts the second, and the analyzer reports CID-B020.
+  const char* source = R"(
+int s[4]; int r[4];
+void step() {
+#pragma comm_parameters count(1) sender((rank+nprocs-1)%nprocs) receiver((rank+1)%nprocs)
+  {
+#pragma comm_p2p sbuf(s) rbuf(r[0])
+    { }
+#pragma comm_p2p sbuf(s) rbuf(r[ 0 ])
+    { }
+  }
+}
+)";
+  EXPECT_TRUE(has(explore(source, 3), "CID-E105"));
+  const auto report = cid::analyze::analyze_source(source);
+  EXPECT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].id, "CID-B020");
+}
+
+TEST(ExploreSync, TransferNestedInAnOverlapBodyPostsBeforeTheOuterLands) {
+  // Each rank's receive is a standalone transfer whose overlap body holds
+  // its send: the send posts before the receive lands, so nothing blocks.
+  const auto result = explore(R"(
+int a[4]; int b[4];
+void step() {
+#pragma comm_p2p sbuf(a) rbuf(b) count(4) )" CID_RECV_ONLY R"(
+  {
+#pragma comm_p2p sbuf(a) rbuf(b) count(4) )" CID_SEND_ONLY R"(
+    { }
+  }
+}
+)",
+                              2);
+  EXPECT_TRUE(result.report.diagnostics.empty());
+  EXPECT_TRUE(result.notes.empty());
+}
+
 TEST(ExploreSync, CollectiveLandsTheRingBeforeTheNextRing) {
   // A ring into b, a collective, and a ring into b again: the collective
   // lands the first ring, so b is not in flight when the second ring posts
@@ -423,7 +462,7 @@ TEST(ExploreSync, DeferredSyncRaceIsFoundWhereCheckIsClean) {
 
 // --- the directive program model -------------------------------------------
 
-TEST(ExploreProgram, NestedTransferDirectivesAreNoted) {
+TEST(ExploreProgram, NestedTransferDirectivesAreModeled) {
   auto program = cid::explore::build_program(R"(
 int a[8]; int b[8]; int c[8]; int d[8];
 void step() {
@@ -435,17 +474,17 @@ void step() {
 }
 )");
   ASSERT_TRUE(program.is_ok()) << program.status().to_string();
-  const auto& notes = program.value().notes;
-  EXPECT_NE(std::find(notes.begin(), notes.end(),
-                      "line 6: directive nested in a transfer's body not "
-                      "modeled"),
-            notes.end());
+  EXPECT_TRUE(program.value().notes.empty());
   ASSERT_EQ(program.value().roots.size(), 1u);
-  EXPECT_EQ(program.value().roots[0].kind, cid::explore::Node::Kind::Transfer);
-  EXPECT_TRUE(program.value().roots[0].children.empty());
+  const auto& leaves = program.value().leaves;
+  ASSERT_EQ(leaves.size(), 2u);
+  EXPECT_EQ(leaves[0].rbuf, "b");
+  EXPECT_EQ(leaves[1].rbuf, "d");
+  EXPECT_EQ(leaves[1].line, 6);
+  EXPECT_FALSE(leaves[1].skipped);
 }
 
-TEST(ExploreProgram, RegionsKeepTheirOwnPlaceSyncAndChildren) {
+TEST(ExploreProgram, LeavesAreIndexedBySiteInTextualOrder) {
   auto program = cid::explore::build_program(R"(
 int a[8]; int b[8];
 void step() {
@@ -462,22 +501,19 @@ void step() {
 }
 )");
   ASSERT_TRUE(program.is_ok()) << program.status().to_string();
-  using Kind = cid::explore::Node::Kind;
-  using cid::core::SyncPlacement;
+  EXPECT_TRUE(program.value().notes.empty());
   const auto& roots = program.value().roots;
   ASSERT_EQ(roots.size(), 1u);
-  EXPECT_EQ(roots[0].kind, Kind::Region);
-  EXPECT_EQ(roots[0].place_sync, SyncPlacement::BeginNextParamRegion);
   ASSERT_EQ(roots[0].children.size(), 2u);
-  const auto& inner = roots[0].children[0];
-  EXPECT_EQ(inner.kind, Kind::Region);
-  EXPECT_EQ(inner.place_sync, SyncPlacement::EndParamRegion);  // not inherited
-  ASSERT_EQ(inner.children.size(), 1u);
-  EXPECT_EQ(inner.children[0].kind, Kind::Transfer);
-  EXPECT_EQ(inner.children[0].site, 0);
-  EXPECT_EQ(roots[0].children[1].kind, Kind::Collective);
-  EXPECT_EQ(roots[0].children[1].site, 1);
-  EXPECT_EQ(program.value().site_lines, (std::vector<int>{8, 11}));
+  const auto& leaves = program.value().leaves;
+  ASSERT_EQ(leaves.size(), 2u);
+  EXPECT_EQ(leaves[0].rbuf, "b");  // the transfer
+  EXPECT_EQ(leaves[0].site, 0);
+  EXPECT_EQ(leaves[0].line, 8);
+  EXPECT_EQ(leaves[0].sender.text, "0");  // inherited from the inner region
+  EXPECT_EQ(leaves[1].pattern, cid::core::Pattern::AllToAll);
+  EXPECT_EQ(leaves[1].site, 1);
+  EXPECT_EQ(leaves[1].line, 11);
 }
 
 TEST(ExploreProgram, IncompleteTransferIsSkippedByTheSharedClauseRule) {
@@ -493,7 +529,8 @@ void step() {
   EXPECT_EQ(program.value().notes[0],
             "line 4: comm_p2p is missing required clause(s) after "
             "inheritance: rbuf; skipped (CID-P005 territory)");
-  EXPECT_TRUE(program.value().roots.empty());
+  ASSERT_EQ(program.value().leaves.size(), 1u);
+  EXPECT_TRUE(program.value().leaves[0].skipped);
 }
 
 // --- the cross-layer fuzzer -------------------------------------------------

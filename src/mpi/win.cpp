@@ -1,6 +1,7 @@
 #include "mpi/win.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -15,8 +16,10 @@ struct WinShared {
   std::mutex mutex;
   std::vector<void*> bases;
   std::vector<std::size_t> sizes;
-  /// Latest delivery time of a put targeting each member in this epoch.
-  std::vector<simnet::SimTime> incoming_max;
+  /// Latest delivery time of a put targeting each member, per epoch parity:
+  /// a member still closing epoch k must not absorb (and clear) a put that
+  /// a faster member already issued in epoch k + 1.
+  std::vector<std::array<simnet::SimTime, 2>> incoming_max;
   int registered = 0;
 };
 }  // namespace
@@ -24,6 +27,7 @@ struct WinShared {
 struct Win::Impl {
   Comm comm;
   std::shared_ptr<WinShared> shared;
+  std::size_t epoch = 0;  ///< fences this member has completed
 };
 
 Win Win::create(const Comm& comm, void* base, std::size_t bytes) {
@@ -53,7 +57,7 @@ Win Win::create(const Comm& comm, void* base, std::size_t bytes) {
       if (shared->bases.empty()) {
         shared->bases.resize(members, nullptr);
         shared->sizes.resize(members, 0);
-        shared->incoming_max.resize(members, 0.0);
+        shared->incoming_max.resize(members, {0.0, 0.0});
       }
       shared->bases[my_rank] = base;
       shared->sizes[my_rank] = bytes;
@@ -109,8 +113,9 @@ void Win::put(const void* origin, std::size_t count, const Datatype& dtype,
   const Status status =
       dtype.scatter(ByteSpan(wire.data(), wire.size()), target_base, count);
   CID_REQUIRE(status.is_ok(), ErrorCode::RuntimeFault, status.to_string());
-  impl_->shared->incoming_max[target_rank] =
-      std::max(impl_->shared->incoming_max[target_rank], delivery);
+  simnet::SimTime& incoming =
+      impl_->shared->incoming_max[target_rank][impl_->epoch % 2];
+  incoming = std::max(incoming, delivery);
 }
 
 void Win::fence() {
@@ -122,8 +127,10 @@ void Win::fence() {
   // The epoch closes only when every incoming put has landed.
   const int my_rank = impl_->comm.rank();
   std::lock_guard<std::mutex> lock(impl_->shared->mutex);
-  ctx.clock().advance_to(impl_->shared->incoming_max[my_rank]);
-  impl_->shared->incoming_max[my_rank] = 0.0;
+  simnet::SimTime& incoming =
+      impl_->shared->incoming_max[my_rank][impl_->epoch++ % 2];
+  ctx.clock().advance_to(incoming);
+  incoming = 0.0;
 }
 
 }  // namespace cid::mpi

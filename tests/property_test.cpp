@@ -9,7 +9,6 @@
 // ("file:line" of this file), so edits above run_faulty_exchange must keep
 // its line numbers stable: compensate for added/removed lines, or append below.
 #include <gtest/gtest.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -29,6 +28,7 @@
 #include "obs/obs.hpp"
 #include "rt/runtime.hpp"
 #include "shmem/shmem.hpp"
+#include "tune/tune.hpp"
 
 namespace {
 
@@ -640,6 +640,292 @@ TEST(ObsExport, DoesNotPerturbCleanRingClocks) {
     GTEST_SKIP() << "golden print mode";
   }
   EXPECT_EQ(with_obs, kGoldenCleanClocksHash);
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Charge-site pinning: every injection, layout-walk and completion charge of
+// the LogGP model moves some rank's clock in one of the runs below, so a
+// change to any charge's formula changes kGoldenChargeSitesHash. Each run
+// keeps its charges visible: a receiving rank computes first, so a
+// message's arrival never hides the receiver's unpack walk, and a sender's
+// clock is read before a barrier folds it into the receiver's. A receiver
+// of a composite type posts only after a barrier, once its message is in
+// the mailbox: the engine charges the unpack walk when it matches, so the
+// host order of post and arrival would otherwise reorder the clock's sums.
+// ---------------------------------------------------------------------------
+
+/// A composite element with padding holes: non-contiguous, so every path
+/// that moves it walks its layout (payload 13 bytes, extent 24).
+struct ChargeSitePadded {
+  char c;
+  double d;
+  int i;
+};
+CID_REFLECT_STRUCT(ChargeSitePadded, c, d, i)
+
+namespace {
+
+using Padded = ChargeSitePadded;
+
+constexpr std::uint64_t kGoldenChargeSitesHash = 0xd1002efe3d2d5d4bULL;
+
+/// Seconds a receiving rank computes before it receives.
+constexpr double kReceiverLate = 1e-3;
+
+Padded padded(int rank, int k) {
+  return {static_cast<char>('a' + rank + k), rank * 2.5 + k, rank * 1000 + k};
+}
+
+void expect_padded(const Padded& got, int rank, int k) {
+  const Padded want = padded(rank, k);
+  EXPECT_EQ(got.c, want.c);
+  EXPECT_DOUBLE_EQ(got.d, want.d);
+  EXPECT_EQ(got.i, want.i);
+}
+
+cid::mpi::Datatype padded_datatype() {
+  namespace mpi = cid::mpi;
+  auto created = mpi::Datatype::create_struct(
+      {{offsetof(Padded, c), 1, mpi::BasicType::Char},
+       {offsetof(Padded, d), 1, mpi::BasicType::Double},
+       {offsetof(Padded, i), 1, mpi::BasicType::Int}},
+      sizeof(Padded));
+  EXPECT_TRUE(created.is_ok());
+  mpi::Datatype dtype = created.value();
+  dtype.commit();
+  return dtype;
+}
+
+/// The clock readings of one two-rank run: each rank's own readings, then
+/// every final clock, as exact bits.
+class ClockLog {
+ public:
+  /// Record the calling rank's clock now. Each rank writes only its own row.
+  void note(RankCtx& ctx) { rows_[ctx.rank()].push_back(ctx.clock().now()); }
+
+  void append_to(std::string& out, const cid::rt::RunResult& result) const {
+    for (const auto& row : rows_) append(out, row);
+    append(out, result.final_clocks);
+  }
+
+ private:
+  static void append(std::string& out, const std::vector<double>& clocks) {
+    if (clocks.empty()) return;
+    const std::size_t at = out.size();
+    out.resize(at + clocks.size() * sizeof(double));
+    std::memcpy(out.data() + at, clocks.data(),
+                clocks.size() * sizeof(double));
+  }
+  std::vector<double> rows_[2];
+};
+
+/// Set an environment variable for one scope; unset it on exit.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  const char* name_;
+};
+
+/// Composite isend/irecv, one eager and one rendezvous message, into a late
+/// receiver.
+void run_p2p_charges(std::string& out) {
+  ClockLog log;
+  auto result = cid::rt::run(
+      2, MachineModel::cray_xk7_gemini(), [&](RankCtx& ctx) {
+        namespace mpi = cid::mpi;
+        const mpi::Comm world = mpi::Comm::world();
+        const mpi::Datatype dtype = padded_datatype();
+        constexpr std::size_t kBig = 400;  // 5200 payload bytes: rendezvous
+        std::vector<Padded> data(kBig + 4);
+        for (std::size_t k = 0; k < data.size(); ++k) {
+          data[k] = padded(ctx.rank(), static_cast<int>(k % 4));
+        }
+        mpi::Request requests[2];
+        if (ctx.rank() == 0) {
+          requests[0] = mpi::isend(world, data.data(), 4, dtype, 1, 0);
+          requests[1] = mpi::isend(world, data.data(), kBig, dtype, 1, 1);
+          mpi::waitall(requests);
+          log.note(ctx);
+          ctx.barrier();
+        } else {
+          ctx.charge_compute(kReceiverLate);
+          ctx.barrier();
+          requests[0] = mpi::irecv(world, data.data(), 4, dtype, 0, 0);
+          requests[1] = mpi::irecv(world, data.data() + 4, kBig, dtype, 0, 1);
+          mpi::waitall(requests);
+          for (int k = 0; k < 8; ++k) expect_padded(data[k], 0, k % 4);
+        }
+      });
+  log.append_to(out, result);
+}
+
+/// A composite one-sided put between two fences, from the later rank.
+void run_win_charges(std::string& out) {
+  ClockLog log;
+  auto result = cid::rt::run(
+      2, MachineModel::cray_xk7_gemini(), [&](RankCtx& ctx) {
+        namespace mpi = cid::mpi;
+        const mpi::Datatype dtype = padded_datatype();
+        Padded origin[4], window[4] = {};
+        for (int k = 0; k < 4; ++k) origin[k] = padded(ctx.rank(), k);
+        mpi::Win win =
+            mpi::Win::create(mpi::Comm::world(), window, sizeof(window));
+        if (ctx.rank() == 1) ctx.charge_compute(kReceiverLate);
+        win.fence();
+        if (ctx.rank() == 1) win.put(origin, 4, dtype, 0, 0);
+        log.note(ctx);
+        win.fence();
+        if (ctx.rank() == 0) {
+          for (int k = 0; k < 4; ++k) expect_padded(window[k], 1, k);
+        }
+      });
+  log.append_to(out, result);
+}
+
+/// One SHMEM put, completed by quiet.
+void run_shmem_charges(std::string& out) {
+  ClockLog log;
+  auto result = cid::rt::run(
+      2, MachineModel::cray_xk7_gemini(), [&](RankCtx& ctx) {
+        namespace shmem = cid::shmem;
+        double* target = shmem::malloc_of<double>(8);
+        if (ctx.rank() == 0) {
+          const double source[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+          shmem::putmem(target, source, sizeof(source), 1);
+          log.note(ctx);
+          shmem::quiet();
+        }
+      });
+  log.append_to(out, result);
+}
+
+/// Composite transfers under CID_TUNE=on: rank 0 to a late rank 1 through
+/// an aggregated site, then a ring through a flat-copied site.
+void run_tuned_charges(std::string& out) {
+  const std::source_location aggregated = std::source_location::current();
+  const std::source_location flat = std::source_location::current();
+  const auto key = [](const std::source_location& site) {
+    return std::string(site.file_name()) + ":" + std::to_string(site.line());
+  };
+  cid::tune::Profile profile;
+  cid::tune::SiteProfile& small = profile.sites[key(aggregated)];
+  small.messages = 1;
+  small.max_bytes = 4 * 13;
+  cid::tune::SiteProfile& dense = profile.sites[key(flat)];
+  dense.messages = 1;
+  dense.max_bytes = 1e9;  // never aggregated
+  dense.plan_ns_per_byte = 10.0;
+  dense.flat_ns_per_byte = 0.1;
+  cid::tune::Tuner::global().set_profile(std::move(profile));
+
+  ClockLog log;
+  std::mutex mu;
+  std::map<int, CommStats> stats;
+  const ScopedEnv tune("CID_TUNE", "on");
+  auto result = cid::rt::run(
+      2, MachineModel::cray_xk7_gemini(), [&](RankCtx& ctx) {
+        Padded send[4], recv_a[4], recv_b[4];
+        for (int k = 0; k < 4; ++k) send[k] = padded(ctx.rank(), k);
+        const auto one_way = [&] {
+          comm_parameters(Clauses()
+                              .sender("0")
+                              .receiver("1")
+                              .sendwhen("rank==0")
+                              .receivewhen("rank==1")
+                              .count(4),
+                          [&](Region& region) {
+                            region.p2p(Clauses()
+                                           .sbuf(buf(&send[0], "send"))
+                                           .rbuf(buf(&recv_a[0], "recv_a")),
+                                       aggregated);
+                          });
+        };
+        if (ctx.rank() == 0) {
+          one_way();
+          log.note(ctx);
+          ctx.barrier();
+        } else {
+          ctx.charge_compute(kReceiverLate);
+          ctx.barrier();
+          one_way();
+          for (int k = 0; k < 4; ++k) expect_padded(recv_a[k], 0, k);
+        }
+        comm_parameters(Clauses()
+                            .sender("(rank+1)%nprocs")
+                            .receiver("(rank+1)%nprocs")
+                            .count(4),
+                        [&](Region& region) {
+                          region.p2p(Clauses()
+                                         .sbuf(buf(&send[0], "send"))
+                                         .rbuf(buf(&recv_b[0], "recv_b")),
+                                     flat);
+                        });
+        for (int k = 0; k < 4; ++k) expect_padded(recv_b[k], 1 - ctx.rank(), k);
+        std::lock_guard<std::mutex> lock(mu);
+        stats[ctx.rank()] = comm_stats();
+      });
+  cid::tune::Tuner::global().set_profile({});
+  log.append_to(out, result);
+  out += stats_fingerprint(stats);
+}
+
+/// Reliable composite transfers from rank 0 to a late rank 1 under drops:
+/// some rounds retransmit, the others deliver at the first attempt.
+void run_reliable_charges(std::string& out) {
+  const cid::faults::FaultPlan plan(0xc4a7ULL,
+                                    cid::faults::FaultSpec::drops(0.3));
+  ClockLog log;
+  std::mutex mu;
+  std::map<int, CommStats> stats;
+  auto run = cid::faults::run_with_faults(
+      2, MachineModel::cray_xk7_gemini(), plan, [&](RankCtx& ctx) {
+        for (int round = 0; round < 6; ++round) {
+          Padded send[4], recv[4];
+          for (int k = 0; k < 4; ++k) send[k] = padded(round, k);
+          if (ctx.rank() == 1) ctx.charge_compute(kReceiverLate);
+          comm_parameters(Clauses()
+                              .sender("0")
+                              .receiver("1")
+                              .sendwhen("rank==0")
+                              .receivewhen("rank==1")
+                              .count(4)
+                              .reliability(100, 8),
+                          [&](Region& region) {
+                            region.p2p(Clauses()
+                                           .sbuf(buf(&send[0], "send"))
+                                           .rbuf(buf(&recv[0], "recv")));
+                          });
+          log.note(ctx);
+          if (ctx.rank() == 1) {
+            for (int k = 0; k < 4; ++k) expect_padded(recv[k], round, k);
+          }
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        stats[ctx.rank()] = comm_stats();
+      });
+  EXPECT_GT(run.stats.drops, 0u);
+  log.append_to(out, run.result);
+  out += stats_fingerprint(stats);
+}
+
+TEST(ChargeGolden, EveryChargeSiteMovesThePinnedClocks) {
+  std::string fingerprint;
+  run_p2p_charges(fingerprint);
+  run_win_charges(fingerprint);
+  run_shmem_charges(fingerprint);
+  run_tuned_charges(fingerprint);
+  run_reliable_charges(fingerprint);
+  const std::uint64_t hash = fnv1a64(fingerprint);
+  if (std::getenv("CID_PRINT_GOLDEN") != nullptr) {
+    std::printf("charge sites hash  = 0x%016llxULL\n",
+                static_cast<unsigned long long>(hash));
+    GTEST_SKIP() << "golden print mode";
+  }
+  EXPECT_EQ(hash, kGoldenChargeSitesHash);
 }
 
 }  // namespace

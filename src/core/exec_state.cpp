@@ -98,29 +98,23 @@ namespace {
 void inject_one_aggregate(rt::RankCtx& ctx, int dest,
                           std::vector<std::byte>&& wire) {
   const auto& costs = ctx.model().mpi_two_sided;
-  const std::size_t bytes = wire.size();
-  const simnet::SimTime injection_start = ctx.clock().now();
-  ctx.charge_compute(
-      costs.send_overhead +
-      static_cast<simnet::SimTime>(rt::agg::count(wire)) *
-          costs.per_message_gap +
-      static_cast<simnet::SimTime>(bytes) / costs.injection_bytes_per_second);
+  const simnet::Injection sent =
+      costs.inject(ctx.clock().now(), wire.size(), costs.send_overhead,
+                   rt::agg::count(wire));
+  ctx.charge_compute(sent.busy);
   rt::Envelope envelope;
   envelope.src = ctx.rank();
   envelope.tag = 0;
   envelope.channel = rt::Channel::Internal;
   envelope.context = rt::agg::kContext;
-  envelope.available_at =
-      std::max(costs.delivery_time(injection_start, bytes),
-               ctx.clock().now() + costs.latency);
+  envelope.available_at = sent.delivery;
   envelope.payload = rt::Payload(std::move(wire));
   ctx.world().deliver(dest, std::move(envelope));
 }
 
 }  // namespace
 
-void inject_aggregates(ExecState& state, PendingOps& ops) {
-  (void)state;
+void inject_aggregates(PendingOps& ops) {
   if (ops.agg_buffers.empty()) return;
   auto& ctx = rt::current_ctx();
   for (auto& [dest, wire] : ops.agg_buffers) {
@@ -129,16 +123,14 @@ void inject_aggregates(ExecState& state, PendingOps& ops) {
   ops.agg_buffers.clear();
 }
 
-void inject_aggregate_for(ExecState& state, PendingOps& ops, int dest) {
-  (void)state;
+void inject_aggregate_for(PendingOps& ops, int dest) {
   auto it = ops.agg_buffers.find(dest);
   if (it == ops.agg_buffers.end()) return;
   inject_one_aggregate(rt::current_ctx(), dest, std::move(it->second));
   ops.agg_buffers.erase(it);
 }
 
-void apply_flat_scatters(ExecState& state, PendingOps& ops) {
-  (void)state;
+void apply_flat_scatters(PendingOps& ops) {
   if (ops.flat_scatters.empty()) return;
   auto& ctx = rt::current_ctx();
   for (const FlatScatter& fs : ops.flat_scatters) {
@@ -152,9 +144,8 @@ void apply_flat_scatters(ExecState& state, PendingOps& ops) {
       }
     }
     // Same layout-walk charge the engine's scatter would have applied.
-    ctx.charge_compute(
-        static_cast<simnet::SimTime>(fs.dtype.payload_size() * fs.count) /
-        ctx.model().host.datatype_pack_bytes_per_second);
+    ctx.charge_compute(ctx.model().host.layout_walk_time(
+        fs.dtype.payload_size() * fs.count, fs.dtype.is_contiguous()));
   }
   ops.flat_scatters.clear();
 }
@@ -217,7 +208,7 @@ void ExecState::flush(PendingOps& ops) {
 void ExecState::complete_local(PendingOps& ops) {
   // Batched sends go out before anything waits: the waitall below may block
   // on receives whose messages ride in these aggregates.
-  inject_aggregates(*this, ops);
+  inject_aggregates(ops);
   if (!ops.reliable_sends.empty() || !ops.reliable_recvs.empty()) {
     run_reliable_epoch(*this, ops);
   }
@@ -229,7 +220,7 @@ void ExecState::complete_local(PendingOps& ops) {
     // Flushed persistent slots are complete and restartable.
     ++slot_epoch;
   }
-  apply_flat_scatters(*this, ops);
+  apply_flat_scatters(ops);
   if (!ops.shmem_flag_updates.empty()) {
     // One fence orders every data put of the epoch before the flag
     // updates; one flag put per (site, destination) carries the cumulative

@@ -323,16 +323,16 @@ class ExecState {
 /// one combined envelope (split back into per-message sub-envelopes by the
 /// destination mailbox, see rt/agg.hpp). Must run before the waitall that
 /// completes the matching receives.
-void inject_aggregates(ExecState& state, PendingOps& ops);
+void inject_aggregates(PendingOps& ops);
 
 /// Inject only the batch bound for `dest`: a direct (unbatched) send to a
 /// destination must not overtake its batched predecessors.
-void inject_aggregate_for(ExecState& state, PendingOps& ops, int dest);
+void inject_aggregate_for(PendingOps& ops, int dest);
 
 /// cid::tune flat-copy: scatter the staged flat element images into the
 /// composite receive buffers (pack-plan runs only — holes are untouched).
 /// Must run after the waitall that filled the staging buffers.
-void apply_flat_scatters(ExecState& state, PendingOps& ops);
+void apply_flat_scatters(PendingOps& ops);
 
 /// Clause evaluation shared by the comm_p2p and comm_collective executors.
 /// The environment binds rank and nprocs, then every let() of `clauses`.

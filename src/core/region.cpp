@@ -270,15 +270,12 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
         }
         send_overhead = costs.persistent_send_overhead;
       }
-      if (!dtype.is_contiguous()) {
-        ctx.charge_compute(
-            static_cast<simnet::SimTime>(dtype.payload_size() * count) /
-            ctx.model().host.datatype_pack_bytes_per_second);
-      }
       // Gather the wire bytes directly behind the attempt header; the one
       // resulting buffer is shared (refcounted) between the in-flight
       // envelope and the retransmission source — no copies on this path.
       const std::size_t bytes = dtype.payload_size() * count;
+      ctx.charge_compute(
+          ctx.model().host.layout_walk_time(bytes, dtype.is_contiguous()));
       cid::ByteBuffer prefixed(sizeof(std::uint32_t) + bytes);
       const std::uint32_t attempt0 = 0;
       std::memcpy(prefixed.data(), &attempt0, sizeof(attempt0));
@@ -286,13 +283,9 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
           cid::MutableByteSpan(prefixed.data() + sizeof(attempt0), bytes),
           sbufs[i].data, count);
       const rt::Payload attempt0_payload{std::move(prefixed)};
-      const simnet::SimTime injection_start = ctx.clock().now();
-      ctx.charge_compute(send_overhead + costs.per_message_gap +
-                         static_cast<simnet::SimTime>(bytes) /
-                             costs.injection_bytes_per_second);
-      const simnet::SimTime delivery =
-          std::max(costs.delivery_time(injection_start, bytes),
-                   ctx.clock().now() + costs.latency);
+      const simnet::Injection sent =
+          costs.inject(ctx.clock().now(), bytes, send_overhead);
+      ctx.charge_compute(sent.busy);
 
       ReliableSend send;
       send.site = site;
@@ -302,9 +295,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
       send.timeout = timeout;
       send.max_retries = max_retries;
       send.sent_at = ctx.clock().now();
-      send.local_complete_at = (bytes > costs.eager_threshold_bytes)
-                                   ? delivery
-                                   : ctx.clock().now();
+      send.local_complete_at = sent.local_complete;
 
       // Attempt 0 goes out now, exactly when the plain isend would inject.
       rt::Envelope envelope;
@@ -313,7 +304,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
       envelope.channel = rt::Channel::Internal;
       envelope.context = kReliableDataCtx;
       envelope.payload = attempt0_payload;
-      envelope.available_at = delivery;
+      envelope.available_at = sent.delivery;
       ctx.world().deliver(receiver_rank, std::move(envelope));
 
       send.payload = attempt0_payload;
@@ -511,11 +502,8 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
             // Batch: gather the logical payload into the destination's wire
             // buffer now; the combined envelope is injected at the next
             // flush, before anything waits (see inject_aggregates).
-            if (!dtype.is_contiguous()) {
-              ctx.charge_compute(
-                  static_cast<simnet::SimTime>(dtype.payload_size() * count) /
-                  ctx.model().host.datatype_pack_bytes_per_second);
-            }
+            ctx.charge_compute(ctx.model().host.layout_walk_time(
+                dtype.payload_size() * count, dtype.is_contiguous()));
             rt::agg::append(pending.agg_buffers[receiver_rank],
                             kDirectiveTag, world.context(),
                             dtype.gather(sbufs[i].data, count));
@@ -523,7 +511,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
           }
           // A direct send must not overtake batched predecessors bound for
           // the same destination.
-          inject_aggregate_for(state, pending, receiver_rank);
+          inject_aggregate_for(pending, receiver_rank);
           if (pair_flat(dtype)) {
             // Flat-copy send: one straight memcpy of the whole extent onto
             // the wire instead of the per-run pack-plan walk.

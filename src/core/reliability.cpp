@@ -122,12 +122,10 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
   // The consolidated completion call, charged exactly as the plain lowering's
   // waitall would be: the success path of the protocol costs the same as the
   // unprotected one (acks, nacks and fins ride the NIC for free).
-  const auto retiring = static_cast<simnet::SimTime>(sends.size() +
-                                                     recvs.size());
+  const std::size_t retiring = sends.size() + recvs.size();
   ++state.stats.waitalls;
-  state.stats.requests_retired +=
-      static_cast<std::uint64_t>(sends.size() + recvs.size());
-  ctx.charge_compute(costs.waitall_base + costs.waitall_per_request * retiring);
+  state.stats.requests_retired += retiring;
+  ctx.charge_compute(costs.completion_time(retiring));
 
   // NIC-offloaded protocol message: no CPU charge, one latency to the peer.
   const auto emit = [&](int dest, int tag, int context,
@@ -218,12 +216,9 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
         sp.op->payload.span().subspan(kAttemptHeaderBytes);
     const std::size_t bytes = wire.size();
     const simnet::SimTime injection_start = sp.t;
-    sp.t += costs.send_overhead + costs.per_message_gap +
-            static_cast<simnet::SimTime>(bytes) /
-                costs.injection_bytes_per_second;
-    const simnet::SimTime delivery =
-        std::max(costs.delivery_time(injection_start, bytes),
-                 sp.t + costs.latency);
+    const simnet::Injection sent =
+        costs.inject(injection_start, bytes, costs.send_overhead);
+    sp.t += sent.busy;
     rt::Envelope data;
     data.src = self;
     data.tag = sp.op->transfer_id;
@@ -231,15 +226,15 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
     data.context = kReliableDataCtx;
     data.payload = rt::Payload(
         make_data_payload(static_cast<std::uint32_t>(sp.attempt), wire));
-    data.available_at = delivery;
+    data.available_at = sent.delivery;
     ctx.world().deliver(sp.op->dest, std::move(data));
     sp.attempt_sent_at = sp.t;
     sp.wall_sent_at = net::wall_seconds();
-    if (bytes > costs.eager_threshold_bytes) sp.t = delivery;
+    sp.t = std::max(sp.t, sent.local_complete);  // rendezvous: at delivery
     ++state.stats.retransmits;
     if (trace) {
       record_trace_event({TraceEventKind::Retransmit, self, injection_start,
-                          delivery, sp.op->site.name(), bytes, 1});
+                          sent.delivery, sp.op->site.name(), bytes, 1});
     }
   };
 
@@ -380,11 +375,9 @@ void run_reliable_epoch(ExecState& state, PendingOps& ops) {
           rp.op->dtype.scatter(wire, rp.op->buf, rp.op->count);
       CID_REQUIRE(scattered.is_ok(), ErrorCode::RuntimeFault,
                   scattered.to_string());
-      if (!rp.op->dtype.is_contiguous()) {
-        // Same unpack walk the plain engine charges on delivery.
-        ctx.charge_compute(static_cast<simnet::SimTime>(wire.size()) /
-                           ctx.model().host.datatype_pack_bytes_per_second);
-      }
+      // Same unpack walk the plain engine charges on delivery.
+      ctx.charge_compute(ctx.model().host.layout_walk_time(
+          wire.size(), rp.op->dtype.is_contiguous()));
       rp.delivered = true;
     } else {
       // A retransmission of a payload we already have (its ack was lost).

@@ -45,25 +45,13 @@ void validate_recv_args(const Comm& comm, const void* buf, int source,
 void inject(rt::RankCtx& ctx, RequestImpl& request, const void* buf,
             std::size_t count, const Datatype& dtype, const Comm& comm,
             int dest, int tag, simnet::SimTime injection_overhead) {
-  const auto& costs = path(ctx);
-  if (!dtype.is_contiguous()) {
-    // The engine gathers the derived layout into the wire buffer.
-    ctx.charge_compute(
-        static_cast<simnet::SimTime>(dtype.payload_size() * count) /
-        ctx.model().host.datatype_pack_bytes_per_second);
-  }
+  // The engine gathers the derived layout into the wire buffer.
+  ctx.charge_compute(ctx.model().host.layout_walk_time(
+      dtype.payload_size() * count, dtype.is_contiguous()));
   ByteBuffer payload = dtype.gather(buf, count);
-  const std::size_t bytes = payload.size();
-
-  const simnet::SimTime injection_start = ctx.clock().now();
-  ctx.charge_compute(injection_overhead + costs.per_message_gap +
-                     static_cast<simnet::SimTime>(bytes) /
-                         costs.injection_bytes_per_second);
-  // Delivery: wire pipeline from injection start, but never before the last
-  // byte left the sender.
-  const simnet::SimTime delivery =
-      std::max(costs.delivery_time(injection_start, bytes),
-               ctx.clock().now() + costs.latency);
+  const simnet::Injection sent =
+      path(ctx).inject(ctx.clock().now(), payload.size(), injection_overhead);
+  ctx.charge_compute(sent.busy);
 
   rt::Envelope envelope;
   envelope.src = ctx.rank();  // world rank
@@ -72,18 +60,14 @@ void inject(rt::RankCtx& ctx, RequestImpl& request, const void* buf,
   envelope.context = comm.context();
   // Wrap once; fault-layer duplicates and retransmissions alias these bytes.
   envelope.payload = rt::Payload(std::move(payload));
-  envelope.available_at = delivery;
+  envelope.available_at = sent.delivery;
   // Through the world's delivery seam so an installed fault interceptor can
   // drop / delay / duplicate the message.
   ctx.world().deliver(comm.world_rank(dest), std::move(envelope));
 
   request.complete = true;
   request.active = false;
-  // Eager sends complete locally at injection; rendezvous sends cannot
-  // complete before the receiver shows up, approximated by delivery time.
-  request.complete_at = (bytes > costs.eager_threshold_bytes)
-                            ? delivery
-                            : ctx.clock().now();
+  request.complete_at = sent.local_complete;
 }
 
 std::shared_ptr<RequestImpl> make_recv_impl(const Comm& comm, void* buf,
@@ -105,9 +89,6 @@ std::shared_ptr<RequestImpl> make_recv_impl(const Comm& comm, void* buf,
 /// the message availability time and deactivate.
 void finalize(rt::RankCtx& ctx, RequestImpl& request) {
   ctx.clock().advance_to(request.complete_at);
-  if (request.kind == ReqKind::Send || request.kind == ReqKind::Recv) {
-    // One-shot requests stay complete; persistent ones may be restarted.
-  }
   request.active = false;
 }
 
@@ -192,10 +173,7 @@ bool wait_for(Request& request, simnet::SimTime timeout) {
 
 void waitall(std::span<Request> requests) {
   auto& ctx = rt::current_ctx();
-  const auto& costs = path(ctx);
-  ctx.charge_compute(costs.waitall_base +
-                     costs.waitall_per_request *
-                         static_cast<simnet::SimTime>(requests.size()));
+  ctx.charge_compute(path(ctx).completion_time(requests.size()));
   auto& engine = Engine::mine();
   simnet::SimTime latest = ctx.clock().now();
   for (auto& request : requests) {
@@ -213,7 +191,7 @@ bool test(Request& request) {
   auto& impl = RequestAccess::impl(request);
   CID_REQUIRE(impl != nullptr, ErrorCode::InvalidArgument,
               "test() on invalid Request");
-  ctx.charge_compute(path(ctx).waitall_per_request);  // cheap poll
+  ctx.charge_compute(path(ctx).poll_time());
   Engine::mine().progress(ctx);
   if (!impl->complete) {
     // Callers poll test() in a loop; under the pooled scheduler the rank
@@ -408,7 +386,7 @@ bool iprobe(const Comm& comm, int source, int tag, const Datatype& dtype,
   auto& ctx = rt::current_ctx();
   CID_REQUIRE(comm.valid(), ErrorCode::InvalidArgument,
               "iprobe on invalid communicator");
-  ctx.charge_compute(path(ctx).waitall_per_request);  // cheap poll
+  ctx.charge_compute(path(ctx).poll_time());
   const rt::Mailbox::Residual residual = membership_residual(comm);
   auto header = ctx.mailbox().peek(probe_key(comm, source, tag), &residual);
   if (!header) {

@@ -123,11 +123,9 @@ void Engine::deliver(rt::RankCtx& ctx, detail::RequestImpl& request,
       ByteSpan(envelope.payload.data(), wire_bytes), request.recv_buf, count);
   CID_REQUIRE(scatter_status.is_ok(), ErrorCode::RuntimeFault,
               scatter_status.to_string());
-  if (!request.dtype.is_contiguous()) {
-    // Engine walks the derived layout on delivery instead of a flat copy.
-    ctx.charge_compute(static_cast<simnet::SimTime>(wire_bytes) /
-                       ctx.model().host.datatype_pack_bytes_per_second);
-  }
+  // The engine walks the derived layout on delivery.
+  ctx.charge_compute(ctx.model().host.layout_walk_time(
+      wire_bytes, request.dtype.is_contiguous()));
 
   request.status.source = request.comm.comm_rank_of_world(envelope.src);
   request.status.tag = envelope.tag;

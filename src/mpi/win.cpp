@@ -87,18 +87,12 @@ void Win::put(const void* origin, std::size_t count, const Datatype& dtype,
   auto& ctx = rt::current_ctx();
   const auto& costs = ctx.model().mpi_one_sided;
 
-  if (!dtype.is_contiguous()) {
-    ctx.charge_compute(
-        static_cast<simnet::SimTime>(dtype.payload_size() * count) /
-        ctx.model().host.datatype_pack_bytes_per_second);
-  }
+  ctx.charge_compute(ctx.model().host.layout_walk_time(
+      dtype.payload_size() * count, dtype.is_contiguous()));
   const ByteBuffer wire = dtype.gather(origin, count);
-
-  const simnet::SimTime injection_start = ctx.clock().now();
-  ctx.charge_compute(costs.injection_time(wire.size()));
-  const simnet::SimTime delivery =
-      std::max(costs.delivery_time(injection_start, wire.size()),
-               ctx.clock().now() + costs.latency);
+  const simnet::Injection sent =
+      costs.inject(ctx.clock().now(), wire.size(), costs.send_overhead);
+  ctx.charge_compute(sent.busy);
 
   std::lock_guard<std::mutex> lock(impl_->shared->mutex);
   const std::size_t target_bytes = dtype.extent() * count;
@@ -115,7 +109,7 @@ void Win::put(const void* origin, std::size_t count, const Datatype& dtype,
   CID_REQUIRE(status.is_ok(), ErrorCode::RuntimeFault, status.to_string());
   simnet::SimTime& incoming =
       impl_->shared->incoming_max[target_rank][impl_->epoch % 2];
-  incoming = std::max(incoming, delivery);
+  incoming = std::max(incoming, sent.delivery);
 }
 
 void Win::fence() {

@@ -28,12 +28,11 @@ void do_put(rt::RankCtx& ctx, void* dest, const void* source,
   std::byte* remote = heap.translate(ctx.rank(), dest, pe, bytes);
 
   const auto& costs = path(ctx);
-  const simnet::SimTime injection_start = ctx.clock().now();
-  ctx.charge_compute(costs.injection_time(bytes));
+  const simnet::Injection sent =
+      costs.inject(ctx.clock().now(), bytes, costs.send_overhead);
+  ctx.charge_compute(sent.busy);
   const simnet::SimTime delivery =
-      std::max({costs.delivery_time(injection_start, bytes),
-                ctx.clock().now() + costs.latency,
-                heap.fence_floor(ctx.rank())});
+      std::max(sent.delivery, heap.fence_floor(ctx.rank()));
 
   std::memcpy(remote, source, bytes);
   std::atomic_thread_fence(std::memory_order_release);

@@ -19,12 +19,20 @@
 //     ~38x SHMEM speedup in setEvec.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace cid::simnet {
 
 /// Seconds of virtual time.
 using SimTime = double;
+
+/// One envelope's injection, as PathCosts::inject prices it.
+struct Injection {
+  SimTime busy = 0.0;            ///< sender CPU time spent injecting
+  SimTime delivery = 0.0;        ///< payload complete in the destination
+  SimTime local_complete = 0.0;  ///< send buffer reusable
+};
 
 /// Cost table for one communication path (a library + transfer style).
 struct PathCosts {
@@ -44,11 +52,6 @@ struct PathCosts {
   /// by default.
   double injection_bytes_per_second = 1.0e30;
 
-  /// CPU time the sender is busy injecting `bytes` (overhead + occupancy).
-  SimTime injection_time(std::size_t bytes) const noexcept {
-    return send_overhead + per_message_gap +
-           static_cast<SimTime>(bytes) / injection_bytes_per_second;
-  }
   /// Cost of one single-request completion call (MPI_Wait).
   SimTime wait_single = 0.0;
   /// Fixed cost of an aggregate completion call (MPI_Waitall, shmem_quiet).
@@ -78,6 +81,35 @@ struct PathCosts {
     if (bytes > eager_threshold_bytes) t += rendezvous_extra_latency;
     return t;
   }
+
+  /// The LogGP send rule, for every path and every envelope. A sender that
+  /// starts injecting `bytes` at `start` is busy for
+  /// `overhead + gaps * g + bytes / injection bandwidth`; `gaps` counts the
+  /// messages the envelope carries (an aggregate carries several). The
+  /// payload streams down the wire from `start` but is never delivered
+  /// before the last byte left the sender plus one latency. An eager send
+  /// completes locally when the sender is free, a rendezvous send when its
+  /// payload is delivered.
+  Injection inject(SimTime start, std::size_t bytes, SimTime overhead,
+                   std::size_t gaps = 1) const noexcept {
+    const SimTime busy =
+        overhead + static_cast<SimTime>(gaps) * per_message_gap +
+        static_cast<SimTime>(bytes) / injection_bytes_per_second;
+    const SimTime end = start + busy;
+    const SimTime delivery =
+        std::max(delivery_time(start, bytes), end + latency);
+    return {busy, delivery, bytes > eager_threshold_bytes ? delivery : end};
+  }
+
+  /// CPU time of one aggregate completion call retiring `requests` requests
+  /// (MPI_Waitall, the reliable protocol's consolidated completion).
+  SimTime completion_time(std::size_t requests) const noexcept {
+    return waitall_base +
+           waitall_per_request * static_cast<SimTime>(requests);
+  }
+
+  /// CPU time of one completion poll (MPI_Test, MPI_Iprobe).
+  SimTime poll_time() const noexcept { return waitall_per_request; }
 };
 
 /// Cost table for host-side operations the directive translation changes.
@@ -92,6 +124,14 @@ struct HostCosts {
   /// Gather/scatter penalty rate when sending via a non-contiguous derived
   /// type (engine walks the layout instead of a flat memcpy).
   double datatype_pack_bytes_per_second = 1.0;
+
+  /// CPU time to gather or scatter `bytes` of payload through a datatype's
+  /// layout. A contiguous layout is one flat copy and costs nothing extra.
+  SimTime layout_walk_time(std::size_t bytes, bool contiguous) const noexcept {
+    return contiguous ? 0.0
+                      : static_cast<SimTime>(bytes) /
+                            datatype_pack_bytes_per_second;
+  }
 };
 
 /// The whole machine: one cost table per path plus collective parameters.

@@ -186,7 +186,9 @@ TEST(ShmemTime, QuietCompletesOutgoingWire) {
       // The put returns after injection (overhead + NIC occupancy), well
       // before the remote delivery completes.
       const double injection =
-          model.shmem.injection_time(1024 * sizeof(double));
+          model.shmem
+              .inject(before, 1024 * sizeof(double), model.shmem.send_overhead)
+              .busy;
       EXPECT_NEAR(ctx.clock().now() - before, injection, 1e-9);
       shmem::quiet();
       // After quiet the clock covers latency + bytes/bandwidth.

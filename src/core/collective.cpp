@@ -54,11 +54,6 @@ std::size_t resolve_count(const Clauses& clauses, const Env& env,
   return smallest;
 }
 
-mpi::Datatype datatype_for_buffer(ExecState& state, const BufferRef& buffer) {
-  if (buffer.is_composite()) return state.datatype_for(*buffer.layout);
-  return mpi::Datatype::basic(buffer.basic);
-}
-
 void require_capacity(const BufferRef& buffer, std::size_t needed,
                       const char* what) {
   CID_REQUIRE(!buffer.has_extent || buffer.extent_count >= needed,
@@ -72,7 +67,7 @@ void lower_mpi(ExecState& state, const mpi::Comm& comm, Pattern pattern,
                int root, std::size_t count, const BufferRef& sbuf,
                const BufferRef& rbuf,
                std::optional<mpi::coll::CollAlgo> hint) {
-  const mpi::Datatype dtype = datatype_for_buffer(state, sbuf);
+  const mpi::Datatype dtype = state.datatype_for(sbuf);
   switch (pattern) {
     case Pattern::OneToMany:
       require_capacity(rbuf, count, "ONE_TO_MANY rbuf");

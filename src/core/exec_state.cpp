@@ -167,7 +167,9 @@ ExecState& ExecState::mine() {
   return *state;
 }
 
-mpi::Datatype ExecState::datatype_for(const TypeLayout& layout) {
+mpi::Datatype ExecState::datatype_for(const BufferRef& buffer) {
+  if (!buffer.is_composite()) return mpi::Datatype::basic(buffer.basic);
+  const TypeLayout& layout = *buffer.layout;
   auto it = datatype_cache.find(&layout);
   if (it != datatype_cache.end()) {
     ++stats.datatype_cache_hits;

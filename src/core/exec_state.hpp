@@ -300,9 +300,10 @@ class ExecState {
   /// Region nesting stack (owned by the Region RAII objects).
   std::vector<class RegionImpl*> region_stack;
 
-  /// Cached derived datatype for a reflected layout; charges the model's
+  /// The datatype a buffer's elements travel as: its basic type, or the
+  /// cached derived type of its reflected layout, which charges the model's
   /// type-creation cost on first use (the paper's per-scope reuse).
-  mpi::Datatype datatype_for(const TypeLayout& layout);
+  mpi::Datatype datatype_for(const BufferRef& buffer);
 
   /// Complete everything in `ops` (waitall / shmem waits / quiet / fences)
   /// and reset slot usage so persistent requests can be restarted; records

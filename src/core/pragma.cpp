@@ -46,18 +46,6 @@ bool ident_char(char c) {
 
 }  // namespace
 
-std::string_view directive_name(DirectiveKind kind) noexcept {
-  switch (kind) {
-    case DirectiveKind::CommParameters:
-      return "comm_parameters";
-    case DirectiveKind::CommP2P:
-      return "comm_p2p";
-    case DirectiveKind::CommCollective:
-      return "comm_collective";
-  }
-  return "comm_unknown";
-}
-
 const RawClause* ParsedDirective::find(std::string_view name) const noexcept {
   for (const auto& clause : clauses) {
     if (clause.name == name) return &clause;

@@ -18,8 +18,6 @@ namespace cid::core {
 
 enum class DirectiveKind { CommParameters, CommP2P, CommCollective };
 
-std::string_view directive_name(DirectiveKind kind) noexcept;
-
 struct RawClause {
   std::string name;
   std::vector<std::string> args;  ///< top-level comma-split, trimmed

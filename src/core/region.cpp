@@ -55,11 +55,6 @@ std::size_t resolve_count(const ClauseView& merged, const Env& env) {
   return smallest;
 }
 
-mpi::Datatype datatype_for_buffer(ExecState& state, const BufferRef& buffer) {
-  if (buffer.is_composite()) return state.datatype_for(*buffer.layout);
-  return mpi::Datatype::basic(buffer.basic);
-}
-
 Target to_core_target(tune::Lowering lowering) noexcept {
   switch (lowering) {
     case tune::Lowering::Mpi1Side: return Target::Mpi1Side;
@@ -106,7 +101,7 @@ void record_tune_observations(ExecState& state, rt::RankCtx& ctx,
                               const std::vector<BufferRef>& rbufs,
                               std::size_t count) {
   for (std::size_t i = 0; i < sbufs.size(); ++i) {
-    const mpi::Datatype dtype = datatype_for_buffer(state, sbufs[i]);
+    const mpi::Datatype dtype = state.datatype_for(sbufs[i]);
     obs::observe("cid.tune.msg_bytes", site.name(), ctx.rank(),
                  static_cast<double>(count * dtype.payload_size()));
     obs::count(shmem::is_symmetric(rbufs[i].data) ? "cid.tune.sym_ok"
@@ -228,7 +223,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
   // finds its counterpart posted).
   if (recv_active) {
     for (std::size_t i = 0; i < pairs; ++i) {
-      const mpi::Datatype dtype = datatype_for_buffer(state, rbufs[i]);
+      const mpi::Datatype dtype = state.datatype_for(rbufs[i]);
       if (use_persistent) {
         // One slot per p2p execution per site between epochs, exactly like
         // acquire_recv_slot: setup is charged only when the table grows.
@@ -257,7 +252,7 @@ void execute_reliable_mpi2(ExecState& state, rt::RankCtx& ctx,
   }
   if (send_active) {
     for (std::size_t i = 0; i < pairs; ++i) {
-      const mpi::Datatype dtype = datatype_for_buffer(state, sbufs[i]);
+      const mpi::Datatype dtype = state.datatype_for(sbufs[i]);
       ++state.stats.mpi2_messages;
       state.stats.mpi2_bytes += count * dtype.payload_size();
       ++state.stats.reliable_transfers;
@@ -464,7 +459,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
       // (receiver_rank == rank) matches immediately.
       if (recv_active) {
         for (std::size_t i = 0; i < pairs; ++i) {
-          const mpi::Datatype dtype = datatype_for_buffer(state, rbufs[i]);
+          const mpi::Datatype dtype = state.datatype_for(rbufs[i]);
           if (!pair_aggregated(dtype, sender_rank) && pair_flat(dtype)) {
             // Flat-copy receive: the wire carries whole element images into
             // a staging buffer; the pack-plan scatter runs at the flush
@@ -495,7 +490,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
       }
       if (send_active) {
         for (std::size_t i = 0; i < pairs; ++i) {
-          const mpi::Datatype dtype = datatype_for_buffer(state, sbufs[i]);
+          const mpi::Datatype dtype = state.datatype_for(sbufs[i]);
           ++state.stats.mpi2_messages;
           state.stats.mpi2_bytes += count * dtype.payload_size();
           if (pair_aggregated(dtype, receiver_rank)) {
@@ -605,7 +600,7 @@ void execute_p2p(const Clauses& site_clauses, const RegionImpl* region,
           cache.bytes = expose_bytes;
         }
         if (send_active) {
-          const mpi::Datatype dtype = datatype_for_buffer(state, sbufs[i]);
+          const mpi::Datatype dtype = state.datatype_for(sbufs[i]);
           cache.win.put(sbufs[i].data, count, dtype, receiver_rank, 0);
           ++state.stats.mpi1_puts;
           state.stats.mpi1_bytes += count * dtype.payload_size();

@@ -270,9 +270,6 @@ BasicType Datatype::basic_type() const {
 std::size_t Datatype::extent() const noexcept { return impl_->extent; }
 std::size_t Datatype::payload_size() const noexcept { return impl_->payload; }
 bool Datatype::is_contiguous() const noexcept { return impl_->contiguous; }
-std::size_t Datatype::field_count() const noexcept {
-  return impl_->is_basic ? 1 : impl_->fields.size();
-}
 const std::vector<TypeField>& Datatype::fields() const noexcept {
   return impl_->fields;
 }

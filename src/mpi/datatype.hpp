@@ -83,7 +83,6 @@ class Datatype {
   /// `count` elements can be moved as one flat copy.
   bool is_contiguous() const noexcept;
 
-  std::size_t field_count() const noexcept;
   const std::vector<TypeField>& fields() const noexcept;
 
   /// Compiled pack plan (built once at type creation): the maximal

@@ -354,12 +354,6 @@ void Mailbox::wait_present(std::span<const MatchKey> keys,
   });
 }
 
-bool Mailbox::probe(const MatchKey& key, const Residual* residual) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return find_any(std::span<const MatchKey>(&key, 1), residual,
-                  /*floor=*/0) != kNil;
-}
-
 std::optional<Mailbox::Header> Mailbox::peek(const MatchKey& key,
                                              const Residual* residual) {
   std::lock_guard<std::mutex> lock(mutex_);

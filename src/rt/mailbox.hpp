@@ -125,9 +125,6 @@ class Mailbox {
   void wait_present(std::span<const MatchKey> keys,
                     const Residual* residual = nullptr);
 
-  /// True if an admitted envelope is queued (does not remove it).
-  bool probe(const MatchKey& key, const Residual* residual = nullptr);
-
   /// Header of the first admitted queued envelope (no payload copy, no
   /// removal): {src, tag, payload bytes, available_at}.
   struct Header {

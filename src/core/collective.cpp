@@ -259,6 +259,8 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   auto& state = ExecState::mine();
 
   const simnet::SimTime trace_begin = ctx.clock().now();
+  const std::uint64_t trace_bytes0 = state.stats.total_bytes();
+  const std::uint64_t trace_msgs0 = state.stats.total_messages();
   ++state.stats.collective_directives;
   const Status valid = clauses.validate_for_collective();
   if (!valid.is_ok()) throw CidError(valid.code(), valid.message());
@@ -349,9 +351,11 @@ void comm_collective(const Clauses& clauses, std::source_location site_loc) {
   }
 
   if (obs::enabled()) {
-    detail::record_trace_event({TraceEventKind::CollectiveDirective,
-                                ctx.rank(), trace_begin, ctx.clock().now(),
-                                site.name(), 0, 0});
+    detail::record_trace_event(
+        {TraceEventKind::CollectiveDirective, ctx.rank(), trace_begin,
+         ctx.clock().now(), site.name(),
+         state.stats.total_bytes() - trace_bytes0,
+         state.stats.total_messages() - trace_msgs0});
   }
 }
 

@@ -663,6 +663,8 @@ void comm_parameters(const Clauses& clauses,
   auto& state = detail::ExecState::mine();
   auto& trace_ctx = rt::current_ctx();
   const simnet::SimTime trace_begin = trace_ctx.clock().now();
+  const std::uint64_t trace_bytes0 = state.stats.total_bytes();
+  const std::uint64_t trace_msgs0 = state.stats.total_messages();
 
   const auto land = [&state](detail::PendingOps& batch) {
     state.flush(batch);
@@ -693,10 +695,11 @@ void comm_parameters(const Clauses& clauses,
   state.sync_plan.end_region(placement, land);
 
   if (obs::enabled()) {
-    detail::record_trace_event({TraceEventKind::RegionDirective,
-                                trace_ctx.rank(), trace_begin,
-                                trace_ctx.clock().now(), impl.site.name(), 0,
-                                0});
+    detail::record_trace_event(
+        {TraceEventKind::RegionDirective, trace_ctx.rank(), trace_begin,
+         trace_ctx.clock().now(), impl.site.name(),
+         state.stats.total_bytes() - trace_bytes0,
+         state.stats.total_messages() - trace_msgs0});
   }
 }
 

@@ -79,17 +79,21 @@ void summarize_trace(const TraceFile& trace, std::ostream& out) {
   double first_ts = 0.0;
   double last_end = 0.0;
   Aggregate total;
+  Aggregate regions;
   for (const TraceSpan& span : trace.spans) {
     ranks.insert(span.rank);
     if (total.spans == 0 || span.ts_us < first_ts) first_ts = span.ts_us;
     last_end = std::max(last_end, span.ts_us + span.dur_us);
     total.absorb(span);
+    if (span.cat == "comm_parameters") regions.absorb(span);
   }
 
+  // A region's span repeats the bytes of the transfers it encloses.
   out << "trace: " << total.spans << " spans on " << ranks.size()
       << " rank(s), virtual window " << fixed(first_ts) << " .. "
-      << fixed(last_end) << " us, " << total.bytes << " bytes in "
-      << total.messages << " message(s)\n";
+      << fixed(last_end) << " us, " << total.bytes - regions.bytes
+      << " bytes in " << total.messages - regions.messages
+      << " message(s)\n";
 
   out << "\nper phase:\n";
   print_header(out, "phase");

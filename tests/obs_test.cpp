@@ -238,6 +238,22 @@ TEST_F(ObsTest, SummarizeReportsPerPhaseAndPerSite) {
   EXPECT_NE(text.find("256"), std::string::npos);  // total bytes
 }
 
+TEST_F(ObsTest, SummaryTotalCountsARegionsTransfersOnce) {
+  cid::obs::set_enabled(true);
+  cid::obs::span({0, "comm_parameters", "a.cpp:1", 0.0, 4e-6, 256, 2});
+  cid::obs::span({0, "comm_p2p", "a.cpp:2", 0.0, 2e-6, 128, 1});
+  cid::obs::span({0, "comm_p2p", "a.cpp:3", 2e-6, 4e-6, 128, 1});
+  std::ostringstream json;
+  cid::obs::write_chrome_json(json);
+  const auto trace = cid::obs::parse_trace(json.str());
+  ASSERT_TRUE(trace.is_ok());
+
+  std::ostringstream report;
+  cid::obs::summarize_trace(trace.value(), report);
+  EXPECT_NE(report.str().find("256 bytes in 2 message(s)"), std::string::npos)
+      << report.str();
+}
+
 TEST_F(ObsTest, DiffDetectsChangedAggregates) {
   cid::obs::TraceFile lhs;
   lhs.spans.push_back({0, "comm_p2p", "a.cpp:1", 0.0, 2.0, 128, 1});

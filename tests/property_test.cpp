@@ -507,8 +507,11 @@ TEST(FaultDeterminism, DifferentSeedsProduceDifferentFaultPatterns) {
 // the hash now covers the obs span stream (span_fingerprint; not cidMetrics,
 // whose mpi.pack.wall_ns histograms are host wall time), and directive site
 // names are now root-relative ("tests/property_test.cpp:N"), not absolute
-// paths. The stats and clock goldens were not re-pinned.
-constexpr std::uint64_t kGoldenFaultyTraceHash = 0x985b44fe2ce2619eULL;
+// paths. It was re-pinned a second time when comm_parameters spans began to
+// carry the bytes and messages their transfers sent (they recorded 0, 0);
+// no other field of any span changed. The stats and clock goldens were not
+// re-pinned.
+constexpr std::uint64_t kGoldenFaultyTraceHash = 0xc9c93a48b661d298ULL;
 constexpr std::uint64_t kGoldenFaultyStatsHash = 0xfdedf4d0466a7a28ULL;
 constexpr std::uint64_t kGoldenCleanClocksHash = 0x8a76a8c1800d04aaULL;
 constexpr double kGoldenCleanMakespan = 4.8169200000000006e-05;

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "core/core.hpp"
 #include "core/trace.hpp"
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "rt/runtime.hpp"
+#include "shmem/shmem.hpp"
 
 namespace {
 
@@ -139,6 +143,64 @@ TEST(Trace, CollectiveSpanRecorded) {
             buf(r)));
   });
   EXPECT_EQ(count_kind(spans, TraceEventKind::CollectiveDirective), 4);
+}
+
+// A region's and a collective's spans carry the bytes and messages their
+// transfers sent, as the cid.region / cid.collective counters do. A
+// collective's bytes are what CommStats counts: SHMEM puts here; the MPI
+// target's collective traffic goes through the miniMPI collective engine,
+// which CommStats does not count.
+TEST(Trace, RegionAndCollectiveSpansCarryTheirBytes) {
+  Recording recording;
+  cid::rt::run(4, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
+    double data[6] = {};
+    comm_parameters(
+        Clauses().sender(0).receiver(1).sendwhen("rank==0")
+            .receivewhen("rank==1").count(3),
+        [&](Region& region) {
+          region.p2p(Clauses().sbuf(buf_n(&data[0], 3)).rbuf(
+              buf_n(&data[0], 3)));
+          region.p2p(Clauses().sbuf(buf_n(&data[3], 3)).rbuf(
+              buf_n(&data[3], 3)));
+        });
+    double* rbuf_sym = cid::shmem::malloc_of<double>(8);
+    double sbuf_local[8] = {};
+    ctx.barrier();
+    comm_collective(Clauses()
+                        .pattern(Pattern::AllToAll)
+                        .count(2)
+                        .target(Target::Shmem)
+                        .sbuf(buf(sbuf_local))
+                        .rbuf(buf_n(rbuf_sym, 8)));
+  });
+  std::map<std::string, std::uint64_t> bytes_by_rank_kind;
+  for (const Span& s : cid::obs::spans()) {
+    if (s.cat == "comm_parameters" || s.cat == "comm_collective") {
+      const std::string key = s.cat + "@" + std::to_string(s.rank);
+      bytes_by_rank_kind[key] = s.bytes;
+      if (s.cat == "comm_parameters") {
+        EXPECT_EQ(s.messages, s.rank == 0 ? 2u : 0u) << key;
+      } else {
+        EXPECT_EQ(s.messages, 3u) << key;  // one put per peer
+      }
+    }
+  }
+  EXPECT_EQ(bytes_by_rank_kind["comm_parameters@0"], 6 * sizeof(double));
+  EXPECT_EQ(bytes_by_rank_kind["comm_parameters@1"], 0u);
+  for (int rank = 0; rank < 4; ++rank) {
+    EXPECT_EQ(bytes_by_rank_kind["comm_collective@" + std::to_string(rank)],
+              3 * 2 * sizeof(double));
+  }
+  std::uint64_t region_counter = 0;
+  std::uint64_t collective_counter = 0;
+  for (const auto& row : cid::obs::MetricsRegistry::global().counters()) {
+    if (row.key.metric == "cid.region.bytes_sent") region_counter += row.value;
+    if (row.key.metric == "cid.collective.bytes_sent") {
+      collective_counter += row.value;
+    }
+  }
+  EXPECT_EQ(region_counter, 6 * sizeof(double));
+  EXPECT_EQ(collective_counter, 4 * 3 * 2 * sizeof(double));
 }
 
 TEST(Trace, DeterministicAcrossRuns) {

@@ -19,9 +19,9 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
 #include "common/rng.hpp"
 #include "core/core.hpp"
+#include "core/trace.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "mpi/mpi.hpp"
@@ -929,6 +929,116 @@ TEST(ChargeGolden, EveryChargeSiteMovesThePinnedClocks) {
     GTEST_SKIP() << "golden print mode";
   }
   EXPECT_EQ(hash, kGoldenChargeSitesHash);
+}
+
+// ---------------------------------------------------------------------------
+// The metrics half of the export. kGoldenFaultyTraceHash pins the spans only;
+// this pins every counter row and every virtual-time histogram row that the
+// faulty exchange above and a clean run with an overlap block, a SHMEM
+// collective and an MPI collective publish. Together the two runs emit every
+// TraceEventKind. Host-dependent rows are left out: wall-clock samples
+// (mpi.pack.wall_ns and every other *wall* metric), the tuner's calibration
+// rates (cid.tune.*_ns_per_byte) and the pooled scheduler's worker count
+// (rt.sched.*).
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kGoldenMetricsHash = 0xde3e0e45587bae44ULL;
+
+bool host_dependent_metric(std::string_view metric) {
+  return metric.find("wall") != std::string_view::npos ||
+         metric.starts_with("rt.sched.") ||
+         (metric.starts_with("cid.tune.") && metric.ends_with("_ns_per_byte"));
+}
+
+/// Every deterministic counter and histogram row, in the registry's order.
+std::string metrics_fingerprint() {
+  std::ostringstream out;
+  out.precision(17);
+  for (const auto& row : cid::obs::MetricsRegistry::global().counters()) {
+    if (host_dependent_metric(row.key.metric)) continue;
+    out << row.key.metric << ' ' << row.key.site << ' ' << row.key.rank << ' '
+        << row.value << '\n';
+  }
+  for (const auto& row : cid::obs::MetricsRegistry::global().histograms()) {
+    if (host_dependent_metric(row.key.metric)) continue;
+    const cid::obs::Histogram& h = row.histogram;
+    out << row.key.metric << ' ' << row.key.site << ' ' << row.key.rank << ' '
+        << h.count() << ' ' << h.sum() << ' ' << h.min() << ' ' << h.max();
+    for (std::size_t i = 0; i < h.buckets().size(); ++i) {
+      if (h.buckets()[i] != 0) out << ' ' << i << ':' << h.buckets()[i];
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+/// Four ranks: an overlapped transfer, a SHMEM all-to-all and an MPI
+/// broadcast, each a directive.
+void run_overlap_and_collectives() {
+  cid::rt::run(4, MachineModel::cray_xk7_gemini(), [](RankCtx& ctx) {
+    double out[8], in[8] = {};
+    for (int i = 0; i < 8; ++i) out[i] = ctx.rank() * 8.0 + i;
+    comm_p2p(Clauses()
+                 .sender("(rank-1+nprocs)%nprocs")
+                 .receiver("(rank+1)%nprocs")
+                 .sbuf(buf(out))
+                 .rbuf(buf(in)),
+             [&] { ctx.charge_compute(3e-6 * (ctx.rank() + 1)); });
+    const int prev = (ctx.rank() + 3) % 4;
+    EXPECT_DOUBLE_EQ(in[7], prev * 8.0 + 7);
+
+    int* table = cid::shmem::malloc_of<int>(4);
+    int row[4];
+    for (int j = 0; j < 4; ++j) row[j] = ctx.rank() * 100 + j;
+    ctx.barrier();
+    comm_collective(Clauses()
+                        .pattern(Pattern::AllToAll)
+                        .count(1)
+                        .target(Target::Shmem)
+                        .sbuf(buf(row))
+                        .rbuf(buf_n(table, 4)));
+    for (int j = 0; j < 4; ++j) EXPECT_EQ(table[j], j * 100 + ctx.rank());
+
+    double root_data[3] = {};
+    if (ctx.rank() == 2) root_data[1] = 42.0;
+    double got[3] = {};
+    comm_collective(Clauses()
+                        .pattern(Pattern::OneToMany)
+                        .root(2)
+                        .count(3)
+                        .target(Target::Mpi2Side)
+                        .sbuf(buf(root_data))
+                        .rbuf(buf(got)));
+    EXPECT_DOUBLE_EQ(got[1], 42.0);
+  });
+}
+
+TEST(MetricsGolden, EveryEventKindsRowsMatchThePinnedFingerprint) {
+  ObsRecordingScope recording;
+  run_faulty_exchange(0x5eedULL, /*record=*/false);
+  run_overlap_and_collectives();
+
+  std::map<std::string, int> cats;
+  for (const auto& span : cid::obs::spans()) ++cats[span.cat];
+  for (const TraceEventKind kind :
+       {TraceEventKind::P2PDirective, TraceEventKind::RegionDirective,
+        TraceEventKind::CollectiveDirective, TraceEventKind::Synchronization,
+        TraceEventKind::Overlap, TraceEventKind::FaultInjected,
+        TraceEventKind::Retransmit, TraceEventKind::Timeout}) {
+    EXPECT_TRUE(cats.contains(std::string(trace_event_kind_name(kind))))
+        << trace_event_kind_name(kind);
+  }
+  EXPECT_TRUE(cats.contains("coll"));  // the MPI collective engine's span
+
+  const std::string fingerprint = metrics_fingerprint();
+  const std::uint64_t hash = fnv1a64(fingerprint);
+  if (std::getenv("CID_PRINT_GOLDEN") != nullptr) {
+    std::printf("%s", fingerprint.c_str());
+    std::printf("metrics hash       = 0x%016llxULL\n",
+                static_cast<unsigned long long>(hash));
+    GTEST_SKIP() << "golden print mode";
+  }
+  EXPECT_EQ(hash, kGoldenMetricsHash);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include "core/clauses.hpp"
 
-#include "core/intern.hpp"
+#include "common/intern.hpp"
 
 namespace cid::core {
 
@@ -92,7 +92,7 @@ ClauseExpr::ClauseExpr(Expr expr) : kind_(Kind::Parsed) {
 ClauseExpr::ClauseExpr(std::string_view text) : kind_(Kind::Parsed) {
   // Never destroyed: cached parses are shared by every rank and thread for
   // the life of the process.
-  static auto& cache = *new detail::InternTable<Parsed>(kMaxCachedTexts);
+  static auto& cache = *new InternTable<Parsed>(kMaxCachedTexts);
   const std::size_t hash = std::hash<std::string_view>{}(text);
   const Parsed* cached = cache.intern(
       hash, [&](const Parsed& entry) { return entry.text == text; },

@@ -3,7 +3,7 @@
 #include <cstring>
 #include <iterator>
 
-#include "core/intern.hpp"
+#include "common/intern.hpp"
 #include "core/reliability.hpp"
 #include "core/trace.hpp"
 #include "obs/obs.hpp"
@@ -28,13 +28,9 @@ SiteId SiteId::of(const std::source_location& location) {
       },
       [&] {
         return Entry{hash, std::string(file), line,
-                     std::string(file) + ":" + std::to_string(line)};
+                     obs::Name(std::string(file) + ":" +
+                               std::to_string(line))};
       }));
-}
-
-std::string_view SiteId::name() const noexcept {
-  return entry_ != nullptr ? std::string_view(entry_->name)
-                           : std::string_view();
 }
 
 Env make_env(const ClauseView& clauses) {
@@ -202,8 +198,9 @@ void ExecState::flush(PendingOps& ops) {
   ops.windows_to_fence.clear();
   if (trace) {
     auto& ctx = rt::current_ctx();
+    static const obs::Name kFlush("flush");
     record_trace_event({TraceEventKind::Synchronization, ctx.rank(),
-                        trace_begin, ctx.clock().now(), "flush", 0, 0});
+                        trace_begin, ctx.clock().now(), kFlush, 0, 0});
   }
 }
 

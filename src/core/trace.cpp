@@ -1,5 +1,7 @@
 #include "core/trace.hpp"
 
+#include <array>
+
 #include "obs/obs.hpp"
 
 namespace cid::core {
@@ -20,57 +22,53 @@ std::string_view trace_event_kind_name(TraceEventKind kind) noexcept {
 
 namespace detail {
 
-/// Besides the span, derive the per-(metric, site, rank) counters and
-/// virtual-time latency histograms the observability layer publishes for
-/// every directive event. Latencies are the virtual span duration in seconds;
-/// the faults/reliability kinds are point events, so only their occurrence
-/// counters matter.
+namespace {
+
+/// A kind's span category and the per-(metric, site, rank) counters and
+/// virtual-time latency histogram its spans imply. Latencies are the virtual
+/// span duration in seconds; the faults/reliability kinds are point events,
+/// so only their occurrence counters matter.
+struct KindRow {
+  obs::Name cat;
+  obs::SpanMetrics metrics;
+};
+
+const KindRow& row_of(TraceEventKind kind) {
+  using K = TraceEventKind;
+  static const auto rows = [] {
+    std::array<KindRow, static_cast<std::size_t>(K::Timeout) + 1> out;
+    const auto set = [&](K k, std::string_view executions,
+                         std::string_view bytes, std::string_view messages,
+                         std::string_view seconds) {
+      out[static_cast<std::size_t>(k)] = {
+          obs::Name(trace_event_kind_name(k)),
+          {obs::Name(executions), obs::Name(bytes), obs::Name(messages),
+           obs::Name(seconds)}};
+    };
+    set(K::P2PDirective, "", "cid.p2p.bytes_sent", "cid.p2p.messages",
+        "cid.p2p.virtual_seconds");
+    set(K::RegionDirective, "cid.region.executions", "cid.region.bytes_sent",
+        "", "cid.region.virtual_seconds");
+    set(K::CollectiveDirective, "cid.collective.executions",
+        "cid.collective.bytes_sent", "", "cid.collective.virtual_seconds");
+    set(K::Synchronization, "cid.sync.flushes", "", "",
+        "cid.sync.virtual_seconds");
+    set(K::Overlap, "", "", "", "cid.overlap.virtual_seconds");
+    set(K::FaultInjected, "cid.faults.injected", "", "", "");
+    set(K::Retransmit, "cid.reliability.retransmits",
+        "cid.reliability.retransmit_bytes", "", "");
+    set(K::Timeout, "cid.reliability.timeouts", "", "", "");
+    return out;
+  }();
+  return rows[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
+
 void record_trace_event(const TraceEvent& event) {
-  const std::string_view cat = trace_event_kind_name(event.kind);
-  obs::span(event.rank, cat, event.site, event.begin, event.end, event.bytes,
-            event.messages);
-  const double duration = event.end - event.begin;
-  switch (event.kind) {
-    case TraceEventKind::P2PDirective:
-      obs::count("cid.p2p.bytes_sent", event.site, event.rank, event.bytes);
-      obs::count("cid.p2p.messages", event.site, event.rank, event.messages);
-      obs::observe("cid.p2p.virtual_seconds", event.site, event.rank,
-                   duration);
-      break;
-    case TraceEventKind::RegionDirective:
-      obs::count("cid.region.executions", event.site, event.rank);
-      obs::count("cid.region.bytes_sent", event.site, event.rank, event.bytes);
-      obs::observe("cid.region.virtual_seconds", event.site, event.rank,
-                   duration);
-      break;
-    case TraceEventKind::CollectiveDirective:
-      obs::count("cid.collective.executions", event.site, event.rank);
-      obs::count("cid.collective.bytes_sent", event.site, event.rank,
-                 event.bytes);
-      obs::observe("cid.collective.virtual_seconds", event.site, event.rank,
-                   duration);
-      break;
-    case TraceEventKind::Synchronization:
-      obs::count("cid.sync.flushes", event.site, event.rank);
-      obs::observe("cid.sync.virtual_seconds", event.site, event.rank,
-                   duration);
-      break;
-    case TraceEventKind::Overlap:
-      obs::observe("cid.overlap.virtual_seconds", event.site, event.rank,
-                   duration);
-      break;
-    case TraceEventKind::FaultInjected:
-      obs::count("cid.faults.injected", event.site, event.rank);
-      break;
-    case TraceEventKind::Retransmit:
-      obs::count("cid.reliability.retransmits", event.site, event.rank);
-      obs::count("cid.reliability.retransmit_bytes", event.site, event.rank,
-                 event.bytes);
-      break;
-    case TraceEventKind::Timeout:
-      obs::count("cid.reliability.timeouts", event.site, event.rank);
-      break;
-  }
+  const KindRow& row = row_of(event.kind);
+  obs::span(event.rank, row.cat, event.site, event.begin, event.end,
+            event.bytes, event.messages, &row.metrics);
 }
 
 }  // namespace detail

@@ -102,8 +102,8 @@ rt::DeliveryVerdict FaultInjector::on_deliver(const rt::Envelope& envelope,
         envelope.available_at,
         envelope.available_at + verdict.delay + verdict.sender_stall +
             (verdict.duplicate ? verdict.duplicate_delay : 0.0),
-        std::string(fault_kind_name(fate)) + " -> " +
-            std::to_string(dest_rank),
+        obs::Name(std::string(fault_kind_name(fate)) + " -> " +
+                  std::to_string(dest_rank)),
         envelope.payload.size(),
         1,
     });

@@ -60,8 +60,9 @@ void apply_op(ReduceOp op, const T* in, T* inout, std::size_t count) {
 }
 
 /// Names the algorithm in the trace: one "coll" span "<op>[<algo>]" over the
-/// call's virtual-time extent, plus a "cid.coll.calls" counter keyed by the
-/// same label. Reads clocks only — recording cannot perturb virtual time.
+/// call's virtual-time extent, from which obs derives a "cid.coll.calls"
+/// counter keyed by the same label. Reads clocks only — recording cannot
+/// perturb virtual time.
 class CollSpan {
  public:
   CollSpan(CollOp op, CollAlgo algo, std::uint64_t bytes)
@@ -73,10 +74,13 @@ class CollSpan {
   ~CollSpan() {
     if (!enabled_) return;
     auto& ctx = rt::current_ctx();
-    std::string name = std::string(tune::coll_op_name(op_)) + "[" +
-                       std::string(tune::coll_algo_name(algo_)) + "]";
-    obs::span(ctx.rank(), "coll", name, begin_, ctx.clock().now(), bytes_);
-    obs::count("cid.coll.calls", name, ctx.rank());
+    static const obs::Name kCat("coll");
+    static const obs::SpanMetrics kMetrics{obs::Name("cid.coll.calls"), {},
+                                           {}, {}};
+    const obs::Name name(std::string(tune::coll_op_name(op_)) + "[" +
+                         std::string(tune::coll_algo_name(algo_)) + "]");
+    obs::span(ctx.rank(), kCat, name, begin_, ctx.clock().now(), bytes_, 0,
+              &kMetrics);
   }
 
  private:

@@ -134,8 +134,11 @@ void Engine::deliver(rt::RankCtx& ctx, detail::RequestImpl& request,
   request.complete = true;
   request.active = false;
   if (obs::enabled()) {
-    obs::count("mpi.match.messages", "engine", ctx.rank());
-    obs::count("mpi.match.bytes", "engine", ctx.rank(), wire_bytes);
+    static const obs::Name kMessages("mpi.match.messages");
+    static const obs::Name kBytes("mpi.match.bytes");
+    static const obs::Name kSite("engine");
+    obs::count(kMessages, kSite, ctx.rank());
+    obs::count(kBytes, kSite, ctx.rank(), wire_bytes);
   }
 }
 

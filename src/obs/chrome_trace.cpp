@@ -15,8 +15,10 @@
 //
 // Timestamps are virtual microseconds. Doubles are formatted with
 // std::to_chars(general, 17), the same digits as %.17g, so a deterministic
-// run serializes to byte-identical JSON on every host. The text is built in
-// a 1 MiB char buffer and handed to the stream a buffer at a time.
+// run serializes to byte-identical JSON on every host. Names are written
+// from the JSON text obs::Name escaped once, when it was interned. The text
+// is built in a 1 MiB char buffer and handed to the stream a buffer at a
+// time.
 #include <bit>
 #include <charconv>
 #include <cstdint>
@@ -43,32 +45,6 @@ class JsonWriter {
   JsonWriter& raw(std::string_view text) {
     std::memcpy(room(text.size()), text.data(), text.size());
     used_ += text.size();
-    return *this;
-  }
-
-  JsonWriter& string(std::string_view text) {
-    static constexpr char kHex[] = "0123456789abcdef";
-    char* const begin = room(2 + 6 * text.size());  // worst case: all \u00XX
-    char* at = begin;
-    *at++ = '"';
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        *at++ = '\\';
-        *at++ = c;
-      } else if (c == '\n') {
-        *at++ = '\\';
-        *at++ = 'n';
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        std::memcpy(at, "\\u00", 4);
-        at[4] = kHex[(c >> 4) & 0xf];
-        at[5] = kHex[c & 0xf];
-        at += 6;
-      } else {
-        *at++ = c;
-      }
-    }
-    *at++ = '"';
-    used_ += static_cast<std::size_t>(at - begin);
     return *this;
   }
 
@@ -128,10 +104,9 @@ class JsonWriter {
       std::vector<CachedNumber>(std::size_t{1} << kNumberCacheBits);
 };
 
-void write_key(JsonWriter& w, std::string_view metric, std::string_view site,
-               int rank) {
-  w.raw(R"({"metric":)").string(metric).raw(R"(,"site":)").string(site);
-  w.raw(R"(,"rank":)").integer(rank);
+void write_key(JsonWriter& w, Name metric, Name site, int rank) {
+  w.raw(R"({"metric":)").raw(metric.json()).raw(R"(,"site":)");
+  w.raw(site.json()).raw(R"(,"rank":)").integer(rank);
 }
 
 }  // namespace
@@ -156,8 +131,8 @@ void write_chrome_json(std::ostream& out) {
   }
 
   for (const detail::SpanRecord* s : sorted) {
-    w.raw(",\n" R"({"name":)").string(s->name);
-    w.raw(R"(,"cat":)").string(s->cat);
+    w.raw(",\n" R"({"name":)").raw(s->name.json());
+    w.raw(R"(,"cat":)").raw(s->cat.json());
     w.raw(R"(,"ph":"X","pid":0,"tid":)").integer(s->rank);
     w.raw(R"(,"ts":)").number(s->begin * 1e6);
     w.raw(R"(,"dur":)").number((s->end - s->begin) * 1e6);

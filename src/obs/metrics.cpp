@@ -51,24 +51,11 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-void MetricsRegistry::add(std::string_view metric, std::string_view site,
-                          int rank, std::uint64_t delta) {
-  detail::record([&](detail::Recorder& r) {
-    r.counters.find_or_add(metric, site, rank, r.keys) += delta;
-  });
-}
-
-void MetricsRegistry::observe(std::string_view metric, std::string_view site,
-                              int rank, double value) {
-  detail::record([&](detail::Recorder& r) {
-    r.histograms.find_or_add(metric, site, rank, r.keys).observe(value);
-  });
-}
-
 std::vector<MetricsRegistry::CounterRow> MetricsRegistry::counters() const {
   std::vector<CounterRow> out;
   for (const auto& row : detail::merged_counters()) {
-    out.push_back({{std::string(row.metric), std::string(row.site), row.rank},
+    out.push_back({{std::string(row.metric.text()),
+                    std::string(row.site.text()), row.rank},
                    row.value});
   }
   return out;
@@ -78,18 +65,11 @@ std::vector<MetricsRegistry::HistogramRow> MetricsRegistry::histograms()
     const {
   std::vector<HistogramRow> out;
   for (const auto& row : detail::merged_histograms()) {
-    out.push_back({{std::string(row.metric), std::string(row.site), row.rank},
+    out.push_back({{std::string(row.metric.text()),
+                    std::string(row.site.text()), row.rank},
                    row.value});
   }
   return out;
-}
-
-void MetricsRegistry::clear() {
-  std::lock_guard<std::mutex> lock(detail::shared_recorder().mutex);
-  for (detail::Recorder* r : detail::all_recorders()) {
-    r->counters.clear();
-    r->histograms.clear();
-  }
 }
 
 }  // namespace cid::obs

@@ -68,8 +68,11 @@ void World::deliver(int dest, Envelope envelope) {
     // Every envelope (including fault-layer duplicates pushed below) funnels
     // through here, so this counter pair is the ground truth for wire load
     // per destination rank.
-    obs::count("rt.deliver.messages", "world", dest);
-    obs::count("rt.deliver.bytes", "world", dest, envelope.payload.size());
+    static const obs::Name kMessages("rt.deliver.messages");
+    static const obs::Name kBytes("rt.deliver.bytes");
+    static const obs::Name kSite("world");
+    obs::count(kMessages, kSite, dest);
+    obs::count(kBytes, kSite, dest, envelope.payload.size());
   }
   if (delivery_tap_) delivery_tap_(envelope, dest);
   if (interceptor_ != nullptr) {

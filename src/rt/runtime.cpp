@@ -1,6 +1,7 @@
 #include "rt/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -16,6 +17,9 @@ namespace cid::rt {
 
 namespace {
 thread_local RankCtx* t_ctx = nullptr;
+
+/// Set while a run() is in progress anywhere in the process.
+std::atomic<bool> g_running{false};
 
 /// RAII installation of the thread-local context.
 class CtxScope {
@@ -50,6 +54,14 @@ RunResult run(int nranks, const simnet::MachineModel& model, const RankFn& fn,
               "run() requires nranks >= 1");
   CID_REQUIRE(!in_spmd_region(), ErrorCode::RuntimeFault,
               "nested SPMD regions are not supported");
+  bool idle = false;
+  CID_REQUIRE(g_running.compare_exchange_strong(idle, true,
+                                                std::memory_order_acquire),
+              ErrorCode::RuntimeFault,
+              "run() called while another run is in progress in the process");
+  struct Running {
+    ~Running() { g_running.store(false, std::memory_order_release); }
+  } running;
   // CID_TRACE_OUT: enable process-wide observability recording with zero
   // code changes in the SPMD program.
   obs::autotrace_poll();

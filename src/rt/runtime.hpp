@@ -102,11 +102,12 @@ struct RunOptions {
 /// Execute `fn` on `nranks` ranks over a fresh World. Rethrows the first
 /// rank failure (after poisoning the world so the other ranks unwind).
 ///
-/// Must not be called from two host threads at once: every run shares
-/// process-wide state with no lock around it. tune::Tuner::prepare()
-/// rewrites the tuning mode and CID_COLL overrides at the start of each run,
-/// and obs keeps one recorder per rank number, which the same rank of two
-/// concurrent runs would both write.
+/// One run at a time per process: a call made while another run is in
+/// progress, from any thread, throws CidError(RuntimeFault) before it touches
+/// any state. Every run shares process-wide state with no lock around it:
+/// tune::Tuner::prepare() rewrites the tuning mode and CID_COLL overrides at
+/// the start of each run, and obs keeps one recorder per rank number, which
+/// the same rank of two concurrent runs would both write.
 RunResult run(int nranks, const simnet::MachineModel& model,
               const RankFn& fn);
 

@@ -449,7 +449,9 @@ void yield() {
 void WaitCv::wait(std::unique_lock<std::mutex>& lock) {
   Fiber* fiber = Fiber::current();
   if (fiber == nullptr) {
+    thread_waiters_.fetch_add(1, std::memory_order_relaxed);
     cv_.wait(lock);
+    thread_waiters_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
   // Publish intent and register while still holding the caller's mutex:
@@ -468,7 +470,10 @@ void WaitCv::wait(std::unique_lock<std::mutex>& lock) {
 bool WaitCv::wait_until(std::unique_lock<std::mutex>& lock,
                         std::chrono::steady_clock::time_point deadline) {
   // Timed waits block the calling thread even on a fiber; see header.
-  return cv_.wait_until(lock, deadline) == std::cv_status::no_timeout;
+  thread_waiters_.fetch_add(1, std::memory_order_relaxed);
+  const std::cv_status status = cv_.wait_until(lock, deadline);
+  thread_waiters_.fetch_sub(1, std::memory_order_relaxed);
+  return status == std::cv_status::no_timeout;
 }
 
 void WaitCv::notify_all() {
@@ -478,7 +483,12 @@ void WaitCv::notify_all() {
     woken.swap(fiber_waiters_);
   }
   for (Fiber* fiber : woken) fiber->scheduler_.unpark(fiber);
-  cv_.notify_all();
+  // A thread waiter counts itself in under the caller's mutex, before it
+  // releases the mutex in cv_'s wait. The caller changed the waited-for
+  // state under that mutex before notifying, so a waiter that could miss
+  // the change is already counted here; with none, cv_ need not be touched
+  // (its notify takes an internal lock).
+  if (thread_waiters_.load(std::memory_order_relaxed) != 0) cv_.notify_all();
 }
 
 int resolve_workers(int requested, int nranks) {

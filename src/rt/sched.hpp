@@ -260,12 +260,16 @@ class WaitCv {
                   std::chrono::steady_clock::time_point deadline);
 
   /// Wake every current waiter (fibers are re-enqueued, threads notified).
+  /// The caller changes the waited-for state under the waiters' mutex, and
+  /// notifies while holding it or after releasing it.
   void notify_all();
 
  private:
   std::mutex waiters_mutex_;
   std::vector<Fiber*> fiber_waiters_;
   std::condition_variable_any cv_;
+  /// Threads in wait() or wait_until(), counted under the caller's mutex.
+  std::atomic<int> thread_waiters_{0};
 };
 
 /// Cooperative yield. On a fiber: requeue at the back of the run queue and

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <map>
+#include <mutex>
 #include <new>
 #include <numeric>
 #include <optional>
@@ -69,6 +72,33 @@ TEST(Runtime, SingleRankWorldWorks) {
 TEST(Runtime, RejectsZeroRanks) {
   EXPECT_THROW(cid::rt::run(0, MachineModel::zero(), [](RankCtx&) {}),
                cid::CidError);
+}
+
+TEST(Runtime, RunWhileAnotherRunIsInProgressThrows) {
+  // The first run parks its only rank on a latch; a second thread's run
+  // must be refused without touching the process-wide state the first run
+  // uses.
+  std::latch entered(1);
+  std::latch release(1);
+  std::thread first([&] {
+    cid::rt::run(1, MachineModel::zero(), [&](RankCtx&) {
+      entered.count_down();
+      release.wait();
+    });
+  });
+  entered.wait();
+  try {
+    cid::rt::run(2, MachineModel::zero(), [](RankCtx&) {});
+    ADD_FAILURE() << "the overlapping run was not refused";
+  } catch (const cid::CidError& error) {
+    EXPECT_EQ(error.code(), cid::ErrorCode::RuntimeFault);
+  }
+  release.count_down();
+  first.join();
+  // Once the first run has ended, runs are accepted again.
+  EXPECT_EQ(cid::rt::run(2, MachineModel::zero(), [](RankCtx&) {})
+                .final_clocks.size(),
+            2u);
 }
 
 TEST(Runtime, CurrentCtxOutsideRegionThrows) {
@@ -1020,6 +1050,36 @@ TEST(Sched, ConcurrentSchedulersShareTheStackCache) {
   EXPECT_LE(after.mapped - before.mapped, 64u);
   EXPECT_EQ((after.mapped - before.mapped) + (after.reused - before.reused),
             2u * 20u * 32u);
+}
+
+TEST(Sched, TimedWaiterWakesOnNotifyLongBeforeItsDeadline) {
+  // A plain-thread waiter on a WaitCv: notify_all must reach it even though
+  // no fiber waits, well before its 30 s deadline.
+  std::mutex mutex;
+  sched::WaitCv cv;
+  bool ready = false;
+  std::atomic<bool> waiting{false};
+  std::thread notifier([&] {
+    while (!waiting.load()) std::this_thread::yield();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      ready = true;
+    }
+    cv.notify_all();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  bool notified = true;
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    waiting.store(true);
+    while (!ready && notified) {
+      notified = cv.wait_until(lock, start + std::chrono::seconds(30));
+    }
+  }
+  notifier.join();
+  EXPECT_TRUE(ready);
+  EXPECT_TRUE(notified);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
 }
 
 // ---- Envelope arena --------------------------------------------------------

@@ -898,7 +898,7 @@ TEST(Directive, SiteIdHashesItsNameNotItsAddress) {
   EXPECT_EQ(std::hash<detail::SiteId>{}(site),
             detail::SiteId::hash_of(file, here.line()));
   EXPECT_EQ(site, detail::SiteId::of(here));
-  EXPECT_EQ(site.name(), file + ":" + std::to_string(here.line()));
+  EXPECT_EQ(site.name().text(), file + ":" + std::to_string(here.line()));
 }
 
 }  // namespace
